@@ -19,10 +19,11 @@ from .forms import (
     AForm,
     BasisLabel,
     CanonicalDecomposition,
-    CpClassification,
     CpVerdict,
     KrausSet,
     OperatorBasis,
+    _a_form_residuals,
+    _classify,
     canonical_decompose,
     default_basis,
     extract_kraus,
@@ -53,14 +54,6 @@ class AnalysisReport:
     kraus_absent_reason: str | None
 
 
-def _a_form_residuals(a: AForm) -> tuple[float, float]:
-    n = a.dim
-    a4 = a.matrix.reshape(n, n, n, n)
-    herm = max_abs(np.conj(a4) - a4.transpose(1, 0, 3, 2))
-    tp = max_abs(np.einsum("iikl->kl", a4) - np.eye(n))
-    return herm, tp
-
-
 def analyze(
     spec: ChannelSpec,
     basis: OperatorBasis | None = None,
@@ -75,7 +68,7 @@ def analyze(
         basis = default_basis(a.dim)
     n = a.dim
 
-    herm_res, tp_res = _a_form_residuals(a)
+    herm_res, tp_res = _a_form_residuals(a.matrix, n)
     b = realign_a_to_b(a, tol)
     b_herm = hermiticity_residual(b.matrix)
     b_trace = float(np.trace(b.matrix).real)
@@ -84,18 +77,7 @@ def analyze(
     b_spectrum = hermitian_eigendecompose(b.matrix, tol * n * n).eigenvalues
     spectral_match = float(np.abs(decomp.eigenvalues - b_spectrum).max())
 
-    min_eig = float(decomp.eigenvalues.min())
-    cls = (
-        CpClassification.COMPLETELY_POSITIVE
-        if min_eig >= -tol
-        else CpClassification.NOT_COMPLETELY_POSITIVE
-    )
-    verdict = CpVerdict(
-        classification=cls,
-        eigenvalues=decomp.eigenvalues,
-        min_eigenvalue=min_eig,
-        tol=tol,
-    )
+    verdict = _classify(decomp.eigenvalues, tol)
 
     kraus: KrausSet | None = None
     reason: str | None = None
@@ -103,7 +85,7 @@ def analyze(
         kraus = extract_kraus(decomp, tol)
     else:
         reason = (
-            f"map is not completely positive (min eigenvalue {min_eig:.6g}); "
+            f"map is not completely positive (min eigenvalue {verdict.min_eigenvalue:.6g}); "
             "no operator-sum form exists"
         )
 

@@ -50,6 +50,7 @@ from .forms import (
 from .linalg import DEFAULT_TOL, SIGMA_1, SIGMA_2, SIGMA_3
 from .serialize import (
     ChannelDocument,
+    _check_tol,
     channel_document_wire,
     dumps,
     matrix_to_wire,
@@ -91,6 +92,17 @@ def _render_matrix(m: np.ndarray, tol: float, indent: str = "  ") -> str:
 
 def _render_spectrum(values, tol: float) -> str:
     return "[" + ", ".join(_fmt_real(float(v), tol) for v in values) + "]"
+
+
+def _render_canonical(decomp: CanonicalDecomposition, tol: float) -> str:
+    return "\n".join(
+        f"  eigenvalue {_fmt_real(float(lam), tol)}:\n{_render_matrix(op, tol, indent='    ')}"
+        for lam, op in zip(decomp.eigenvalues, decomp.canonical_ops)
+    )
+
+
+def _render_operators(ops, tol: float) -> str:
+    return "\n".join(_render_matrix(op, tol, indent="    ") for op in ops)
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +185,14 @@ def _env_default_tol() -> float:
         tol = float(raw)
     except ValueError:
         raise DocumentError(f"{TOL_ENV_VAR}: not a number: {raw!r}") from None
-    if not tol > 0:
-        raise DocumentError(f"{TOL_ENV_VAR}: tolerance must be positive")
-    return tol
+    return _check_tol(tol, TOL_ENV_VAR)
 
 
-def _positive_tol(raw: str) -> float:
-    value = float(raw)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
-    return value
+def _tol_flag(raw: str) -> float:
+    try:
+        return _check_tol(float(raw), raw)
+    except DocumentError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _nonnegative_seed(raw: str) -> int:
@@ -270,13 +280,10 @@ def _print_human_report(report: AnalysisReport, tol: float) -> None:
             f" (min eigenvalue {_fmt_real(report.verdict.min_eigenvalue, tol)})"
         )
     print("canonical decomposition:")
-    for lam, op in zip(report.canonical.eigenvalues, report.canonical.canonical_ops):
-        print(f"  eigenvalue {_fmt_real(float(lam), tol)}:")
-        print(_render_matrix(op, tol, indent="    "))
+    print(_render_canonical(report.canonical, tol))
     if report.kraus is not None:
         print(f"kraus operators ({len(report.kraus)}):")
-        for op in report.kraus.operators:
-            print(_render_matrix(op, tol, indent="    "))
+        print(_render_operators(report.kraus.operators, tol))
     else:
         print(f"kraus operators: absent ({report.kraus_absent_reason})")
 
@@ -331,64 +338,39 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     a = channel_a(doc.channel, tol)
     n = a.dim
     basis = _resolve_basis(args.basis, doc, n)
-    machine = args.output == "machine"
+    label = basis.label.value
 
+    # Each target gives its machine document and its human text, built
+    # only for the output mode asked for.
     if args.to == "a_form":
-        wire = channel_document_wire(ChannelSpec.raw_a(a.matrix, tol=tol))
-        if machine:
-            sys.stdout.write(dumps(wire))
-        else:
-            print(f"A-form (dim {n}):")
-            print(_render_matrix(a.matrix, tol))
+        wire = lambda: channel_document_wire(ChannelSpec.raw_a(a.matrix, tol=tol))
+        human = lambda: f"A-form (dim {n}):\n{_render_matrix(a.matrix, tol)}"
     elif args.to == "b_form":
         b = realign_a_to_b(a, tol)
-        if machine:
-            sys.stdout.write(dumps(representation_wire("b_form", n, matrix=matrix_to_wire(b.matrix))))
-        else:
-            print(f"B-form (dim {n}):")
-            print(_render_matrix(b.matrix, tol))
+        wire = lambda: representation_wire("b_form", n, matrix=matrix_to_wire(b.matrix))
+        human = lambda: f"B-form (dim {n}):\n{_render_matrix(b.matrix, tol)}"
     elif args.to == "coefficient":
         cm = coefficient_matrix(a, basis, tol)
-        if machine:
-            sys.stdout.write(
-                dumps(
-                    representation_wire(
-                        "coefficient", n, basis=basis.label.value, matrix=matrix_to_wire(cm.matrix)
-                    )
-                )
-            )
-        else:
-            print(f"coefficient matrix (dim {n}, basis {basis.label.value}):")
-            print(_render_matrix(cm.matrix, tol))
+        wire = lambda: representation_wire("coefficient", n, basis=label, matrix=matrix_to_wire(cm.matrix))
+        human = lambda: f"coefficient matrix (dim {n}, basis {label}):\n{_render_matrix(cm.matrix, tol)}"
     elif args.to == "canonical":
         decomp = canonical_decompose(a, basis, tol)
-        if machine:
-            sys.stdout.write(
-                dumps(
-                    representation_wire(
-                        "canonical",
-                        n,
-                        basis=basis.label.value,
-                        eigenvalues=_float_list(decomp.eigenvalues),
-                        operators=[matrix_to_wire(op) for op in decomp.canonical_ops],
-                    )
-                )
-            )
-        else:
-            print(f"canonical decomposition (dim {n}, basis {basis.label.value}):")
-            for lam, op in zip(decomp.eigenvalues, decomp.canonical_ops):
-                print(f"  eigenvalue {_fmt_real(float(lam), tol)}:")
-                print(_render_matrix(op, tol, indent="    "))
+        wire = lambda: representation_wire("canonical", n, **_canonical_wire(decomp))
+        human = lambda: (
+            f"canonical decomposition (dim {n}, basis {label}):\n"
+            + _render_canonical(decomp, tol)
+        )
     else:  # kraus
-        decomp = canonical_decompose(a, basis, tol)
-        kraus = extract_kraus(decomp, tol)  # NotCompletelyPositiveError -> exit 3
-        wire = channel_document_wire(ChannelSpec.raw_kraus(kraus.operators, tol=tol * (n * n + 1)))
-        if machine:
-            sys.stdout.write(dumps(wire))
-        else:
-            print(f"kraus operators ({len(kraus)}):")
-            for op in kraus.operators:
-                print(_render_matrix(op, tol, indent="    "))
+        kraus = extract_kraus(canonical_decompose(a, basis, tol), tol)  # NCP -> exit 3
+        wire = lambda: channel_document_wire(ChannelSpec.raw_kraus(kraus.operators, tol=tol * (n * n + 1)))
+        human = lambda: (
+            f"kraus operators ({len(kraus)}):\n"
+            + _render_operators(kraus.operators, tol)
+        )
+    if args.output == "machine":
+        sys.stdout.write(dumps(wire()))
+    else:
+        print(human())
     return 0
 
 
@@ -424,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("document", help="channel document path, or '-' for stdin")
         if with_basis:
             p.add_argument("--basis", choices=[b.value for b in BasisLabel], default=None)
-        p.add_argument("--tol", type=_positive_tol, default=None, help="validity/classification tolerance")
+        p.add_argument("--tol", type=_tol_flag, default=None, help="validity/classification tolerance")
         p.add_argument("--seed", type=_nonnegative_seed, default=None)
         p.add_argument("--output", choices=["human", "machine"], default="human")
 

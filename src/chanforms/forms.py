@@ -44,6 +44,7 @@ from .linalg import (
     DEFAULT_TOL,
     PAULIS,
     DensityMatrix,
+    _freeze,
     as_complex_matrix,
     hermitian_eigendecompose,
     hermiticity_residual,
@@ -65,11 +66,6 @@ class CpClassification(str, Enum):
     NOT_COMPLETELY_POSITIVE = "not_completely_positive"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 def _side_dim(matrix: np.ndarray, what: str) -> int:
     """Hilbert-space dimension n for an n^2 x n^2 matrix."""
     side = matrix.shape[0]
@@ -79,6 +75,14 @@ def _side_dim(matrix: np.ndarray, what: str) -> int:
     if n * n != side or n < 1:
         raise ValueError(f"{what} side {side} is not a perfect square")
     return n
+
+
+def _a_form_residuals(matrix: np.ndarray, n: int) -> tuple[float, float]:
+    """Hermiticity- and trace-preservation residuals of an n^2 x n^2 A matrix."""
+    a4 = matrix.reshape(n, n, n, n)
+    herm = max_abs(np.conj(a4) - a4.transpose(1, 0, 3, 2))
+    tp = max_abs(np.einsum("iikl->kl", a4) - np.eye(n))
+    return herm, tp
 
 
 def _reshuffle(matrix: np.ndarray, n: int) -> np.ndarray:
@@ -148,15 +152,11 @@ class AForm:
 
     def __post_init__(self, tol: float) -> None:
         m = as_complex_matrix(self.matrix)
-        n = _side_dim(m, "A-form")
-        a4 = m.reshape(n, n, n, n)
-        herm = max_abs(np.conj(a4) - a4.transpose(1, 0, 3, 2))
+        herm, tp = _a_form_residuals(m, _side_dim(m, "A-form"))
         if herm > tol:
             raise NotHermiticityPreservingError(
                 f"hermiticity-preservation residual {herm:.3g} exceeds tol {tol:g}"
             )
-        col_sums = np.einsum("iikl->kl", a4)
-        tp = max_abs(col_sums - np.eye(n))
         if tp > tol:
             raise NotTracePreservingError(
                 f"trace-preservation residual {tp:.3g} exceeds tol {tol:g}"
@@ -445,14 +445,17 @@ def kraus_to_a(ops: KrausSet | Iterable[np.ndarray], tol: float = DEFAULT_TOL) -
     return AForm(acc, tol=tol)
 
 
-def cp_verdict(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CpVerdict:
-    """Classify a map as CP or NCP by the sign of its canonical spectrum."""
-    decomp = canonical_decompose(a, basis, tol)
-    w = decomp.eigenvalues
-    min_eig = float(w.min())
+def _classify(eigenvalues: np.ndarray, tol: float) -> CpVerdict:
+    """CP exactly when no canonical eigenvalue lies below ``-tol``."""
+    min_eig = float(eigenvalues.min())
     cls = (
         CpClassification.COMPLETELY_POSITIVE
         if min_eig >= -tol
         else CpClassification.NOT_COMPLETELY_POSITIVE
     )
-    return CpVerdict(classification=cls, eigenvalues=w, min_eigenvalue=min_eig, tol=tol)
+    return CpVerdict(classification=cls, eigenvalues=eigenvalues, min_eigenvalue=min_eig, tol=tol)
+
+
+def cp_verdict(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CpVerdict:
+    """Classify a map as CP or NCP by the sign of its canonical spectrum."""
+    return _classify(canonical_decompose(a, basis, tol).eigenvalues, tol)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -27,9 +28,9 @@ from .errors import (
     NonFiniteEntryError,
     UnknownFieldError,
 )
-from .forms import BasisLabel
-from .linalg import BlochVector, DensityMatrix, bloch_to_density
-from .zoo import ChannelKind, ChannelSpec
+from .forms import BasisLabel, CpClassification
+from .linalg import DEFAULT_TOL, BlochVector, DensityMatrix, bloch_to_density
+from .zoo import _KINDS, _PLAIN, ChannelKind, ChannelSpec
 
 FORMAT_VERSION = "1"
 
@@ -72,7 +73,10 @@ def dumps(obj: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# strict decoding helpers
+# strict decoding: leaves
+#
+# A leaf parser takes the JSON value and its path and returns the parsed
+# value or raises a DocumentError naming the path.
 
 
 def _load_json(text: str | bytes, what: str) -> object:
@@ -95,17 +99,6 @@ def _as_object(obj, path: str) -> dict:
     return dict(obj)
 
 
-def _pop_required(d: dict, field: str, path: str):
-    if field not in d:
-        raise MissingFieldError(f"{path}: missing required field {field!r}")
-    return d.pop(field)
-
-
-def _reject_leftovers(d: dict, path: str) -> None:
-    if d:
-        raise UnknownFieldError(f"{path}: unknown field {next(iter(d))!r}")
-
-
 def _as_finite_number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise BadMatrixShapeError(f"{path}: expected a number")
@@ -115,11 +108,59 @@ def _as_finite_number(obj, path: str) -> float:
     return v
 
 
-def _as_int(obj, path: str, minimum: int | None = None) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise BadMatrixShapeError(f"{path}: expected an integer")
-    if minimum is not None and obj < minimum:
-        raise BadMatrixShapeError(f"{path}: must be at least {minimum}")
+def _check_tol(tol: float, path: str) -> float:
+    """The one tolerance check, for the flag, the environment and documents."""
+    if not math.isfinite(tol):
+        raise NonFiniteEntryError(f"{path}: tolerance must be finite")
+    if tol <= 0:
+        raise BadMatrixShapeError(f"{path}: tolerance must be positive")
+    return tol
+
+
+def _tol(obj, path: str) -> float:
+    return _check_tol(_as_finite_number(obj, path), path)
+
+
+def _int_at_least(minimum: int):
+    def leaf(obj, path: str) -> int:
+        if isinstance(obj, bool) or not isinstance(obj, int):
+            raise BadMatrixShapeError(f"{path}: expected an integer")
+        if obj < minimum:
+            raise BadMatrixShapeError(f"{path}: must be at least {minimum}")
+        return obj
+
+    return leaf
+
+
+def _boolean(obj, path: str) -> bool:
+    if not isinstance(obj, bool):
+        raise BadMatrixShapeError(f"{path}: expected a boolean")
+    return obj
+
+
+def _string(obj, path: str) -> str:
+    if not isinstance(obj, str):
+        raise BadMatrixShapeError(f"{path}: expected a string")
+    return obj
+
+
+def _member(enum: type[Enum], what: str):
+    """Leaf for the wire value of a member of ``enum``; returns the member."""
+
+    def leaf(obj, path: str):
+        try:
+            return enum(obj)
+        except ValueError:
+            raise UnknownFieldError(f"{path}: unknown {what} {obj!r}") from None
+
+    return leaf
+
+
+def _version(obj, path: str) -> str:
+    if obj != FORMAT_VERSION:
+        raise UnknownFieldError(
+            f"{path}: unrecognized version {obj!r} (expected {FORMAT_VERSION!r})"
+        )
     return obj
 
 
@@ -128,6 +169,14 @@ def parse_complex(obj, path: str) -> complex:
     if not isinstance(obj, list) or len(obj) != 2:
         raise BadMatrixShapeError(f"{path}: complex entries must be [re, im] pairs")
     return complex(_as_finite_number(obj[0], path), _as_finite_number(obj[1], path))
+
+
+def _check_shape(m: np.ndarray, path: str, rows: int | None, cols: int | None) -> np.ndarray:
+    if rows is not None and m.shape[0] != rows:
+        raise BadMatrixShapeError(f"{path}: expected {rows} rows, got {m.shape[0]}")
+    if cols is not None and m.shape[1] != cols:
+        raise BadMatrixShapeError(f"{path}: expected {cols} columns, got {m.shape[1]}")
+    return m
 
 
 def parse_matrix(obj, path: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -143,99 +192,144 @@ def parse_matrix(obj, path: str, rows: int | None = None, cols: int | None = Non
         elif len(row) != width:
             raise BadMatrixShapeError(f"{path}[{i}]: ragged row ({len(row)} vs {width})")
         out.append([parse_complex(entry, f"{path}[{i}][{j}]") for j, entry in enumerate(row)])
-    m = np.array(out, dtype=complex)
-    if rows is not None and m.shape[0] != rows:
-        raise BadMatrixShapeError(f"{path}: expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise BadMatrixShapeError(f"{path}: expected {cols} columns, got {m.shape[1]}")
+    return _check_shape(np.array(out, dtype=complex), path, rows, cols)
+
+
+def _a_matrix(obj, path: str) -> np.ndarray:
+    m = parse_matrix(obj, path)
+    n = math.isqrt(m.shape[0])
+    if m.shape[0] != m.shape[1] or n * n != m.shape[0] or n < 2:
+        raise BadMatrixShapeError(
+            f"{path}: an A-form must be n^2 x n^2 with n >= 2, got {m.shape[0]}x{m.shape[1]}"
+        )
     return m
 
 
-def _parse_real_triple(obj, path: str) -> tuple[float, float, float]:
+def _operator(obj, path: str) -> np.ndarray:
+    m = parse_matrix(obj, path)
+    if m.shape[0] != m.shape[1] or m.shape[0] < 2:
+        raise BadMatrixShapeError(f"{path}: operators must be square and at least 2x2")
+    return m
+
+
+def _real_triple(obj, path: str) -> list[float]:
     if not isinstance(obj, list) or len(obj) != 3:
         raise BadMatrixShapeError(f"{path}: expected three real components")
-    x, y, z = (_as_finite_number(v, f"{path}[{i}]") for i, v in enumerate(obj))
-    return (x, y, z)
+    return [_as_finite_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+
+
+def _array(item):
+    """Leaf for a non-empty array whose elements follow the schema ``item``."""
+
+    def leaf(obj, path: str) -> list:
+        if not isinstance(obj, list) or not obj:
+            raise BadMatrixShapeError(f"{path}: expected a non-empty array")
+        return [_walk(item, v, f"{path}[{i}]") for i, v in enumerate(obj)]
+
+    return leaf
+
+
+def _or_null(schema):
+    return lambda obj, path: None if obj is None else _walk(schema, obj, path)
+
+
+# ---------------------------------------------------------------------------
+# the schema walker
+#
+# A schema is a leaf parser, a dict (an object: every listed field is
+# required and no other field is allowed) or a tagged union.
+
+
+@dataclass(frozen=True)
+class _Tagged:
+    """An object whose field ``tag`` selects the schema of the whole object."""
+
+    tag: str
+    what: str
+    variants: dict[str, dict]
+
+
+def _walk(schema, obj, path: str):
+    if callable(schema):
+        return schema(obj, path)
+    d = _as_object(obj, path)
+    if isinstance(schema, _Tagged):
+        if schema.tag not in d:
+            raise MissingFieldError(f"{path}: missing required field {schema.tag!r}")
+        tag = d[schema.tag]
+        if not isinstance(tag, str) or tag not in schema.variants:
+            raise UnknownFieldError(f"{path}.{schema.tag}: unknown {schema.what} {tag!r}")
+        schema = {schema.tag: _string, **schema.variants[tag]}
+    for field in d:
+        if field not in schema:
+            raise UnknownFieldError(f"{path}: unknown field {field!r}")
+    out = {}
+    for field, sub in schema.items():
+        if field not in d:
+            raise MissingFieldError(f"{path}: missing required field {field!r}")
+        out[field] = _walk(sub, d[field], f"{path}.{field}")
+    return out
+
+
+_real = _as_finite_number
+_reals = _array(_real)
+_matrices = _array(parse_matrix)
+_dim = _int_at_least(2)
+_seed = _int_at_least(0)
+_samples = _int_at_least(1)
+_basis = _member(BasisLabel, "basis")
+
+# Payload field parsers and writers, by the wire types of the kind table.
+_PARSERS = {
+    "real": _real,
+    "axis": _real_triple,
+    "bloch": _real_triple,
+    "a_matrix": _a_matrix,
+    "operators": _array(_operator),
+}
+_ENCODERS = {
+    **_PLAIN,
+    "a_matrix": matrix_to_wire,
+    "operators": lambda ops: [matrix_to_wire(op) for op in ops],
+}
+
+
+def _kind_union(extra: dict, types: dict) -> _Tagged:
+    """Union over the kinds: ``extra`` plus the payload fields of the given wire types."""
+    return _Tagged(
+        "kind",
+        "channel kind",
+        {
+            kind.value: {**extra, **{name: _PARSERS[t] for name, t in rule.fields if t in types}}
+            for kind, rule in _KINDS.items()
+        },
+    )
+
+
+_PAYLOAD = _kind_union({}, _PARSERS)
+# The channel block of a report: kind, dim and the scalar parameters.
+_SUMMARY = _kind_union({"dim": _dim}, _PLAIN)
+
+
+def _make_channel(fields: dict, tol: float) -> ChannelSpec:
+    """Run parsed payload fields through their kind's validating constructor."""
+    rule = _KINDS[ChannelKind(fields["kind"])]
+    return rule.make(tol, **{name: fields[name] for name, _ in rule.fields})
 
 
 # ---------------------------------------------------------------------------
 # channel documents
 
-
-def _parse_channel(obj, path: str, tol: float) -> ChannelSpec:
-    d = _as_object(obj, path)
-    kind_raw = _pop_required(d, "kind", path)
-    try:
-        kind = ChannelKind(kind_raw)
-    except ValueError:
-        raise UnknownFieldError(f"{path}.kind: unknown channel kind {kind_raw!r}") from None
-
-    if kind is ChannelKind.UNITARY:
-        axis = _parse_real_triple(_pop_required(d, "axis", path), f"{path}.axis")
-        angle = _as_finite_number(_pop_required(d, "angle", path), f"{path}.angle")
-        _reject_leftovers(d, path)
-        return ChannelSpec.unitary(axis, angle)
-    if kind is ChannelKind.PIN:
-        p0 = _parse_real_triple(_pop_required(d, "p0", path), f"{path}.p0")
-        _reject_leftovers(d, path)
-        return ChannelSpec.pin(BlochVector(*p0))
-    if kind is ChannelKind.TRANSPOSE:
-        _reject_leftovers(d, path)
-        return ChannelSpec.transpose()
-    if kind is ChannelKind.EQUATORIAL_PROJECTION:
-        _reject_leftovers(d, path)
-        return ChannelSpec.equatorial_projection()
-    if kind in (ChannelKind.BIT_FLIP, ChannelKind.PHASE_FLIP):
-        p = _as_finite_number(_pop_required(d, "p", path), f"{path}.p")
-        _reject_leftovers(d, path)
-        make = ChannelSpec.bit_flip if kind is ChannelKind.BIT_FLIP else ChannelSpec.phase_flip
-        return make(p)
-    if kind is ChannelKind.RAW_A:
-        m = parse_matrix(_pop_required(d, "matrix", path), f"{path}.matrix")
-        _reject_leftovers(d, path)
-        side = m.shape[0]
-        n = math.isqrt(side)
-        if m.shape[0] != m.shape[1] or n * n != side:
-            raise BadMatrixShapeError(
-                f"{path}.matrix: an A-form must be n^2 x n^2, got {m.shape[0]}x{m.shape[1]}"
-            )
-        return ChannelSpec.raw_a(m, tol=tol)
-    # RAW_KRAUS
-    ops_obj = _pop_required(d, "operators", path)
-    _reject_leftovers(d, path)
-    if not isinstance(ops_obj, list) or not ops_obj:
-        raise BadMatrixShapeError(f"{path}.operators: expected a non-empty array of matrices")
-    ops = []
-    for i, op in enumerate(ops_obj):
-        m = parse_matrix(op, f"{path}.operators[{i}]")
-        if m.shape[0] != m.shape[1]:
-            raise BadMatrixShapeError(f"{path}.operators[{i}]: operators must be square")
-        ops.append(m)
-    return ChannelSpec.raw_kraus(ops, tol=tol)
+_OPTIONS = {"basis": _basis, "tol": _tol, "seed": _seed, "samples": _samples}
 
 
 def _parse_options(obj, path: str) -> DocumentOptions:
+    """Like an object schema, except that every field is optional."""
     d = _as_object(obj, path)
-    basis = None
-    if "basis" in d:
-        raw = d.pop("basis")
-        try:
-            basis = BasisLabel(raw)
-        except ValueError:
-            raise UnknownFieldError(f"{path}.basis: unknown basis {raw!r}") from None
-    tol = None
-    if "tol" in d:
-        tol = _as_finite_number(d.pop("tol"), f"{path}.tol")
-        if tol <= 0:
-            raise BadMatrixShapeError(f"{path}.tol: must be positive")
-    seed = DEFAULT_SEED
-    if "seed" in d:
-        seed = _as_int(d.pop("seed"), f"{path}.seed", minimum=0)
-    samples = DEFAULT_SAMPLES
-    if "samples" in d:
-        samples = _as_int(d.pop("samples"), f"{path}.samples", minimum=1)
-    _reject_leftovers(d, path)
-    return DocumentOptions(basis=basis, tol=tol, seed=seed, samples=samples)
+    for field in d:
+        if field not in _OPTIONS:
+            raise UnknownFieldError(f"{path}: unknown field {field!r}")
+    return DocumentOptions(**{f: _walk(_OPTIONS[f], v, f"{path}.{f}") for f, v in d.items()})
 
 
 def parse_channel_document(
@@ -252,39 +346,26 @@ def parse_channel_document(
     ``default_tol``.
     """
     d = _as_object(_load_json(text, "document"), "document")
-    version = _pop_required(d, "format_version", "document")
-    if version != FORMAT_VERSION:
-        raise UnknownFieldError(
-            f"document.format_version: unrecognized version {version!r} (expected {FORMAT_VERSION!r})"
-        )
-    options = DocumentOptions()
-    if "options" in d:
-        options = _parse_options(d.pop("options"), "document.options")
+    options = _parse_options(d.pop("options", {}), "document.options")
     if tol_override is not None:
         tol = tol_override
     elif options.tol is not None:
         tol = options.tol
     else:
         tol = default_tol
-    channel = _parse_channel(_pop_required(d, "channel", "document"), "document.channel", tol)
-    _reject_leftovers(d, "document")
-    return ChannelDocument(format_version=version, channel=channel, options=options)
+    doc = _walk({"format_version": _version, "channel": _PAYLOAD}, d, "document")
+    return ChannelDocument(
+        format_version=doc["format_version"],
+        channel=_make_channel(doc["channel"], tol),
+        options=options,
+    )
 
 
 def channel_document_wire(spec: ChannelSpec) -> dict:
     """Serialize a channel back into document form (inverse of parsing)."""
     payload: dict = {"kind": spec.kind.value}
-    if spec.kind is ChannelKind.UNITARY:
-        payload["axis"] = [float(v) for v in spec.axis]
-        payload["angle"] = float(spec.angle)
-    elif spec.kind is ChannelKind.PIN:
-        payload["p0"] = [spec.p0.p1, spec.p0.p2, spec.p0.p3]
-    elif spec.kind in (ChannelKind.BIT_FLIP, ChannelKind.PHASE_FLIP):
-        payload["p"] = float(spec.p)
-    elif spec.kind is ChannelKind.RAW_A:
-        payload["matrix"] = matrix_to_wire(spec.matrix)
-    elif spec.kind is ChannelKind.RAW_KRAUS:
-        payload["operators"] = [matrix_to_wire(op) for op in spec.operators]
+    for name, wire_type in _KINDS[spec.kind].fields:
+        payload[name] = _ENCODERS[wire_type](getattr(spec, name))
     return {"format_version": FORMAT_VERSION, "channel": payload}
 
 
@@ -295,17 +376,12 @@ def channel_document_wire(spec: ChannelSpec) -> dict:
 def parse_state_document(text: str | bytes, tol: float) -> DensityMatrix:
     """Parse ``{"bloch": [x,y,z]}`` or ``{"density": <matrix>}`` (strict)."""
     d = _as_object(_load_json(text, "state"), "state")
-    has_bloch = "bloch" in d
-    has_density = "density" in d
-    if has_bloch == has_density:
+    if ("bloch" in d) == ("density" in d):
         raise MissingFieldError("state: provide exactly one of 'bloch' or 'density'")
-    if has_bloch:
-        triple = _parse_real_triple(d.pop("bloch"), "state.bloch")
-        _reject_leftovers(d, "state")
+    if "bloch" in d:
+        triple = _walk({"bloch": _real_triple}, d, "state")["bloch"]
         return bloch_to_density(BlochVector(*triple), tol)
-    m = parse_matrix(d.pop("density"), "state.density")
-    _reject_leftovers(d, "state")
-    return DensityMatrix(m, tol=tol)
+    return DensityMatrix(_walk({"density": parse_matrix}, d, "state")["density"], tol=tol)
 
 
 def density_wire(rho_matrix: np.ndarray, bloch: BlochVector | None) -> dict:
@@ -315,7 +391,7 @@ def density_wire(rho_matrix: np.ndarray, bloch: BlochVector | None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# representation documents (convert targets that are not themselves channels)
+# machine output: representation, report, output and zoo documents
 
 
 def representation_wire(representation: str, dim: int, **payload) -> dict:
@@ -324,231 +400,102 @@ def representation_wire(representation: str, dim: int, **payload) -> dict:
     return out
 
 
-_REPRESENTATIONS = ("b_form", "coefficient", "canonical")
-_CHANNEL_PARAM_FIELDS = {
-    "unitary": ("axis", "angle"),
-    "pin": ("p0",),
-    "transpose": (),
-    "equatorial_projection": (),
-    "bit_flip": ("p",),
-    "phase_flip": ("p",),
-    "raw_a": (),
-    "raw_kraus": (),
+_CANONICAL = {"basis": _basis, "eigenvalues": _reals, "operators": _matrices}
+_HEADER = {"format_version": _version, "dim": _dim}
+_REPRESENTATION = _Tagged(
+    "representation",
+    "target",
+    {
+        "b_form": {**_HEADER, "matrix": parse_matrix},
+        "coefficient": {**_HEADER, "basis": _basis, "matrix": parse_matrix},
+        "canonical": {**_HEADER, **_CANONICAL},
+    },
+)
+
+_REPORT = {
+    "format_version": _version,
+    "report": {
+        "channel": _SUMMARY,
+        "options": {"basis": _basis, "tol": _real, "seed": _seed, "samples": _samples},
+        "a_form": {"hermiticity_residual": _real, "trace_residual": _real, "valid": _boolean},
+        "b_form": {"hermiticity_residual": _real, "trace": _real},
+        "coefficient_spectrum": _reals,
+        "b_spectrum": _reals,
+        "spectral_match": _real,
+        "verdict": {
+            "classification": _member(CpClassification, "classification"),
+            "min_eigenvalue": _real,
+            "tol": _real,
+        },
+        "canonical": _CANONICAL,
+        "kraus": _or_null({"operators": _matrices}),
+        "kraus_absent_reason": _or_null(_string),
+    },
 }
+
+_OUTPUT = {
+    "format_version": _version,
+    "output": {
+        "density": parse_matrix,
+        "bloch": _or_null(_real_triple),
+        "positive": _boolean,
+        "min_eigenvalue": _real,
+    },
+}
+
+_ZOO = {
+    "format_version": _version,
+    "channels": _array({"kind": _member(ChannelKind, "channel kind"), "summary": _string}),
+}
+
+
+def _check_operators(ops: list, dim: int, path: str) -> None:
+    for i, op in enumerate(ops):
+        _check_shape(op, f"{path}[{i}]", dim, dim)
+
+
+def _check_canonical(c: dict, dim: int, path: str) -> None:
+    if len(c["operators"]) != len(c["eigenvalues"]):
+        raise BadMatrixShapeError(f"{path}.operators: must list one operator per eigenvalue")
+    _check_operators(c["operators"], dim, f"{path}.operators")
 
 
 def parse_representation_document(text: str | bytes) -> dict:
     """Re-parse a representation document emitted by ``convert`` (strict)."""
-    d = _as_object(_load_json(text, "representation"), "representation")
-    version = _pop_required(d, "format_version", "representation")
-    if version != FORMAT_VERSION:
-        raise UnknownFieldError(f"representation.format_version: unrecognized version {version!r}")
-    rep = _pop_required(d, "representation", "representation")
-    if rep not in _REPRESENTATIONS:
-        raise UnknownFieldError(f"representation.representation: unknown target {rep!r}")
-    dim = _as_int(_pop_required(d, "dim", "representation"), "representation.dim", minimum=2)
-    out: dict = {"representation": rep, "dim": dim}
-    if rep in ("b_form", "coefficient"):
-        out["matrix"] = parse_matrix(
-            _pop_required(d, "matrix", "representation"), "representation.matrix", dim * dim, dim * dim
-        )
-        if rep == "coefficient":
-            out["basis"] = _parse_basis_label(_pop_required(d, "basis", "representation"), "representation.basis")
-    else:  # canonical
-        out["basis"] = _parse_basis_label(_pop_required(d, "basis", "representation"), "representation.basis")
-        eigs = _pop_required(d, "eigenvalues", "representation")
-        if not isinstance(eigs, list) or not eigs:
-            raise BadMatrixShapeError("representation.eigenvalues: expected a non-empty array")
-        out["eigenvalues"] = [
-            _as_finite_number(v, f"representation.eigenvalues[{i}]") for i, v in enumerate(eigs)
-        ]
-        ops = _pop_required(d, "operators", "representation")
-        if not isinstance(ops, list) or len(ops) != len(out["eigenvalues"]):
-            raise BadMatrixShapeError(
-                "representation.operators: must list one operator per eigenvalue"
-            )
-        out["operators"] = [
-            parse_matrix(op, f"representation.operators[{i}]", dim, dim)
-            for i, op in enumerate(ops)
-        ]
-    _reject_leftovers(d, "representation")
-    return out
-
-
-def _parse_basis_label(raw, path: str) -> BasisLabel:
-    try:
-        return BasisLabel(raw)
-    except ValueError:
-        raise UnknownFieldError(f"{path}: unknown basis {raw!r}") from None
-
-
-def _parse_real_list(obj, path: str) -> list[float]:
-    if not isinstance(obj, list) or not obj:
-        raise BadMatrixShapeError(f"{path}: expected a non-empty array of numbers")
-    return [_as_finite_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
-
-
-def _parse_channel_summary(obj, path: str) -> dict:
-    """Validate the channel block a report echoes (kind, dim, parameters)."""
-    d = _as_object(obj, path)
-    kind = _pop_required(d, "kind", path)
-    if kind not in _CHANNEL_PARAM_FIELDS:
-        raise UnknownFieldError(f"{path}.kind: unknown channel kind {kind!r}")
-    out = {"kind": kind, "dim": _as_int(_pop_required(d, "dim", path), f"{path}.dim", minimum=2)}
-    for field in _CHANNEL_PARAM_FIELDS[kind]:
-        value = _pop_required(d, field, path)
-        if field in ("axis", "p0"):
-            out[field] = list(_parse_real_triple(value, f"{path}.{field}"))
-        else:
-            out[field] = _as_finite_number(value, f"{path}.{field}")
-    _reject_leftovers(d, path)
+    out = _walk(_REPRESENTATION, _load_json(text, "representation"), "representation")
+    del out["format_version"]
+    dim = out["dim"]
+    if "matrix" in out:
+        _check_shape(out["matrix"], "representation.matrix", dim * dim, dim * dim)
+    else:
+        _check_canonical(out, dim, "representation")
     return out
 
 
 def parse_report_document(text: str | bytes) -> dict:
-    """Re-parse machine output of ``analyze`` (strict)."""
-    top = _as_object(_load_json(text, "report"), "report")
-    version = _pop_required(top, "format_version", "report")
-    if version != FORMAT_VERSION:
-        raise UnknownFieldError(f"report.format_version: unrecognized version {version!r}")
-    d = _as_object(_pop_required(top, "report", "report"), "report")
-    _reject_leftovers(top, "report")
-    out: dict = {"channel": _parse_channel_summary(_pop_required(d, "channel", "report"), "report.channel")}
-    dim = out["channel"]["dim"]
+    """Re-parse machine output of ``analyze`` (strict).
 
-    opts = _as_object(_pop_required(d, "options", "report"), "report.options")
-    out["options"] = {
-        "basis": _parse_basis_label(_pop_required(opts, "basis", "report.options"), "report.options.basis"),
-        "tol": _as_finite_number(_pop_required(opts, "tol", "report.options"), "report.options.tol"),
-        "seed": _as_int(_pop_required(opts, "seed", "report.options"), "report.options.seed", minimum=0),
-        "samples": _as_int(_pop_required(opts, "samples", "report.options"), "report.options.samples", minimum=1),
-    }
-    _reject_leftovers(opts, "report.options")
-
-    a_form = _as_object(_pop_required(d, "a_form", "report"), "report.a_form")
-    out["a_form"] = {
-        "hermiticity_residual": _as_finite_number(
-            _pop_required(a_form, "hermiticity_residual", "report.a_form"), "report.a_form.hermiticity_residual"
-        ),
-        "trace_residual": _as_finite_number(
-            _pop_required(a_form, "trace_residual", "report.a_form"), "report.a_form.trace_residual"
-        ),
-        "valid": _pop_required(a_form, "valid", "report.a_form"),
-    }
-    if not isinstance(out["a_form"]["valid"], bool):
-        raise BadMatrixShapeError("report.a_form.valid: expected a boolean")
-    _reject_leftovers(a_form, "report.a_form")
-
-    b_form = _as_object(_pop_required(d, "b_form", "report"), "report.b_form")
-    out["b_form"] = {
-        "hermiticity_residual": _as_finite_number(
-            _pop_required(b_form, "hermiticity_residual", "report.b_form"), "report.b_form.hermiticity_residual"
-        ),
-        "trace": _as_finite_number(_pop_required(b_form, "trace", "report.b_form"), "report.b_form.trace"),
-    }
-    _reject_leftovers(b_form, "report.b_form")
-
-    out["coefficient_spectrum"] = _parse_real_list(
-        _pop_required(d, "coefficient_spectrum", "report"), "report.coefficient_spectrum"
-    )
-    out["b_spectrum"] = _parse_real_list(_pop_required(d, "b_spectrum", "report"), "report.b_spectrum")
-    out["spectral_match"] = _as_finite_number(
-        _pop_required(d, "spectral_match", "report"), "report.spectral_match"
-    )
-
-    verdict = _as_object(_pop_required(d, "verdict", "report"), "report.verdict")
-    cls = _pop_required(verdict, "classification", "report.verdict")
-    if cls not in ("completely_positive", "not_completely_positive"):
-        raise UnknownFieldError(f"report.verdict.classification: unknown value {cls!r}")
-    out["verdict"] = {
-        "classification": cls,
-        "min_eigenvalue": _as_finite_number(
-            _pop_required(verdict, "min_eigenvalue", "report.verdict"), "report.verdict.min_eigenvalue"
-        ),
-        "tol": _as_finite_number(_pop_required(verdict, "tol", "report.verdict"), "report.verdict.tol"),
-    }
-    _reject_leftovers(verdict, "report.verdict")
-
-    canonical = _as_object(_pop_required(d, "canonical", "report"), "report.canonical")
-    eigs = _parse_real_list(_pop_required(canonical, "eigenvalues", "report.canonical"), "report.canonical.eigenvalues")
-    ops_obj = _pop_required(canonical, "operators", "report.canonical")
-    if not isinstance(ops_obj, list) or len(ops_obj) != len(eigs):
-        raise BadMatrixShapeError("report.canonical.operators: must list one operator per eigenvalue")
-    out["canonical"] = {
-        "basis": _parse_basis_label(_pop_required(canonical, "basis", "report.canonical"), "report.canonical.basis"),
-        "eigenvalues": eigs,
-        "operators": [
-            parse_matrix(op, f"report.canonical.operators[{i}]", dim, dim) for i, op in enumerate(ops_obj)
-        ],
-    }
-    _reject_leftovers(canonical, "report.canonical")
-
-    kraus_obj = _pop_required(d, "kraus", "report")
-    if kraus_obj is None:
-        out["kraus"] = None
-    else:
-        kraus = _as_object(kraus_obj, "report.kraus")
-        ops_obj = _pop_required(kraus, "operators", "report.kraus")
-        if not isinstance(ops_obj, list) or not ops_obj:
-            raise BadMatrixShapeError("report.kraus.operators: expected a non-empty array")
-        out["kraus"] = {
-            "operators": [
-                parse_matrix(op, f"report.kraus.operators[{i}]", dim, dim) for i, op in enumerate(ops_obj)
-            ]
-        }
-        _reject_leftovers(kraus, "report.kraus")
-
-    reason = _pop_required(d, "kraus_absent_reason", "report")
-    if reason is not None and not isinstance(reason, str):
-        raise BadMatrixShapeError("report.kraus_absent_reason: expected a string or null")
-    if (out["kraus"] is None) == (reason is None):
+    The channel block follows the same per-kind rules as a channel
+    document's payload, less the matrix fields a report does not echo.
+    """
+    out = _walk(_REPORT, _load_json(text, "report"), "report")["report"]
+    channel = out["channel"]
+    # Raw kinds echo none of their payload, so only named kinds can be rebuilt.
+    if all(t in _PLAIN for _, t in _KINDS[ChannelKind(channel["kind"])].fields):
+        _make_channel(channel, DEFAULT_TOL)
+    _check_canonical(out["canonical"], channel["dim"], "report.report.canonical")
+    if out["kraus"] is not None:
+        _check_operators(out["kraus"]["operators"], channel["dim"], "report.report.kraus.operators")
+    if (out["kraus"] is None) == (out["kraus_absent_reason"] is None):
         raise MissingFieldError("report: exactly one of kraus and kraus_absent_reason must be set")
-    out["kraus_absent_reason"] = reason
-    _reject_leftovers(d, "report")
     return out
 
 
 def parse_output_document(text: str | bytes) -> dict:
     """Re-parse machine output of ``apply`` (strict)."""
-    top = _as_object(_load_json(text, "output"), "output")
-    version = _pop_required(top, "format_version", "output")
-    if version != FORMAT_VERSION:
-        raise UnknownFieldError(f"output.format_version: unrecognized version {version!r}")
-    d = _as_object(_pop_required(top, "output", "output"), "output")
-    _reject_leftovers(top, "output")
-    out: dict = {"density": parse_matrix(_pop_required(d, "density", "output"), "output.density")}
-    bloch = _pop_required(d, "bloch", "output")
-    out["bloch"] = None if bloch is None else list(_parse_real_triple(bloch, "output.bloch"))
-    positive = _pop_required(d, "positive", "output")
-    if not isinstance(positive, bool):
-        raise BadMatrixShapeError("output.positive: expected a boolean")
-    out["positive"] = positive
-    out["min_eigenvalue"] = _as_finite_number(
-        _pop_required(d, "min_eigenvalue", "output"), "output.min_eigenvalue"
-    )
-    _reject_leftovers(d, "output")
-    return out
+    return _walk(_OUTPUT, _load_json(text, "output"), "output")["output"]
 
 
 def parse_zoo_document(text: str | bytes) -> list[dict]:
     """Re-parse machine output of ``zoo`` (strict)."""
-    top = _as_object(_load_json(text, "zoo"), "zoo")
-    version = _pop_required(top, "format_version", "zoo")
-    if version != FORMAT_VERSION:
-        raise UnknownFieldError(f"zoo.format_version: unrecognized version {version!r}")
-    channels = _pop_required(top, "channels", "zoo")
-    _reject_leftovers(top, "zoo")
-    if not isinstance(channels, list) or not channels:
-        raise BadMatrixShapeError("zoo.channels: expected a non-empty array")
-    out = []
-    for i, entry in enumerate(channels):
-        d = _as_object(entry, f"zoo.channels[{i}]")
-        kind = _pop_required(d, "kind", f"zoo.channels[{i}]")
-        if kind not in _CHANNEL_PARAM_FIELDS:
-            raise UnknownFieldError(f"zoo.channels[{i}].kind: unknown channel kind {kind!r}")
-        summary = _pop_required(d, "summary", f"zoo.channels[{i}]")
-        if not isinstance(summary, str):
-            raise BadMatrixShapeError(f"zoo.channels[{i}].summary: expected a string")
-        _reject_leftovers(d, f"zoo.channels[{i}]")
-        out.append({"kind": kind, "summary": summary})
-    return out
+    return _walk(_ZOO, _load_json(text, "zoo"), "zoo")["channels"]

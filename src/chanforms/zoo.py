@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -133,13 +134,9 @@ class ChannelSpec:
     def describe(self) -> dict:
         """JSON-ready summary of the channel and its parameters."""
         out: dict = {"kind": self.kind.value, "dim": self.dim}
-        if self.kind is ChannelKind.UNITARY:
-            out["axis"] = list(self.axis)
-            out["angle"] = self.angle
-        elif self.kind is ChannelKind.PIN:
-            out["p0"] = [self.p0.p1, self.p0.p2, self.p0.p3]
-        elif self.kind in (ChannelKind.BIT_FLIP, ChannelKind.PHASE_FLIP):
-            out["p"] = self.p
+        for name, wire_type in _KINDS[self.kind].fields:
+            if wire_type in _PLAIN:
+                out[name] = _PLAIN[wire_type](getattr(self, name))
         return out
 
 
@@ -297,25 +294,75 @@ def random_ncp_a(n: int, seed: int, min_negativity: float = 0.05) -> AForm:
     raise RuntimeError("failed to reach a negative dynamical spectrum")
 
 
+@dataclass(frozen=True)
+class _KindRule:
+    """Everything specific to one channel kind.
+
+    ``fields`` are the payload fields in wire order with their wire types:
+    "real", "axis" (three reals), "bloch" (three reals, a Bloch vector),
+    "a_matrix" or "operators".  ``make(tol, **fields)`` is the validating
+    constructor applied to the parsed fields; ``build_a(spec, tol)`` gives
+    the A-form of a spec of this kind.
+    """
+
+    fields: tuple[tuple[str, str], ...]
+    make: Callable[..., ChannelSpec]
+    build_a: Callable[[ChannelSpec, float], AForm]
+
+
+# How ``describe`` and the channel documents write the scalar wire types;
+# the matrix types are written by the serializer and left out of summaries.
+_PLAIN: dict[str, Callable] = {
+    "real": float,
+    "axis": lambda v: [float(x) for x in v],
+    "bloch": lambda v: [v.p1, v.p2, v.p3],
+}
+
+_KINDS: dict[ChannelKind, _KindRule] = {
+    ChannelKind.UNITARY: _KindRule(
+        (("axis", "axis"), ("angle", "real")),
+        lambda tol, axis, angle: ChannelSpec.unitary(axis, angle),
+        lambda spec, tol: build_unitary_a(spec.axis, spec.angle),
+    ),
+    ChannelKind.PIN: _KindRule(
+        (("p0", "bloch"),),
+        lambda tol, p0: ChannelSpec.pin(BlochVector(*p0)),
+        lambda spec, tol: build_pin_a(spec.p0),
+    ),
+    ChannelKind.TRANSPOSE: _KindRule(
+        (), lambda tol: ChannelSpec.transpose(), lambda spec, tol: build_transpose_a()
+    ),
+    ChannelKind.EQUATORIAL_PROJECTION: _KindRule(
+        (),
+        lambda tol: ChannelSpec.equatorial_projection(),
+        lambda spec, tol: build_equatorial_projection_a(),
+    ),
+    ChannelKind.BIT_FLIP: _KindRule(
+        (("p", "real"),),
+        lambda tol, p: ChannelSpec.bit_flip(p),
+        lambda spec, tol: build_bit_flip_a(spec.p),
+    ),
+    ChannelKind.PHASE_FLIP: _KindRule(
+        (("p", "real"),),
+        lambda tol, p: ChannelSpec.phase_flip(p),
+        lambda spec, tol: build_phase_flip_a(spec.p),
+    ),
+    ChannelKind.RAW_A: _KindRule(
+        (("matrix", "a_matrix"),),
+        lambda tol, matrix: ChannelSpec.raw_a(matrix, tol=tol),
+        lambda spec, tol: AForm(spec.matrix, tol=tol),
+    ),
+    ChannelKind.RAW_KRAUS: _KindRule(
+        (("operators", "operators"),),
+        lambda tol, operators: ChannelSpec.raw_kraus(operators, tol=tol),
+        lambda spec, tol: kraus_to_a(KrausSet(spec.operators, tol=tol), tol=tol),
+    ),
+}
+
+
 def channel_a(spec: ChannelSpec, tol: float = DEFAULT_TOL) -> AForm:
     """Process matrix of any channel description."""
-    if spec.kind is ChannelKind.UNITARY:
-        return build_unitary_a(spec.axis, spec.angle)
-    if spec.kind is ChannelKind.PIN:
-        return build_pin_a(spec.p0)
-    if spec.kind is ChannelKind.TRANSPOSE:
-        return build_transpose_a()
-    if spec.kind is ChannelKind.EQUATORIAL_PROJECTION:
-        return build_equatorial_projection_a()
-    if spec.kind is ChannelKind.BIT_FLIP:
-        return build_bit_flip_a(spec.p)
-    if spec.kind is ChannelKind.PHASE_FLIP:
-        return build_phase_flip_a(spec.p)
-    if spec.kind is ChannelKind.RAW_A:
-        return AForm(spec.matrix, tol=tol)
-    if spec.kind is ChannelKind.RAW_KRAUS:
-        return kraus_to_a(KrausSet(spec.operators, tol=tol), tol=tol)
-    raise ValueError(f"unhandled channel kind {spec.kind!r}")
+    return _KINDS[spec.kind].build_a(spec, tol)
 
 
 __all__ = [

@@ -67,6 +67,21 @@ class TestExitCodes:
         result = run_cli(["convert", "-", "--to", "b_form"], stdin_text=TRANSPOSE_DOC)
         assert result.returncode == 0
 
+    @pytest.mark.parametrize(
+        "channel, path",
+        [
+            ({"kind": "raw_a", "matrix": [[[1, 0]]]}, "document.channel.matrix"),
+            ({"kind": "raw_kraus", "operators": [[[[1, 0]]]]}, "document.channel.operators[0]"),
+        ],
+        ids=["raw_a", "raw_kraus"],
+    )
+    def test_one_dimensional_raw_document_exits_two(self, channel, path):
+        doc = dumps({"format_version": "1", "channel": channel})
+        result = run_cli(["analyze", "-"], stdin_text=doc)
+        assert result.returncode == 2
+        assert "internal error" not in result.stderr
+        assert path in result.stderr
+
     def test_apply_returns_zero_regardless_of_verdict(self):
         result = run_cli(
             ["apply", "-", "--state", '{"bloch":[0,1,0]}'], stdin_text=TRANSPOSE_DOC
@@ -318,6 +333,24 @@ class TestToleranceResolution:
     def test_nonpositive_tol_flag_exits_two(self):
         result = run_cli(["analyze", "-", "--tol", "-1e-9"], stdin_text=TRANSPOSE_DOC)
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_nonfinite_tol_flag_exits_two(self, tol):
+        result = run_cli(["analyze", "-", "--tol", tol], stdin_text=BIT_FLIP_DOC)
+        assert result.returncode == 2
+        assert "tolerance must be finite" in result.stderr
+
+    def test_nonfinite_env_tol_exits_two(self):
+        env = {**os.environ, "CHANFORMS_TOL": "inf"}
+        result = run_cli(["analyze", "-"], stdin_text=BIT_FLIP_DOC, env=env)
+        assert result.returncode == 2
+        assert "tolerance must be finite" in result.stderr
+
+    def test_nonpositive_env_tol_exits_two(self):
+        env = {**os.environ, "CHANFORMS_TOL": "0"}
+        result = run_cli(["analyze", "-"], stdin_text=BIT_FLIP_DOC, env=env)
+        assert result.returncode == 2
+        assert "tolerance must be positive" in result.stderr
 
     def test_negative_seed_flag_exits_two(self):
         result = run_cli(["analyze", "-", "--seed", "-3"], stdin_text=TRANSPOSE_DOC)

@@ -1,8 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from chanforms import (
     BadMatrixShapeError,
+    NotUnitAxisError,
+    OutsideBallError,
+    ProbabilityRangeError,
     BasisLabel,
     ChannelKind,
     ChannelSpec,
@@ -19,9 +25,13 @@ from chanforms.serialize import (
     matrix_to_wire,
     parse_channel_document,
     parse_matrix,
+    parse_report_document,
     parse_representation_document,
     parse_state_document,
+    parse_zoo_document,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParseChannelDocument:
@@ -209,3 +219,29 @@ class TestRepresentationDocuments:
             parse_representation_document(
                 '{"format_version":"1","representation":"chi","dim":2}'
             )
+
+
+class TestReportDocuments:
+    """A report's channel block follows the per-kind rules of a channel document."""
+
+    @pytest.mark.parametrize(
+        "golden, field, value, error",
+        [
+            ("bit_flip", "p", 7, ProbabilityRangeError),
+            ("phase_flip", "p", -1, ProbabilityRangeError),
+            ("unitary", "axis", [7, 0, 1], NotUnitAxisError),
+            ("pin", "p0", [0, 0, 7], OutsideBallError),
+            ("transpose", "kind", ["transpose"], UnknownFieldError),
+            ("pin", "kind", {"kind": "pin"}, UnknownFieldError),
+        ],
+    )
+    def test_channel_block_rejected(self, golden, field, value, error):
+        doc = json.loads((GOLDEN / f"{golden}.out.json").read_text())
+        doc["report"]["channel"][field] = value
+        with pytest.raises(error):
+            parse_report_document(json.dumps(doc))
+
+    def test_zoo_kind_must_be_a_string(self):
+        text = '{"format_version":"1","channels":[{"kind":["pin"],"summary":"x"}]}'
+        with pytest.raises(UnknownFieldError):
+            parse_zoo_document(text)
