@@ -23,6 +23,7 @@ Tolerance resolution: ``--tol`` flag, else the document's
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -109,20 +110,16 @@ def _render_operators(ops, tol: float) -> str:
 # machine-mode wire builders
 
 
-def _float_list(values) -> list[float]:
-    return [float(v) for v in values]
-
-
 def _canonical_wire(decomp: CanonicalDecomposition) -> dict:
     return {
         "basis": decomp.basis.label.value,
-        "eigenvalues": _float_list(decomp.eigenvalues),
-        "operators": [matrix_to_wire(op) for op in decomp.canonical_ops],
+        "eigenvalues": decomp.eigenvalues.tolist(),
+        "operators": matrix_to_wire(decomp.canonical_ops),
     }
 
 
 def _kraus_wire(kraus: KrausSet) -> dict:
-    return {"operators": [matrix_to_wire(op) for op in kraus.operators]}
+    return {"operators": matrix_to_wire(kraus.operators)}
 
 
 def report_wire(report: AnalysisReport, seed: int, samples: int) -> dict:
@@ -146,8 +143,8 @@ def report_wire(report: AnalysisReport, seed: int, samples: int) -> dict:
                 "hermiticity_residual": report.b_hermiticity_residual,
                 "trace": report.b_trace,
             },
-            "coefficient_spectrum": _float_list(report.coefficient_spectrum),
-            "b_spectrum": _float_list(report.b_spectrum),
+            "coefficient_spectrum": report.coefficient_spectrum.tolist(),
+            "b_spectrum": report.b_spectrum.tolist(),
             "spectral_match": report.spectral_match,
             "verdict": {
                 "classification": report.verdict.classification.value,
@@ -395,7 +392,13 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
 # parser and entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Every call returns the same parser, which ``main`` reuses; do not
+    modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="chanforms",
         description="Analyze quantum dynamical maps via their A and B forms.",

@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -59,12 +60,10 @@ class ChannelDocument:
 # encoding
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def matrix_to_wire(m: np.ndarray) -> list:
-    return [[complex_to_pair(complex(entry)) for entry in row] for row in np.asarray(m)]
+def matrix_to_wire(m) -> list:
+    """Row-major ``[re, im]`` pairs of a matrix, or of each matrix of an ``(..., r, c)`` stack."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def dumps(obj: dict) -> str:
@@ -91,6 +90,8 @@ def _load_json(text: str | bytes, what: str) -> object:
         raise DocumentSyntaxError(
             f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise DocumentSyntaxError(f"{what}: input is nested too deeply") from None
 
 
 def _as_object(obj, path: str) -> dict:
@@ -102,7 +103,10 @@ def _as_object(obj, path: str) -> dict:
 def _as_finite_number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise BadMatrixShapeError(f"{path}: expected a number")
-    v = float(obj)
+    try:
+        v = float(obj)
+    except OverflowError:  # an integer literal beyond double range
+        v = math.inf
     if not math.isfinite(v):
         raise NonFiniteEntryError(f"{path}: non-finite value")
     return v
@@ -179,7 +183,33 @@ def _check_shape(m: np.ndarray, path: str, rows: int | None, cols: int | None) -
     return m
 
 
+def _pairs(obj) -> np.ndarray | None:
+    """The ``(r, c, 2)`` array of a well-formed matrix in one conversion, else None.
+
+    An empty matrix or row gives fewer than three dimensions.  numpy would
+    also take tuples, booleans and numeric strings, so every container
+    must be a list and every leaf an int or a float.
+    """
+    try:
+        pairs = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if pairs.ndim != 3 or pairs.shape[2] != 2 or not np.isfinite(pairs).all():
+        return None
+    entries = list(chain.from_iterable(obj))
+    if {type(obj), *map(type, obj), *map(type, entries)} != {list}:
+        return None
+    if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
+        return None
+    return pairs
+
+
 def parse_matrix(obj, path: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    pairs = _pairs(obj)
+    if pairs is not None:
+        # A complex view keeps the sign of -0.0 parts, which re + 1j*im would not.
+        return _check_shape(pairs.view(complex)[..., 0], path, rows, cols)
+    # The entry-by-entry walk, which names the first bad entry.
     if not isinstance(obj, list) or not obj:
         raise BadMatrixShapeError(f"{path}: expected a non-empty array of rows")
     width = None
@@ -290,7 +320,7 @@ _PARSERS = {
 _ENCODERS = {
     **_PLAIN,
     "a_matrix": matrix_to_wire,
-    "operators": lambda ops: [matrix_to_wire(op) for op in ops],
+    "operators": matrix_to_wire,
 }
 
 
@@ -477,15 +507,27 @@ def parse_report_document(text: str | bytes) -> dict:
 
     The channel block follows the same per-kind rules as a channel
     document's payload, less the matrix fields a report does not echo.
+    Its ``dim`` is 2 for a named kind, and both spectra have dim^2 entries.
     """
     out = _walk(_REPORT, _load_json(text, "report"), "report")["report"]
     channel = out["channel"]
+    dim = channel["dim"]
     # Raw kinds echo none of their payload, so only named kinds can be rebuilt.
     if all(t in _PLAIN for _, t in _KINDS[ChannelKind(channel["kind"])].fields):
-        _make_channel(channel, DEFAULT_TOL)
-    _check_canonical(out["canonical"], channel["dim"], "report.report.canonical")
+        expected = _make_channel(channel, DEFAULT_TOL).dim
+        if dim != expected:
+            raise BadMatrixShapeError(
+                f"report.report.channel.dim: a {channel['kind']} channel has dim {expected}, got {dim}"
+            )
+    for name in ("coefficient_spectrum", "b_spectrum"):
+        if len(out[name]) != dim * dim:
+            raise BadMatrixShapeError(
+                f"report.report.channel.dim: dim {dim} needs {dim * dim} {name} entries,"
+                f" got {len(out[name])}"
+            )
+    _check_canonical(out["canonical"], dim, "report.report.canonical")
     if out["kraus"] is not None:
-        _check_operators(out["kraus"]["operators"], channel["dim"], "report.report.kraus.operators")
+        _check_operators(out["kraus"]["operators"], dim, "report.report.kraus.operators")
     if (out["kraus"] is None) == (out["kraus_absent_reason"] is None):
         raise MissingFieldError("report: exactly one of kraus and kraus_absent_reason must be set")
     return out

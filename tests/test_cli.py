@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from chanforms import build_bit_flip_a, cli
 from chanforms.serialize import (
     dumps,
     matrix_to_wire,
@@ -355,3 +356,93 @@ class TestToleranceResolution:
     def test_negative_seed_flag_exits_two(self):
         result = run_cli(["analyze", "-", "--seed", "-3"], stdin_text=TRANSPOSE_DOC)
         assert result.returncode == 2
+
+
+def main_in_process(capsys, argv):
+    """``cli.main`` in this process; returns (exit code, stdout, stderr)."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+BIG_INT = "1" + "0" * 400  # an integer literal beyond double range
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+class TestInProcess:
+    """Faults that once reached the catch-all, and the reuse of one parser."""
+
+    @pytest.fixture
+    def bit_flip_path(self, tmp_path):
+        path = tmp_path / "bit_flip.json"
+        path.write_text(BIT_FLIP_DOC)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (
+                '{"format_version":"1","channel":{"kind":"raw_kraus","operators":'
+                f'[[[[1,0],[0,0]],[[0,0],[{BIG_INT},0]]]]}}}}',
+                "document.channel.operators[0][1][1]",
+            ),
+            (
+                '{"format_version":"1","channel":{"kind":"transpose"},'
+                f'"options":{{"tol":{BIG_INT}}}}}',
+                "document.options.tol",
+            ),
+        ],
+        ids=["raw_kraus_entry", "options_tol"],
+    )
+    def test_huge_integer_in_document_exits_two(self, capsys, tmp_path, doc, path):
+        file = tmp_path / "doc.json"
+        file.write_text(doc)
+        code, out, err = main_in_process(capsys, ["analyze", str(file)])
+        assert code == 2
+        assert f"error: {path}: non-finite value" in err
+        assert "internal error" not in err
+
+    def test_huge_integer_in_state_exits_two(self, capsys, bit_flip_path):
+        state = f'{{"bloch":[0,0,{BIG_INT}]}}'
+        code, out, err = main_in_process(capsys, ["apply", bit_flip_path, "--state", state])
+        assert code == 2
+        assert "error: state.bloch[2]: non-finite value" in err
+        assert "internal error" not in err
+
+    def test_deeply_nested_document_exits_two(self, capsys, tmp_path):
+        file = tmp_path / "deep.json"
+        file.write_text(DEEP)
+        code, out, err = main_in_process(capsys, ["analyze", str(file)])
+        assert (code, err) == (2, "error: document: input is nested too deeply\n")
+
+    def test_deeply_nested_state_exits_two(self, capsys, bit_flip_path):
+        state = '{"bloch":' + DEEP + "}"
+        code, out, err = main_in_process(capsys, ["apply", bit_flip_path, "--state", state])
+        assert (code, err) == (2, "error: state: input is nested too deeply\n")
+
+    def test_negative_zero_a_form_echoes_its_input(self, capsys, tmp_path):
+        # Every zero part written as -0.0; the a_form target must give it back byte for byte.
+        matrix = [[[float(z.real) or -0.0, -0.0] for z in row] for row in build_bit_flip_a(0.25).matrix]
+        text = json.dumps(
+            {"format_version": "1", "channel": {"kind": "raw_a", "matrix": matrix}},
+            separators=(",", ":"),
+        )
+        assert "-0.0" in text
+        file = tmp_path / "negzero.json"
+        file.write_text(text)
+        code, out, err = main_in_process(
+            capsys, ["convert", str(file), "--to", "a_form", "--output", "machine"]
+        )
+        assert (code, out, err) == (0, text + "\n", "")
+
+    def test_parser_is_built_once_and_reused(self, capsys, bit_flip_path):
+        assert cli.build_parser() is cli.build_parser()
+        assert main_in_process(capsys, ["analyze"])[0] == 2
+        code, units, _ = main_in_process(
+            capsys, ["analyze", bit_flip_path, "--output", "machine", "--basis", "units"]
+        )
+        assert code == 0
+        code, default, _ = main_in_process(capsys, ["analyze", bit_flip_path, "--output", "machine"])
+        assert code == 0
+        assert json.loads(units)["report"]["options"]["basis"] == "units"
+        assert json.loads(default)["report"]["options"]["basis"] == "pauli"

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanforms import (
     BadMatrixShapeError,
@@ -164,6 +166,85 @@ class TestRoundTrips:
         assert np.array_equal(parse_matrix(matrix_to_wire(m), "m"), m)
 
 
+# Complex parts at the edges of the double range: signed zeros,
+# subnormals and magnitudes near the largest double.
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def complex_stacks(draw):
+    """A (k, r, c) stack of complex matrices."""
+    k, r, c = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(st.lists(_PARTS, min_size=2 * k * r * c, max_size=2 * k * r * c))
+    return np.array(parts, dtype=float).view(complex).reshape(k, r, c)
+
+
+def per_entry_wire(m) -> list:
+    """The entry-by-entry encoder, kept as the reference for ``matrix_to_wire``."""
+    return [[[float(complex(z).real), float(complex(z).imag)] for z in row] for row in np.asarray(m)]
+
+
+BIG_INT = "1" + "0" * 400  # an integer literal beyond double range
+
+
+class TestMatrixCodec:
+    @settings(max_examples=100, deadline=None)
+    @given(complex_stacks())
+    def test_round_trip_is_bit_exact(self, m):
+        wire = json.loads(dumps(matrix_to_wire(m)))
+        parsed = np.array([parse_matrix(op, f"m[{i}]") for i, op in enumerate(wire)])
+        assert np.array_equal(parsed.view(float), m.view(float))
+        assert np.array_equal(np.signbit(parsed.view(float)), np.signbit(m.view(float)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(complex_stacks())
+    def test_encoder_matches_per_entry_reference(self, m):
+        assert dumps(matrix_to_wire(m)) == dumps([per_entry_wire(op) for op in m])
+        assert dumps(matrix_to_wire(m[0])) == dumps(per_entry_wire(m[0]))
+
+    def test_real_and_integer_matrices_encode_as_floats(self):
+        identity = "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[1.0,0.0]]]\n"
+        assert dumps(matrix_to_wire(np.eye(2, dtype=int))) == identity
+        assert dumps(matrix_to_wire(np.eye(2))) == identity
+
+    def test_integer_literals_parse_as_doubles(self):
+        m = parse_matrix(json.loads("[[[1,0],[0,-2]],[[0,0],[3,0]]]"), "m")
+        assert m.dtype == complex
+        assert np.array_equal(m, np.array([[1, -2j], [0, 3]]))
+
+    def test_tuples_are_not_rows(self):
+        with pytest.raises(BadMatrixShapeError, match=r"^m\[0\]: expected a non-empty row array$"):
+            parse_matrix([((1.0, 0.0),)], "m")
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("[[[true,0],[0,0]],[[0,0],[1,0]]]", BadMatrixShapeError, "m[0][0]: expected a number"),
+            ('[[["1.5",0],[0,0]],[[0,0],[1,0]]]', BadMatrixShapeError, "m[0][0]: expected a number"),
+            ("[[[1,null],[0,0]],[[0,0],[1,0]]]", BadMatrixShapeError, "m[0][0]: expected a number"),
+            ("[[[1,0],[0,0]],[[0,0]]]", BadMatrixShapeError, "m[1]: ragged row (1 vs 2)"),
+            (
+                "[[[1,0],[0,0]],[[0,0],[1,0,0]]]",
+                BadMatrixShapeError,
+                "m[1][1]: complex entries must be [re, im] pairs",
+            ),
+            ("[[[1,0],[0,0]],[]]", BadMatrixShapeError, "m[1]: expected a non-empty row array"),
+            ("[]", BadMatrixShapeError, "m: expected a non-empty array of rows"),
+            ("[[[1,0],[0,0]],[[0,Infinity],[1,0]]]", NonFiniteEntryError, "m[1][0]: non-finite value"),
+            (f"[[[1,0],[0,0]],[[0,0],[{BIG_INT},0]]]", NonFiniteEntryError, "m[1][1]: non-finite value"),
+        ],
+        ids=["bool", "string", "null", "ragged", "triple", "empty_row", "empty", "infinity", "huge_int"],
+    )
+    def test_bad_entry(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse_matrix(json.loads(text), "m")
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 class TestStateDocuments:
     def test_bloch_state(self):
         rho = parse_state_document('{"bloch":[0,0,1]}', tol=1e-9)
@@ -239,6 +320,28 @@ class TestReportDocuments:
         doc = json.loads((GOLDEN / f"{golden}.out.json").read_text())
         doc["report"]["channel"][field] = value
         with pytest.raises(error):
+            parse_report_document(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "channel",
+        [{"kind": "bit_flip", "dim": 3, "p": 0.75}, {"kind": "raw_a", "dim": 3}],
+        ids=["bit_flip", "raw_a"],
+    )
+    def test_dim_must_fit_kind_and_spectra(self, channel):
+        doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
+        report = doc["report"]
+        report["channel"] = channel
+        op = matrix_to_wire(np.eye(3) / np.sqrt(3))
+        report["canonical"]["operators"] = [op] * 4
+        report["kraus"]["operators"] = [op]
+        with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.channel\.dim: "):
+            parse_report_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("spectrum", ["coefficient_spectrum", "b_spectrum"])
+    def test_spectra_have_dim_squared_entries(self, spectrum):
+        doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
+        doc["report"][spectrum].pop()
+        with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.channel\.dim: "):
             parse_report_document(json.dumps(doc))
 
     def test_zoo_kind_must_be_a_string(self):
