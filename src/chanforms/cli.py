@@ -41,9 +41,11 @@ from .forms import (
     CanonicalDecomposition,
     KrausSet,
     OperatorBasis,
+    _kraus_tol,
     apply_a,
     canonical_decompose,
     coefficient_matrix,
+    default_basis,
     extract_kraus,
     realign_a_to_b,
     standard_basis,
@@ -199,23 +201,9 @@ def _nonnegative_seed(raw: str) -> int:
     return value
 
 
-def _resolve_tol(flag: float | None, doc: ChannelDocument) -> float:
-    if flag is not None:
-        return flag
-    if doc.options.tol is not None:
-        return doc.options.tol
-    return _env_default_tol()
-
-
 def _resolve_basis(flag: str | None, doc: ChannelDocument, dim: int) -> OperatorBasis:
-    label = None
-    if flag is not None:
-        label = BasisLabel(flag)
-    elif doc.options.basis is not None:
-        label = doc.options.basis
-    if label is None:
-        label = BasisLabel.PAULI_OVER_SQRT2 if dim == 2 else BasisLabel.MATRIX_UNITS
-    return standard_basis(dim, label)
+    label = BasisLabel(flag) if flag is not None else doc.options.basis
+    return default_basis(dim) if label is None else standard_basis(dim, label)
 
 
 def _load_document(args: argparse.Namespace) -> ChannelDocument:
@@ -223,6 +211,7 @@ def _load_document(args: argparse.Namespace) -> ChannelDocument:
         text = _read_text(args.document)
     except OSError as exc:
         raise DocumentError(f"cannot read document: {exc}") from exc
+    # The environment is checked even when --tol or options.tol wins.
     return parse_channel_document(
         text, tol_override=args.tol, default_tol=_env_default_tol()
     )
@@ -234,7 +223,7 @@ def _load_document(args: argparse.Namespace) -> ChannelDocument:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = _load_document(args)
-    tol = _resolve_tol(args.tol, doc)
+    tol = doc.tol
     basis = _resolve_basis(args.basis, doc, doc.channel.dim)
     seed = args.seed if args.seed is not None else doc.options.seed
     report = analyze(doc.channel, basis, tol)
@@ -293,7 +282,7 @@ def _bloch_of(matrix: np.ndarray) -> list[float] | None:
 
 def _cmd_apply(args: argparse.Namespace) -> int:
     doc = _load_document(args)
-    tol = _resolve_tol(args.tol, doc)
+    tol = doc.tol
     try:
         state_text = _read_state_arg(args.state)
     except OSError as exc:
@@ -331,7 +320,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     doc = _load_document(args)
-    tol = _resolve_tol(args.tol, doc)
+    tol = doc.tol
     a = channel_a(doc.channel, tol)
     n = a.dim
     basis = _resolve_basis(args.basis, doc, n)
@@ -359,7 +348,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         )
     else:  # kraus
         kraus = extract_kraus(canonical_decompose(a, basis, tol), tol)  # NCP -> exit 3
-        wire = lambda: channel_document_wire(ChannelSpec.raw_kraus(kraus.operators, tol=tol * (n * n + 1)))
+        wire = lambda: channel_document_wire(ChannelSpec.raw_kraus(kraus.operators, tol=_kraus_tol(tol, n)))
         human = lambda: (
             f"kraus operators ({len(kraus)}):\n"
             + _render_operators(kraus.operators, tol)

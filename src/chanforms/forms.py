@@ -90,6 +90,17 @@ def _reshuffle(matrix: np.ndarray, n: int) -> np.ndarray:
     return matrix.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
+def _operator_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_{j,k} weights[j,k] O_j (x) conj(O_k) for a (k, n, n) stack of operators.
+
+    With the row-vectorized operators as the rows of V, V^T W conj(V) is
+    the sum's B-form; one realignment gives the A matrix.
+    """
+    k, n, _ = ops.shape
+    v = ops.reshape(k, n * n)
+    return _reshuffle(v.T @ weights @ v.conj(), n)
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """n^2 trace-orthonormal n x n operators, Tr[T_mu^dag T_nu] = delta."""
@@ -332,10 +343,7 @@ def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL)
 
 def expand_coefficients(cm: CoefficientMatrix) -> np.ndarray:
     """Rebuild the A matrix as sum_{mu,nu} a[mu,nu] T_mu (x) conj(T_nu)."""
-    t = cm.basis.elements
-    n = cm.dim
-    a4 = np.einsum("mn,mac,nbd->abcd", cm.matrix, t, t.conj())
-    return a4.reshape(n * n, n * n)
+    return _operator_sum(cm.basis.elements, cm.matrix)
 
 
 def realign_a_to_b(a: AForm, tol: float = DEFAULT_TOL) -> BForm:
@@ -370,11 +378,12 @@ def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL
 
 def canonical_to_a(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> AForm:
     """Reassemble the process matrix sum_k lam_k C_k (x) conj(C_k)."""
-    n = c.dim
-    acc = np.zeros((n * n, n * n), dtype=complex)
-    for lam, op in zip(c.eigenvalues, c.canonical_ops):
-        acc += lam * np.kron(op, op.conj())
-    return AForm(acc, tol=tol)
+    return AForm(_operator_sum(c.canonical_ops, np.diag(c.eigenvalues)), tol=tol)
+
+
+def _kraus_tol(tol: float, n: int) -> float:
+    """Completeness slack of Kraus sets cut from n^2 eigenvalues: each dropped one leaves ~tol."""
+    return tol * (n * n + 1)
 
 
 def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausSet:
@@ -393,9 +402,7 @@ def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausS
     kept = [
         np.sqrt(lam) * op for lam, op in zip(w, c.canonical_ops) if lam > tol
     ]
-    # Dropped near-zero eigenvalues each leave at most ~tol of residual
-    # in the completeness sum, hence the scaled constructor tolerance.
-    return KrausSet(tuple(kept), tol=tol * (c.dim ** 2 + 1))
+    return KrausSet(tuple(kept), tol=_kraus_tol(tol, c.dim))
 
 
 def _map_output(matrix: np.ndarray, tol: float) -> MapOutput:
@@ -436,13 +443,9 @@ def kraus_to_a(ops: KrausSet | Iterable[np.ndarray], tol: float = DEFAULT_TOL) -
     """
     if not isinstance(ops, KrausSet):
         ops = KrausSet(tuple(ops), tol=tol)
-    n = ops.dim
-    acc = np.zeros((n * n, n * n), dtype=complex)
-    for op in ops.operators:
-        acc += np.kron(op, op.conj())
     # The trace-preservation residual of the result equals the Kraus
     # completeness residual, so the same tolerance applies.
-    return AForm(acc, tol=tol)
+    return AForm(_operator_sum(np.stack(ops.operators), np.eye(len(ops))), tol=tol)
 
 
 def _classify(eigenvalues: np.ndarray, tol: float) -> CpVerdict:

@@ -54,6 +54,7 @@ class ChannelDocument:
     format_version: str
     channel: ChannelSpec
     options: DocumentOptions
+    tol: float  # the effective tolerance the channel was validated at
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +372,9 @@ def parse_channel_document(
     """Parse and validate a channel document (strict).
 
     Raw matrix/operator payloads are validated against the map
-    constraints at the effective tolerance: ``tol_override`` when given
-    (the CLI flag), else the document's own ``options.tol``, else
-    ``default_tol``.
+    constraints at the effective tolerance, which the result carries as
+    ``tol``: ``tol_override`` when given (the CLI flag), else the
+    document's own ``options.tol``, else ``default_tol``.
     """
     d = _as_object(_load_json(text, "document"), "document")
     options = _parse_options(d.pop("options", {}), "document.options")
@@ -388,6 +389,7 @@ def parse_channel_document(
         format_version=doc["format_version"],
         channel=_make_channel(doc["channel"], tol),
         options=options,
+        tol=tol,
     )
 
 
@@ -412,12 +414,6 @@ def parse_state_document(text: str | bytes, tol: float) -> DensityMatrix:
         triple = _walk({"bloch": _real_triple}, d, "state")["bloch"]
         return bloch_to_density(BlochVector(*triple), tol)
     return DensityMatrix(_walk({"density": parse_matrix}, d, "state")["density"], tol=tol)
-
-
-def density_wire(rho_matrix: np.ndarray, bloch: BlochVector | None) -> dict:
-    out: dict = {"density": matrix_to_wire(rho_matrix)}
-    out["bloch"] = [bloch.p1, bloch.p2, bloch.p3] if bloch is not None else None
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +476,20 @@ _ZOO = {
 
 
 def _check_operators(ops: list, dim: int, path: str) -> None:
+    if len(ops) > dim * dim:
+        raise BadMatrixShapeError(
+            f"{path}: dim {dim} allows at most {dim * dim} operators, got {len(ops)}"
+        )
     for i, op in enumerate(ops):
         _check_shape(op, f"{path}[{i}]", dim, dim)
 
 
 def _check_canonical(c: dict, dim: int, path: str) -> None:
-    if len(c["operators"]) != len(c["eigenvalues"]):
-        raise BadMatrixShapeError(f"{path}.operators: must list one operator per eigenvalue")
+    for name in ("eigenvalues", "operators"):
+        if len(c[name]) != dim * dim:
+            raise BadMatrixShapeError(
+                f"{path}.{name}: dim {dim} needs {dim * dim} entries, got {len(c[name])}"
+            )
     _check_operators(c["operators"], dim, f"{path}.operators")
 
 

@@ -331,6 +331,12 @@ class TestToleranceResolution:
         result = run_cli(["analyze", "-"], stdin_text=TRANSPOSE_DOC, env=env)
         assert result.returncode == 2
 
+    def test_bad_env_value_exits_two_even_with_flag(self):
+        env = {**os.environ, "CHANFORMS_TOL": "not-a-number"}
+        result = run_cli(["analyze", "-", "--tol", "1e-9"], stdin_text=TRANSPOSE_DOC, env=env)
+        assert result.returncode == 2
+        assert "CHANFORMS_TOL: not a number" in result.stderr
+
     def test_nonpositive_tol_flag_exits_two(self):
         result = run_cli(["analyze", "-", "--tol", "-1e-9"], stdin_text=TRANSPOSE_DOC)
         assert result.returncode == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanforms import (
     PAULIS,
@@ -9,11 +11,14 @@ from chanforms import (
     BasisLabel,
     BForm,
     BlochVector,
+    CanonicalDecomposition,
+    CoefficientMatrix,
     DensityMatrix,
     DimensionMismatchError,
     IncompleteKrausError,
     KrausSet,
     NotCompletelyPositiveError,
+    OperatorBasis,
     NotHermiticityPreservingError,
     NotTracePreservingError,
     UnsupportedCombinationError,
@@ -468,3 +473,93 @@ class TestKrausSetValidation:
     def test_empty_rejected(self):
         with pytest.raises(IncompleteKrausError):
             KrausSet(())
+
+
+# The operator-sum assembly as it was before the realigned-product kernel,
+# kept as the references the kernel must reproduce.
+
+
+def kron_loop_reference(weights, ops) -> np.ndarray:
+    n = ops[0].shape[0]
+    acc = np.zeros((n * n, n * n), dtype=complex)
+    for lam, op in zip(weights, ops):
+        acc += lam * np.kron(op, op.conj())
+    return acc
+
+
+def einsum_reference(coeffs, t) -> np.ndarray:
+    n = t.shape[1]
+    return np.einsum("mn,mac,nbd->abcd", coeffs, t, t.conj()).reshape(n * n, n * n)
+
+
+@st.composite
+def operator_sums(draw, signed: bool):
+    """(weights, ops): k in [1, n^2] operators with sum_k w_k O_k^dag O_k = I.
+
+    Unsigned sums have unit weights (a Kraus set).  Signed sums have a
+    negative last weight whenever k > 1, so they describe maps that are
+    not completely positive.
+    """
+    n = draw(st.sampled_from([2, 3, 4]))
+    k = draw(st.integers(1, n * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    weights = np.ones(k)
+    if signed:
+        weights = rng.uniform(0.1, 1.0, k) * rng.choice([-1.0, 1.0], k)
+        weights[0] = 1.0
+        if k > 1:
+            weights[-1] = -abs(weights[-1])
+        # A unitary first operator and a capped negative part keep the
+        # weighted sum S >= I/2, so S^(-1/2) normalizes it.
+        ops[0] = np.linalg.qr(ops[0])[0]
+        neg = weights < 0
+        if neg.any():
+            top = np.linalg.eigvalsh(np.einsum("k,kji,kjl->il", -weights[neg], ops[neg].conj(), ops[neg])).max()
+            weights[neg] *= min(1.0, 0.5 / top)
+    w, v = np.linalg.eigh(np.einsum("k,kji,kjl->il", weights, ops.conj(), ops))
+    ops = ops @ (v / np.sqrt(w)) @ v.conj().T
+    return weights, ops
+
+
+def random_basis(rng: np.random.Generator, n: int) -> OperatorBasis:
+    """The rows of a random unitary, as n^2 trace-orthonormal operators (the label is unused)."""
+    g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    elements = np.linalg.qr(g)[0].T.reshape(n * n, n, n)
+    return OperatorBasis(dim=n, label=BasisLabel.MATRIX_UNITS, elements=elements)
+
+
+class TestOperatorSumKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(operator_sums(signed=False))
+    def test_kraus_to_a_matches_kron_loop(self, case):
+        weights, ops = case
+        got = kraus_to_a(list(ops)).matrix
+        assert np.abs(got - kron_loop_reference(weights, ops)).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator_sums(signed=True))
+    def test_canonical_to_a_matches_kron_loop(self, case):
+        weights, ops = case
+        n = ops.shape[1]
+        c = CanonicalDecomposition(basis=standard_basis(n), eigenvalues=weights, canonical_ops=ops)
+        got = canonical_to_a(c).matrix
+        assert np.abs(got - kron_loop_reference(weights, ops)).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
+    def test_expand_coefficients_matches_einsum(self, n, seed):
+        rng = np.random.default_rng(seed)
+        basis = random_basis(rng, n)
+        coeffs = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+        # The expansion needs no hermiticity, so the check is off to
+        # give it a general middle matrix.
+        cm = CoefficientMatrix(basis=basis, matrix=coeffs, tol=np.inf)
+        got = expand_coefficients(cm)
+        assert np.abs(got - einsum_reference(coeffs, basis.elements)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_expand_coefficients_reproduces_a(self, n):
+        a = random_ncp_a(n, seed=n)
+        for basis in (standard_basis(n), random_basis(np.random.default_rng(n), n)):
+            assert np.abs(expand_coefficients(coefficient_matrix(a, basis)) - a.matrix).max() < 1e-12

@@ -10,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+import chanforms.analysis
+import chanforms.forms
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +42,36 @@ def test_dense_documents_ops_pass_their_checks(wl, tmp_path):
     assert {item["n"] for item in items} == {4}
     for item in items:
         assert wl.check_dense(item, wl.dense_op(item)) == []
+
+
+PIPELINE_STAGES = (
+    "parse", "channel_a", "realign", "coefficient", "eigensolve_coefficient",
+    "eigensolve_b", "canonical_decompose", "analyze", "encode", "main_analyze",
+)
+
+
+def test_traced_replay_runs_every_stage(monkeypatch, tmp_path):
+    # The traced run imports ``workloads`` by name from perfbench/ and
+    # rebinds the eigensolver in the two modules that look it up; the
+    # monkeypatch undoes both.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for module in (chanforms.forms, chanforms.analysis):
+        monkeypatch.setattr(module, "hermitian_eigendecompose", module.hermitian_eigendecompose)
+    modules = {}
+    for name in ("workloads", "tracing"):
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    wl, tracing = modules["workloads"], modules["tracing"]
+
+    qubit = wl.qubit_warm_items(wl.qubit_stream(1))[0]
+    dense = wl.dense_warm_items(wl.write_dense_inputs(1, tmp_path))[0]
+    inputs = [wl.replay_input("qubit_sweep", qubit), wl.replay_input("dense_documents", dense)]
+    assert [rin.n for rin in inputs] == [2, 4]
+    tracer, counter = tracing.Tracer(), tracing.EigensolveCounter()
+    for rin in inputs:
+        stages = tracing.replay(tracer, rin, counter)
+        assert set(PIPELINE_STAGES) <= set(stages)
+        assert ("kraus" in stages) == rin.cp
+        assert stages["eigensolve_calls"] == 2

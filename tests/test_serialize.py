@@ -59,6 +59,14 @@ class TestParseChannelDocument:
         assert doc.options.seed == 3
         assert doc.options.samples == 7
 
+    @pytest.mark.parametrize(
+        "options, override, expected",
+        [("", None, 1e-9), (',"options":{"tol":1e-6}', None, 1e-6), (',"options":{"tol":1e-6}', 1e-3, 1e-3)],
+    )
+    def test_effective_tolerance(self, options, override, expected):
+        text = '{"format_version":"1","channel":{"kind":"transpose"}' + options + "}"
+        assert parse_channel_document(text, tol_override=override).tol == expected
+
     def test_non_square_raw_matrix_rejected(self):
         rows = [[[1.0, 0.0]] * 4] * 3
         wire = dumps({"format_version": "1", "channel": {"kind": "raw_a", "matrix": rows}})
@@ -295,6 +303,21 @@ class TestRepresentationDocuments:
         with pytest.raises(BadMatrixShapeError):
             parse_representation_document(text)
 
+    def test_canonical_needs_dim_squared_entries(self):
+        op = matrix_to_wire(np.eye(2) / np.sqrt(2))
+        text = dumps(
+            {
+                "format_version": "1",
+                "representation": "canonical",
+                "dim": 2,
+                "basis": "pauli",
+                "eigenvalues": [2.0],
+                "operators": [op],
+            }
+        )
+        with pytest.raises(BadMatrixShapeError, match=r"^representation\.eigenvalues: "):
+            parse_representation_document(text)
+
     def test_unknown_representation(self):
         with pytest.raises(UnknownFieldError):
             parse_representation_document(
@@ -342,6 +365,20 @@ class TestReportDocuments:
         doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
         doc["report"][spectrum].pop()
         with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.channel\.dim: "):
+            parse_report_document(json.dumps(doc))
+
+    def test_canonical_needs_dim_squared_entries(self):
+        doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
+        doc["report"]["canonical"]["eigenvalues"].pop()
+        doc["report"]["canonical"]["operators"].pop()
+        with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.canonical\.eigenvalues: "):
+            parse_report_document(json.dumps(doc))
+
+    def test_kraus_set_has_at_most_dim_squared_operators(self):
+        doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
+        ops = doc["report"]["kraus"]["operators"]
+        doc["report"]["kraus"]["operators"] = (ops * 80)[:80]
+        with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.kraus\.operators: "):
             parse_report_document(json.dumps(doc))
 
     def test_zoo_kind_must_be_a_string(self):
