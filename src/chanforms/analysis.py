@@ -22,14 +22,13 @@ from .forms import (
     CpVerdict,
     KrausSet,
     OperatorBasis,
-    _a_form_residuals,
     _classify,
     canonical_decompose,
     default_basis,
     extract_kraus,
     realign_a_to_b,
 )
-from .linalg import DEFAULT_TOL, hermitian_eigendecompose, hermiticity_residual, max_abs
+from .linalg import DEFAULT_TOL, hermitian_eigendecompose, max_abs
 from .zoo import ChannelSpec, channel_a
 
 
@@ -68,11 +67,7 @@ def analyze(
         basis = default_basis(a.dim)
     n = a.dim
 
-    herm_res, tp_res = _a_form_residuals(a.matrix, n)
     b = realign_a_to_b(a, tol)
-    b_herm = hermiticity_residual(b.matrix)
-    b_trace = float(np.trace(b.matrix).real)
-
     decomp = canonical_decompose(a, basis, tol)
     b_spectrum = hermitian_eigendecompose(b.matrix, tol * n * n).eigenvalues
     spectral_match = float(np.abs(decomp.eigenvalues - b_spectrum).max())
@@ -93,11 +88,11 @@ def analyze(
         channel=spec.describe(),
         basis=basis.label,
         tol=tol,
-        a_hermiticity_residual=herm_res,
-        a_trace_residual=tp_res,
-        a_form_valid=(herm_res <= tol and tp_res <= tol),
-        b_hermiticity_residual=b_herm,
-        b_trace=b_trace,
+        a_hermiticity_residual=a.hermiticity_residual,
+        a_trace_residual=a.trace_residual,
+        a_form_valid=(a.hermiticity_residual <= tol and a.trace_residual <= tol),
+        b_hermiticity_residual=b.hermiticity_residual,
+        b_trace=b.trace,
         coefficient_spectrum=decomp.eigenvalues,
         b_spectrum=b_spectrum,
         spectral_match=spectral_match,

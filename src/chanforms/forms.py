@@ -25,8 +25,9 @@ trace-orthonormal canonical operators ``C_k``; the map acts as
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -77,14 +78,6 @@ def _side_dim(matrix: np.ndarray, what: str) -> int:
     return n
 
 
-def _a_form_residuals(matrix: np.ndarray, n: int) -> tuple[float, float]:
-    """Hermiticity- and trace-preservation residuals of an n^2 x n^2 A matrix."""
-    a4 = matrix.reshape(n, n, n, n)
-    herm = max_abs(np.conj(a4) - a4.transpose(1, 0, 3, 2))
-    tp = max_abs(np.einsum("iikl->kl", a4) - np.eye(n))
-    return herm, tp
-
-
 def _reshuffle(matrix: np.ndarray, n: int) -> np.ndarray:
     """Index realignment out[(a,b),(c,d)] = in[(a,c),(b,d)]; an involution."""
     return matrix.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
@@ -115,18 +108,22 @@ class OperatorBasis:
         n = self.dim
         if el.shape != (n * n, n, n):
             raise ValueError(f"expected {n * n} elements of shape ({n},{n}), got {el.shape}")
-        gram = np.einsum("mij,nij->mn", el.conj(), el)
+        v = el.reshape(n * n, n * n)
+        gram = v.conj() @ v.T
         if max_abs(gram - np.eye(n * n)) > tol:
             raise ValueError("basis elements are not trace-orthonormal")
         object.__setattr__(self, "elements", _freeze(el))
 
 
+@functools.cache
 def standard_basis(n: int, label: BasisLabel = BasisLabel.MATRIX_UNITS) -> OperatorBasis:
     """Build a standard operator basis.
 
     ``PAULI_OVER_SQRT2`` is only defined for n = 2
     (``UnsupportedCombinationError`` otherwise); ``MATRIX_UNITS``
     enumerates |j><k| in row-major order mu = j*n + k for any n >= 2.
+    Each basis is built and checked once and then shared; it is frozen
+    and its elements are read-only.
     """
     label = BasisLabel(label)
     if n < 2:
@@ -155,15 +152,23 @@ class AForm:
     """Process matrix acting on row-vectorized density matrices.
 
     Construction validates the two physical-map constraints within
-    ``tol``: hermiticity preservation and trace preservation.
+    ``tol``: hermiticity preservation and trace preservation.  The
+    residuals it measured are kept: ``hermiticity_residual`` is the
+    max-norm of ``conj(A[r's'; rs]) - A[s'r'; sr]`` and
+    ``trace_residual`` the max-norm of ``sum_r' A[r'r'; rs] - delta_rs``.
     """
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
+    hermiticity_residual: float = field(init=False)
+    trace_residual: float = field(init=False)
 
     def __post_init__(self, tol: float) -> None:
         m = as_complex_matrix(self.matrix)
-        herm, tp = _a_form_residuals(m, _side_dim(m, "A-form"))
+        n = _side_dim(m, "A-form")
+        a4 = m.reshape(n, n, n, n)
+        herm = max_abs(np.conj(a4) - a4.transpose(1, 0, 3, 2))
+        tp = max_abs(np.einsum("iikl->kl", a4) - np.eye(n))
         if herm > tol:
             raise NotHermiticityPreservingError(
                 f"hermiticity-preservation residual {herm:.3g} exceeds tol {tol:g}"
@@ -173,6 +178,8 @@ class AForm:
                 f"trace-preservation residual {tp:.3g} exceeds tol {tol:g}"
             )
         object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "hermiticity_residual", herm)
+        object.__setattr__(self, "trace_residual", tp)
 
     @property
     def dim(self) -> int:
@@ -181,10 +188,16 @@ class AForm:
 
 @dataclass(frozen=True, eq=False)
 class BForm:
-    """Realigned dynamical matrix: Hermitian with trace n."""
+    """Realigned dynamical matrix: Hermitian with trace n.
+
+    Construction keeps what it measured: ``hermiticity_residual`` is the
+    max-norm of ``B - B^dag`` and ``trace`` the real part of Tr[B].
+    """
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
+    hermiticity_residual: float = field(init=False)
+    trace: float = field(init=False)
 
     def __post_init__(self, tol: float) -> None:
         m = as_complex_matrix(self.matrix)
@@ -198,6 +211,8 @@ class BForm:
         if abs(tr - n) > tol * n:
             raise NotTracePreservingError(f"B-form trace {tr:.6g} differs from n={n}")
         object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "hermiticity_residual", herm)
+        object.__setattr__(self, "trace", tr.real)
 
     @property
     def dim(self) -> int:
@@ -271,7 +286,8 @@ class KrausSet:
                 raise DimensionMismatchError(
                     f"Kraus operators must all be {n}x{n}, got {op.shape}"
                 )
-        total = sum(op.conj().T @ op for op in ops)
+        v = np.concatenate(ops)  # (k*n, n): sum_k E_k^dag E_k == V^dag V
+        total = v.conj().T @ v
         residual = max_abs(total - np.eye(n))
         if residual > tol:
             raise IncompleteKrausError(
@@ -369,8 +385,9 @@ def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL
     n = a.dim
     eig = hermitian_eigendecompose(cm.matrix, tol * n * n)
     ops = np.einsum("km,mij->kij", eig.eigenvectors, basis.elements)
-    for op in ops:
-        pivot = op.flat[np.argmax(np.abs(op))]
+    pivots = np.abs(ops).reshape(len(ops), -1).argmax(axis=1)
+    for op, at in zip(ops, pivots):
+        pivot = op.flat[at]
         if abs(pivot) > 0.0:
             op *= pivot.conjugate() / abs(pivot)
     return CanonicalDecomposition(basis=basis, eigenvalues=eig.eigenvalues, canonical_ops=ops)
@@ -407,7 +424,7 @@ def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausS
 
 def _map_output(matrix: np.ndarray, tol: float) -> MapOutput:
     herm = (matrix + matrix.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(herm).min())
+    min_eig = float(np.linalg.eigvalsh(herm)[0])  # ascending order
     return MapOutput(matrix=matrix, min_eigenvalue=min_eig, positive=min_eig >= -tol)
 
 

@@ -51,7 +51,7 @@ def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None)
         raise ValueError(f"expected {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
         raise ValueError(f"expected {cols} columns, got {m.shape[1]}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 

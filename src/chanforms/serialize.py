@@ -511,6 +511,7 @@ def parse_report_document(text: str | bytes) -> dict:
     The channel block follows the same per-kind rules as a channel
     document's payload, less the matrix fields a report does not echo.
     Its ``dim`` is 2 for a named kind, and both spectra have dim^2 entries.
+    ``kraus`` is null exactly when the verdict is not completely positive.
     """
     out = _walk(_REPORT, _load_json(text, "report"), "report")["report"]
     channel = out["channel"]
@@ -533,6 +534,13 @@ def parse_report_document(text: str | bytes) -> dict:
         _check_operators(out["kraus"]["operators"], dim, "report.report.kraus.operators")
     if (out["kraus"] is None) == (out["kraus_absent_reason"] is None):
         raise MissingFieldError("report: exactly one of kraus and kraus_absent_reason must be set")
+    classification = out["verdict"]["classification"]
+    if (out["kraus"] is None) == (classification is CpClassification.COMPLETELY_POSITIVE):
+        raise MissingFieldError(
+            "report.report.kraus: must be null exactly when the verdict is not completely"
+            f" positive, got {'null' if out['kraus'] is None else 'a Kraus set'}"
+            f" for {classification.value}"
+        )
     return out
 
 

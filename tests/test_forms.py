@@ -12,6 +12,7 @@ from chanforms import (
     BForm,
     BlochVector,
     CanonicalDecomposition,
+    ChannelSpec,
     CoefficientMatrix,
     DensityMatrix,
     DimensionMismatchError,
@@ -22,6 +23,7 @@ from chanforms import (
     NotHermiticityPreservingError,
     NotTracePreservingError,
     UnsupportedCombinationError,
+    analyze,
     apply_a,
     apply_canonical,
     apply_kraus,
@@ -44,6 +46,7 @@ from chanforms import (
     rotation_unitary,
     standard_basis,
 )
+from chanforms.linalg import hermiticity_residual, max_abs
 from conftest import random_density
 
 PAULI = standard_basis(2, BasisLabel.PAULI_OVER_SQRT2)
@@ -77,6 +80,41 @@ class TestStandardBasis:
         e01 = np.zeros((2, 2), dtype=complex)
         e01[0, 1] = 1
         assert np.array_equal(basis.elements[1], e01)
+
+    @pytest.mark.parametrize(
+        "n, label", [(2, BasisLabel.PAULI_OVER_SQRT2), (2, BasisLabel.MATRIX_UNITS), (3, BasisLabel.MATRIX_UNITS)]
+    )
+    def test_built_once_and_shared_read_only(self, n, label):
+        basis = standard_basis(n, label)
+        assert standard_basis(n, label) is basis
+        assert not basis.elements.flags.writeable
+        with pytest.raises(ValueError):
+            basis.elements[0, 0, 0] = 7.0
+
+    def test_errors_are_raised_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="at least 2"):
+                standard_basis(1)
+            with pytest.raises(UnsupportedCombinationError):
+                standard_basis(3, BasisLabel.PAULI_OVER_SQRT2)
+        assert standard_basis(2).dim == 2
+
+
+def gram_reference(elements) -> np.ndarray:
+    """The Gram matrix as an einsum, as the basis check computed it before."""
+    return np.einsum("mij,nij->mn", elements.conj(), elements)
+
+
+class TestOperatorBasisValidation:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1), st.floats(1e-9, 1e-3))
+    def test_gram_check_keeps_its_tolerance(self, n, seed, eps):
+        rng = np.random.default_rng(seed)
+        el = random_basis(rng, n).elements + eps * rng.standard_normal((n * n, n, n))
+        residual = max_abs(gram_reference(el) - np.eye(n * n))
+        OperatorBasis(dim=n, label=BasisLabel.MATRIX_UNITS, elements=el, tol=residual + 1e-14)
+        with pytest.raises(ValueError, match="^basis elements are not trace-orthonormal$"):
+            OperatorBasis(dim=n, label=BasisLabel.MATRIX_UNITS, elements=el, tol=residual - 1e-14)
 
 
 class TestAFormValidation:
@@ -474,6 +512,18 @@ class TestKrausSetValidation:
         with pytest.raises(IncompleteKrausError):
             KrausSet(())
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4]), st.integers(1, 16), st.integers(0, 2**32 - 1), st.floats(1e-9, 1e-3)
+    )
+    def test_completeness_residual_matches_sum_of_products(self, n, rank, seed, delta):
+        """Tolerances just either side of the old sum's residual pin the new one within 1e-14."""
+        ops = [op * np.sqrt(1 + delta) for op in random_cp_channel(n, min(rank, n * n), seed).operators]
+        residual = max_abs(sum(op.conj().T @ op for op in ops) - np.eye(n))
+        KrausSet(tuple(ops), tol=residual + 1e-14)
+        with pytest.raises(IncompleteKrausError, match="^completeness residual .* exceeds tol"):
+            KrausSet(tuple(ops), tol=residual - 1e-14)
+
 
 # The operator-sum assembly as it was before the realigned-product kernel,
 # kept as the references the kernel must reproduce.
@@ -527,6 +577,47 @@ def random_basis(rng: np.random.Generator, n: int) -> OperatorBasis:
     g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
     elements = np.linalg.qr(g)[0].T.reshape(n * n, n, n)
     return OperatorBasis(dim=n, label=BasisLabel.MATRIX_UNITS, elements=elements)
+
+
+# The residuals as analyze computed them before AForm and BForm kept what
+# they measured; the stored values must equal these exactly.
+
+
+def a_residuals_reference(matrix, n) -> tuple[float, float]:
+    a4 = matrix.reshape(n, n, n, n)
+    herm = max_abs(np.conj(a4) - a4.transpose(1, 0, 3, 2))
+    tp = max_abs(np.einsum("iikl->kl", a4) - np.eye(n))
+    return herm, tp
+
+
+def b_measurements_reference(matrix) -> tuple[float, float]:
+    return hermiticity_residual(matrix), float(np.trace(matrix).real)
+
+
+class TestStoredResiduals:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([0.0, 1e-13, 1e-11]),
+    )
+    def test_equal_old_expressions(self, n, cp, seed, noise):
+        rng = np.random.default_rng(seed)
+        if cp:
+            a = kraus_to_a(random_cp_channel(n, int(rng.integers(1, n * n + 1)), seed))
+        else:
+            a = random_ncp_a(n, seed)
+        # Noise below the default tol makes the residuals nonzero.
+        g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+        a = AForm(a.matrix + noise * g)
+        b = realign_a_to_b(a)
+        assert (a.hermiticity_residual, a.trace_residual) == a_residuals_reference(a.matrix, n)
+        assert (b.hermiticity_residual, b.trace) == b_measurements_reference(b.matrix)
+        report = analyze(ChannelSpec.raw_a(a.matrix))
+        assert (report.a_hermiticity_residual, report.a_trace_residual) == a_residuals_reference(a.matrix, n)
+        assert (report.b_hermiticity_residual, report.b_trace) == b_measurements_reference(b.matrix)
+        assert report.verdict.is_cp == cp
 
 
 class TestOperatorSumKernel:

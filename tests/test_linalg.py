@@ -16,6 +16,7 @@ from chanforms import (
     row_unvectorize,
     row_vectorize,
 )
+from chanforms.linalg import as_complex_matrix
 from conftest import random_hermitian
 
 
@@ -36,6 +37,17 @@ def char_poly_roots(m: np.ndarray) -> np.ndarray:
         e.append(acc / k)
     coeffs = [(-1) ** k * e[k] for k in range(n + 1)]
     return np.sort(np.roots(coeffs).real)
+
+
+class TestAsComplexMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_part_rejected(self, bad, part):
+        m = np.zeros((2, 3), dtype=complex)
+        m[1, 2] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+        assert np.isfinite(getattr(m, "imag" if part == "real" else "real")).all()
+        with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+            as_complex_matrix(m)
 
 
 class TestHermitianEigendecompose:

@@ -22,3 +22,21 @@ def test_script_exits_zero(argv):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_matrix_is_reproducible():
+    """Two runs print the same lines, so a diff between checkouts shows only output changes."""
+    runs = [
+        subprocess.run(
+            [sys.executable, str(SCRIPTS / "cli_matrix.py"), "--sizes", "2"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        for _ in range(2)
+    ]
+    for result in runs:
+        assert result.returncode == 0, result.stderr
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == 13 * 40  # six goldens and seven seeded documents, 40 runs each
+    assert runs[1].stdout == runs[0].stdout

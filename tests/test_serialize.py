@@ -381,6 +381,17 @@ class TestReportDocuments:
         with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.kraus\.operators: "):
             parse_report_document(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "golden, classification",
+        [("bit_flip", "not_completely_positive"), ("transpose", "completely_positive")],
+        ids=["kraus_kept_on_ncp", "kraus_null_on_cp"],
+    )
+    def test_kraus_is_null_exactly_when_not_cp(self, golden, classification):
+        doc = json.loads((GOLDEN / f"{golden}.out.json").read_text())
+        doc["report"]["verdict"]["classification"] = classification
+        with pytest.raises(MissingFieldError, match=r"^report\.report\.kraus: "):
+            parse_report_document(json.dumps(doc))
+
     def test_zoo_kind_must_be_a_string(self):
         text = '{"format_version":"1","channels":[{"kind":["pin"],"summary":"x"}]}'
         with pytest.raises(UnknownFieldError):
