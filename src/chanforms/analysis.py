@@ -69,7 +69,7 @@ def analyze(
 
     b = realign_a_to_b(a, tol)
     decomp = canonical_decompose(a, basis, tol)
-    b_spectrum = hermitian_eigendecompose(b.matrix, tol * n * n).eigenvalues
+    b_spectrum = hermitian_eigendecompose(b, tol * n * n).eigenvalues
     spectral_match = float(np.abs(decomp.eigenvalues - b_spectrum).max())
 
     verdict = _classify(decomp.eigenvalues, tol)

@@ -14,6 +14,13 @@ class ChanformsError(Exception):
     """Base class for all errors raised by chanforms."""
 
 
+class InvalidMatrixError(ChanformsError, ValueError):
+    """Matrix, vector or basis has the wrong shape, size or entries.
+
+    Also a ``ValueError``, so callers that catch ``ValueError`` keep working.
+    """
+
+
 class NotHermitianError(ChanformsError):
     """Matrix expected to be Hermitian deviates beyond tolerance."""
 

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IncompleteKrausError,
+    InvalidMatrixError,
     NotCompletelyPositiveError,
     NotHermiticityPreservingError,
     NotTracePreservingError,
@@ -46,6 +47,8 @@ from .linalg import (
     PAULIS,
     DensityMatrix,
     _freeze,
+    _MeasuredHermitian,
+    _min_eigenvalue,
     as_complex_matrix,
     hermitian_eigendecompose,
     hermiticity_residual,
@@ -71,10 +74,10 @@ def _side_dim(matrix: np.ndarray, what: str) -> int:
     """Hilbert-space dimension n for an n^2 x n^2 matrix."""
     side = matrix.shape[0]
     if matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"{what} must be square, got {matrix.shape}")
+        raise InvalidMatrixError(f"{what} must be square, got {matrix.shape}")
     n = math.isqrt(side)
     if n * n != side or n < 1:
-        raise ValueError(f"{what} side {side} is not a perfect square")
+        raise InvalidMatrixError(f"{what} side {side} is not a perfect square")
     return n
 
 
@@ -107,27 +110,31 @@ class OperatorBasis:
         el = np.array(self.elements, dtype=complex)  # defensive copy
         n = self.dim
         if el.shape != (n * n, n, n):
-            raise ValueError(f"expected {n * n} elements of shape ({n},{n}), got {el.shape}")
+            raise InvalidMatrixError(f"expected {n * n} elements of shape ({n},{n}), got {el.shape}")
         v = el.reshape(n * n, n * n)
         gram = v.conj() @ v.T
         if max_abs(gram - np.eye(n * n)) > tol:
-            raise ValueError("basis elements are not trace-orthonormal")
+            raise InvalidMatrixError("basis elements are not trace-orthonormal")
         object.__setattr__(self, "elements", _freeze(el))
 
 
-@functools.cache
-def standard_basis(n: int, label: BasisLabel = BasisLabel.MATRIX_UNITS) -> OperatorBasis:
+def standard_basis(n: int, label: BasisLabel | str = BasisLabel.MATRIX_UNITS) -> OperatorBasis:
     """Build a standard operator basis.
 
     ``PAULI_OVER_SQRT2`` is only defined for n = 2
     (``UnsupportedCombinationError`` otherwise); ``MATRIX_UNITS``
     enumerates |j><k| in row-major order mu = j*n + k for any n >= 2.
-    Each basis is built and checked once and then shared; it is frozen
-    and its elements are read-only.
+    Each basis is built and checked once and then shared, whether the
+    label is given as a member, as its wire value or left out; it is
+    frozen and its elements are read-only.
     """
-    label = BasisLabel(label)
+    return _standard_basis(n, BasisLabel(label))
+
+
+@functools.cache
+def _standard_basis(n: int, label: BasisLabel) -> OperatorBasis:
     if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
+        raise InvalidMatrixError(f"dimension must be at least 2, got {n}")
     if label is BasisLabel.PAULI_OVER_SQRT2:
         if n != 2:
             raise UnsupportedCombinationError("the Pauli basis is only available for n = 2")
@@ -143,8 +150,16 @@ def standard_basis(n: int, label: BasisLabel = BasisLabel.MATRIX_UNITS) -> Opera
 def default_basis(n: int) -> OperatorBasis:
     """Pauli basis for qubits, matrix units otherwise."""
     if n == 2:
-        return standard_basis(2, BasisLabel.PAULI_OVER_SQRT2)
-    return standard_basis(n, BasisLabel.MATRIX_UNITS)
+        return _standard_basis(2, BasisLabel.PAULI_OVER_SQRT2)
+    return _standard_basis(n, BasisLabel.MATRIX_UNITS)
+
+
+def _is_unit_basis(basis: OperatorBasis) -> bool:
+    """True for the shared ``standard_basis(n)`` object itself, never for
+    another basis that merely carries the ``units`` label."""
+    if basis.label is not BasisLabel.MATRIX_UNITS or basis.dim < 2:
+        return False
+    return basis is _standard_basis(basis.dim, BasisLabel.MATRIX_UNITS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +202,7 @@ class AForm:
 
 
 @dataclass(frozen=True, eq=False)
-class BForm:
+class BForm(_MeasuredHermitian):
     """Realigned dynamical matrix: Hermitian with trace n.
 
     Construction keeps what it measured: ``hermiticity_residual`` is the
@@ -220,12 +235,17 @@ class BForm:
 
 
 @dataclass(frozen=True, eq=False)
-class CoefficientMatrix:
-    """Hermitian matrix of expansion coefficients of an A-form in a basis."""
+class CoefficientMatrix(_MeasuredHermitian):
+    """Hermitian matrix of expansion coefficients of an A-form in a basis.
+
+    Construction keeps what it measured: ``hermiticity_residual`` is the
+    max-norm of ``a - a^dag``.
+    """
 
     basis: OperatorBasis
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
+    hermiticity_residual: float = field(init=False)
 
     def __post_init__(self, tol: float) -> None:
         m = as_complex_matrix(self.matrix, self.basis.dim ** 2, self.basis.dim ** 2)
@@ -236,6 +256,7 @@ class CoefficientMatrix:
                 "source map does not preserve hermiticity"
             )
         object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "hermiticity_residual", herm)
 
     @property
     def dim(self) -> int:
@@ -342,18 +363,23 @@ def _check_dims(a_dim: int, other_dim: int) -> None:
 def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CoefficientMatrix:
     """Expansion coefficients a[mu, nu] = Tr[A (T_mu^dag (x) T_nu^T)].
 
-    Computed directly from the trace formula (not via realignment), so
-    it provides a route to the spectrum independent of the B-form.
+    In a general basis it is computed directly from the trace formula
+    (not via realignment), a route to the spectrum independent of the
+    B-form.  In the matrix-unit basis ``standard_basis(n)`` the formula
+    reduces to the realigned A, Choi's dynamical matrix B, so that basis
+    returns ``_reshuffle(A)`` (bit for bit what the contraction gives).
     """
     _check_dims(a.dim, basis.dim)
     n = a.dim
+    # Residual hermiticity noise scales with the n^2 terms summed per entry.
+    if _is_unit_basis(basis):
+        return CoefficientMatrix(basis=basis, matrix=_reshuffle(a.matrix, n), tol=tol * n * n)
     a4 = a.matrix.reshape(n, n, n, n)
     t = basis.elements
     # a[mu,nu] = sum A[(r's'),(rs)] conj(T_mu[r',r]) T_nu[s',s], factored
     # to keep the contraction cost at O(n^6) per basis element pair.
     partial = np.einsum("abcd,mac->mbd", a4, t.conj())
     coeffs = np.einsum("mbd,nbd->mn", partial, t)
-    # Residual hermiticity noise scales with the n^2 terms summed per entry.
     return CoefficientMatrix(basis=basis, matrix=coeffs, tol=tol * n * n)
 
 
@@ -383,8 +409,12 @@ def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL
     """
     cm = coefficient_matrix(a, basis, tol)
     n = a.dim
-    eig = hermitian_eigendecompose(cm.matrix, tol * n * n)
-    ops = np.einsum("km,mij->kij", eig.eigenvectors, basis.elements)
+    eig = hermitian_eigendecompose(cm, tol * n * n)
+    if _is_unit_basis(basis):
+        # C_k[i, j] = v_k[i*n + j]; + 0.0 turns -0.0 into +0.0 as the sum did.
+        ops = eig.eigenvectors.reshape(n * n, n, n) + 0.0
+    else:
+        ops = np.einsum("km,mij->kij", eig.eigenvectors, basis.elements)
     pivots = np.abs(ops).reshape(len(ops), -1).argmax(axis=1)
     for op, at in zip(ops, pivots):
         pivot = op.flat[at]
@@ -423,8 +453,7 @@ def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausS
 
 
 def _map_output(matrix: np.ndarray, tol: float) -> MapOutput:
-    herm = (matrix + matrix.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(herm)[0])  # ascending order
+    min_eig = _min_eigenvalue(matrix)
     return MapOutput(matrix=matrix, min_eigenvalue=min_eig, positive=min_eig >= -tol)
 
 

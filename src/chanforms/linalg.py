@@ -22,6 +22,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import (
+    InvalidMatrixError,
     InvalidStateError,
     NoConvergenceError,
     NotHermitianError,
@@ -41,18 +42,19 @@ PAULIS = (SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3)
 def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Coerce ``entries`` to a finite 2-D complex array (a defensive copy).
 
-    Raises ``ValueError`` on non-2-D input, a shape mismatch against the
-    optional ``rows``/``cols``, or any NaN/Inf entry.
+    Raises ``InvalidMatrixError`` (a ``ValueError``) on non-2-D input, a
+    shape mismatch against the optional ``rows``/``cols``, or any NaN/Inf
+    entry.
     """
     m = np.array(entries, dtype=complex)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+        raise InvalidMatrixError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if rows is not None and m.shape[0] != rows:
-        raise ValueError(f"expected {rows} rows, got {m.shape[0]}")
+        raise InvalidMatrixError(f"expected {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
-        raise ValueError(f"expected {cols} columns, got {m.shape[1]}")
+        raise InvalidMatrixError(f"expected {cols} columns, got {m.shape[1]}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise InvalidMatrixError("matrix contains non-finite entries")
     return m
 
 
@@ -66,9 +68,32 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return max_abs(m - m.conj().T)
 
 
+def _min_eigenvalue(m: np.ndarray) -> float:
+    """Minimum eigenvalue of the Hermitian part (m + m^dag)/2 of a square matrix.
+
+    At n = 2 it is the closed form (a+d)/2 - hypot((a-d)/2, |b|), with a, d
+    the real parts of the diagonal and b = (m01 + conj m10)/2; it agrees
+    with LAPACK to a few ulps of max|m| without LAPACK's per-call cost.
+    """
+    if m.shape == (2, 2):
+        (m00, m01), (m10, m11) = m.tolist()
+        a, d = m00.real, m11.real
+        b = (m01 + m10.conjugate()) / 2
+        return (a + d) / 2 - math.hypot((a - d) / 2, abs(b))
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])  # ascending order
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+class _MeasuredHermitian:
+    """Base of validated forms that keep a square, read-only complex
+    ``matrix`` and the ``hermiticity_residual`` measured on it;
+    :func:`hermitian_eigendecompose` takes both as they are."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +148,7 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > tol:
             raise InvalidStateError(f"trace {tr:.6g} differs from 1 beyond tol {tol:g}")
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+        min_eig = _min_eigenvalue(m)
         if min_eig < -tol:
             raise InvalidStateError(
                 f"not positive semidefinite: min eigenvalue {min_eig:.3g} < -{tol:g}"
@@ -157,18 +182,27 @@ class EigenDecomposition:
         return (v.T * w) @ v.conj()
 
 
-def hermitian_eigendecompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
+def hermitian_eigendecompose(
+    m: np.ndarray | _MeasuredHermitian, tol: float = DEFAULT_TOL
+) -> EigenDecomposition:
     """Eigendecompose a Hermitian matrix.
 
     Rejects input whose deviation from Hermiticity exceeds ``tol``
     (``NotHermitianError``).  Solver failure raises
     ``NoConvergenceError``.  Eigenvalues come out descending; ties keep
     the solver's relative order, so output is deterministic.
+
+    ``m`` may also be a validated form (``CoefficientMatrix``, ``BForm``):
+    its stored residual is compared with ``tol`` and its read-only
+    matrix is used without a copy or a second measurement.
     """
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise NotHermitianError(f"matrix must be square, got {m.shape}")
-    residual = hermiticity_residual(m)
+    if isinstance(m, _MeasuredHermitian):
+        residual, m = m.hermiticity_residual, m.matrix
+    else:
+        m = as_complex_matrix(m)
+        if m.shape[0] != m.shape[1]:
+            raise NotHermitianError(f"matrix must be square, got {m.shape}")
+        residual = hermiticity_residual(m)
     if residual > tol:
         raise NotHermitianError(f"asymmetry {residual:.3g} exceeds tol {tol:g}")
     try:
@@ -212,5 +246,5 @@ def row_unvectorize(vec: np.ndarray) -> np.ndarray:
     v = np.asarray(vec, dtype=complex).reshape(-1)
     n = math.isqrt(v.size)
     if n * n != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
+        raise InvalidMatrixError(f"vector length {v.size} is not a perfect square")
     return v.reshape(n, n).copy()

@@ -10,6 +10,7 @@ from chanforms import (
     AForm,
     BasisLabel,
     BForm,
+    ChanformsError,
     BlochVector,
     CanonicalDecomposition,
     ChannelSpec,
@@ -17,6 +18,7 @@ from chanforms import (
     DensityMatrix,
     DimensionMismatchError,
     IncompleteKrausError,
+    InvalidMatrixError,
     KrausSet,
     NotCompletelyPositiveError,
     OperatorBasis,
@@ -35,6 +37,7 @@ from chanforms import (
     canonical_to_a,
     coefficient_matrix,
     cp_verdict,
+    default_basis,
     density_to_bloch,
     expand_coefficients,
     extract_kraus,
@@ -46,7 +49,9 @@ from chanforms import (
     rotation_unitary,
     standard_basis,
 )
-from chanforms.linalg import hermiticity_residual, max_abs
+from chanforms import forms
+from chanforms.forms import _is_unit_basis, _reshuffle, _standard_basis
+from chanforms.linalg import hermitian_eigendecompose, hermiticity_residual, max_abs
 from conftest import random_density
 
 PAULI = standard_basis(2, BasisLabel.PAULI_OVER_SQRT2)
@@ -99,6 +104,28 @@ class TestStandardBasis:
                 standard_basis(3, BasisLabel.PAULI_OVER_SQRT2)
         assert standard_basis(2).dim == 2
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_object_however_the_label_is_given(self, n):
+        basis = standard_basis(n)
+        assert standard_basis(n, "units") is basis
+        assert standard_basis(n, BasisLabel.MATRIX_UNITS) is basis
+        if n >= 3:
+            assert default_basis(n) is basis
+        else:
+            assert default_basis(2) is standard_basis(2, "pauli") is PAULI
+
+    def test_errors_are_not_cached(self):
+        before = _standard_basis.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(InvalidMatrixError, match="^dimension must be at least 2, got 1$") as info:
+                standard_basis(1, "units")
+            assert isinstance(info.value, ChanformsError)
+            with pytest.raises(UnsupportedCombinationError):
+                standard_basis(3, "pauli")
+            with pytest.raises(ValueError):
+                standard_basis(3, "weyl")
+        assert _standard_basis.cache_info().currsize == before
+
 
 def gram_reference(elements) -> np.ndarray:
     """The Gram matrix as an einsum, as the basis check computed it before."""
@@ -133,6 +160,10 @@ class TestAFormValidation:
     def test_rejects_non_square_side(self):
         with pytest.raises(ValueError):
             AForm(np.eye(5, dtype=complex))
+        with pytest.raises(InvalidMatrixError, match="^A-form side 5 is not a perfect square$"):
+            AForm(np.eye(5, dtype=complex))
+        with pytest.raises(InvalidMatrixError, match=r"^B-form must be square, got \(4, 5\)$"):
+            BForm(np.zeros((4, 5), dtype=complex))
 
 
 class TestCoefficientMatrix:
@@ -654,3 +685,89 @@ class TestOperatorSumKernel:
         a = random_ncp_a(n, seed=n)
         for basis in (standard_basis(n), random_basis(np.random.default_rng(n), n)):
             assert np.abs(expand_coefficients(coefficient_matrix(a, basis)) - a.matrix).max() < 1e-12
+
+
+# The coefficient matrix and canonical operators as canonical_decompose
+# computed them in every basis before the matrix-unit basis skipped the
+# contractions; in standard_basis(n) the results must equal these bit for bit.
+
+
+def coefficient_reference(a: AForm, t: np.ndarray) -> np.ndarray:
+    n = a.dim
+    partial = np.einsum("abcd,mac->mbd", a.matrix.reshape(n, n, n, n), t.conj())
+    return np.einsum("mbd,nbd->mn", partial, t)
+
+
+def canonical_reference(a: AForm, t: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    n = a.dim
+    eig = hermitian_eigendecompose(coefficient_reference(a, t), tol * n * n)
+    ops = np.einsum("km,mij->kij", eig.eigenvectors, t)
+    pivots = np.abs(ops).reshape(len(ops), -1).argmax(axis=1)
+    for op, at in zip(ops, pivots):
+        pivot = op.flat[at]
+        if abs(pivot) > 0.0:
+            op *= pivot.conjugate() / abs(pivot)
+    return eig.eigenvalues, ops
+
+
+def bit_equal(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal values and equal sign bits, so -0.0 and +0.0 differ."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    return x.shape == y.shape and np.array_equal(x.view(float), y.view(float)) and np.array_equal(
+        np.signbit(x.view(float)), np.signbit(y.view(float))
+    )
+
+
+class TestUnitBasisShortcut:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.booleans(), st.integers(0, 2**31 - 1))
+    def test_equals_the_contraction_bit_for_bit(self, n, cp, seed):
+        rng = np.random.default_rng(seed)
+        if cp:
+            a = kraus_to_a(random_cp_channel(n, int(rng.integers(1, n * n + 1)), seed))
+        else:
+            a = random_ncp_a(n, seed)
+        basis = standard_basis(n)
+        cm = coefficient_matrix(a, basis)
+        assert bit_equal(cm.matrix, coefficient_reference(a, basis.elements))
+        assert bit_equal(cm.matrix, _reshuffle(a.matrix, n))
+        decomp = canonical_decompose(a, basis)
+        w, ops = canonical_reference(a, basis.elements)
+        assert np.array_equal(decomp.eigenvalues, w)
+        assert bit_equal(decomp.canonical_ops, ops)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_signed_zeros_of_the_identity_map(self, n):
+        # Mostly zero entries, some of them -0.0 after the phase rule.
+        a = AForm(np.eye(n * n, dtype=complex))
+        w, ops = canonical_reference(a, standard_basis(n).elements)
+        decomp = canonical_decompose(a, standard_basis(n))
+        assert bit_equal(decomp.canonical_ops, ops)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_keyed_on_the_object_not_the_label(self, n):
+        rng = np.random.default_rng(n)
+        a = random_ncp_a(n, seed=n)
+        basis = random_basis(rng, n)  # labelled units, but not the matrix units
+        copy = OperatorBasis(dim=n, label=BasisLabel.MATRIX_UNITS, elements=standard_basis(n).elements)
+        assert basis.label is copy.label is BasisLabel.MATRIX_UNITS
+        assert not _is_unit_basis(basis) and not _is_unit_basis(copy)
+        assert _is_unit_basis(standard_basis(n, "units"))
+        cm = coefficient_matrix(a, basis)
+        assert bit_equal(cm.matrix, coefficient_reference(a, basis.elements))
+        assert np.abs(cm.matrix - _reshuffle(a.matrix, n)).max() > 1e-3
+        decomp = canonical_decompose(a, basis)
+        w, ops = canonical_reference(a, basis.elements)
+        assert np.array_equal(decomp.eigenvalues, w)
+        assert bit_equal(decomp.canonical_ops, ops)
+
+    def test_other_labels_build_no_unit_basis(self, monkeypatch):
+        # A Pauli-labelled basis is rejected on its label, without building
+        # (and caching) the matrix units of its size.
+        def fail(*args):
+            raise AssertionError(f"_standard_basis{args} built for a non-units basis")
+
+        monkeypatch.setattr(forms, "_standard_basis", fail)
+        assert not _is_unit_basis(PAULI)
+        cm = coefficient_matrix(kraus_to_a(random_cp_channel(2, 2, seed=3)), PAULI)
+        assert cm.basis is PAULI

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from chanforms import (
     BlochVector,
+    ChanformsError,
     DensityMatrix,
+    InvalidMatrixError,
     InvalidStateError,
     NotHermitianError,
     OutsideBallError,
@@ -16,7 +20,8 @@ from chanforms import (
     row_unvectorize,
     row_vectorize,
 )
-from chanforms.linalg import as_complex_matrix
+from chanforms.forms import BForm, CoefficientMatrix, standard_basis
+from chanforms.linalg import _min_eigenvalue, as_complex_matrix, hermiticity_residual
 from conftest import random_hermitian
 
 
@@ -48,6 +53,77 @@ class TestAsComplexMatrix:
         assert np.isfinite(getattr(m, "imag" if part == "real" else "real")).all()
         with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
             as_complex_matrix(m)
+
+    @pytest.mark.parametrize(
+        "entries, kwargs, message",
+        [
+            (np.zeros(3), {}, "expected a 2-D matrix, got ndim=1"),
+            (np.zeros((2, 3)), {"rows": 3}, "expected 3 rows, got 2"),
+            (np.zeros((2, 3)), {"cols": 2}, "expected 2 columns, got 3"),
+            ([[1.0, np.nan]], {}, "matrix contains non-finite entries"),
+        ],
+    )
+    def test_errors_are_chanforms_value_errors(self, entries, kwargs, message):
+        with pytest.raises(InvalidMatrixError, match=f"^{message}$") as info:
+            as_complex_matrix(entries, **kwargs)
+        assert isinstance(info.value, ChanformsError) and isinstance(info.value, ValueError)
+
+
+def min_eigenvalue_reference(m: np.ndarray) -> float:
+    """The minimum eigenvalue as ``_map_output`` and ``DensityMatrix`` took it from LAPACK before."""
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+
+
+def exact_min_eigenvalue(m: np.ndarray) -> Decimal:
+    """The 2x2 Hermitian part's minimum eigenvalue in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, d = Decimal(m[0, 0].real), Decimal(m[1, 1].real)
+        br = (Decimal(m[0, 1].real) + Decimal(m[1, 0].real)) / 2
+        bi = (Decimal(m[0, 1].imag) - Decimal(m[1, 0].imag)) / 2
+        return (a + d) / 2 - (((a - d) / 2) ** 2 + br * br + bi * bi).sqrt()
+
+
+@st.composite
+def two_by_two(draw):
+    """2x2 complex matrices of five shapes, scaled by 10^-300 .. 10^300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["general", "hermitian", "diagonal", "degenerate", "b_zero"]))
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    if shape == "hermitian":
+        m = m + m.conj().T
+    elif shape == "diagonal":
+        m = np.diag(np.diag(m))
+    elif shape == "degenerate":
+        m = m[0, 0] * np.eye(2)
+    elif shape == "b_zero":
+        m[0, 1] = -np.conj(m[1, 0])  # non-Hermitian, Hermitian part diagonal
+    return m * 10.0 ** draw(st.integers(-300, 300))
+
+
+class TestMinEigenvalue:
+    EPS = np.finfo(float).eps
+
+    @settings(max_examples=400, deadline=None)
+    @given(two_by_two())
+    def test_closed_form_matches_lapack_and_exact(self, m):
+        scale = self.EPS * np.abs(m).max()
+        got = _min_eigenvalue(m)
+        assert isinstance(got, float)
+        # The closed form is within 4 eps max|m| of the exact value; LAPACK's
+        # own error reaches about 5 eps max|m|, so the two differ by < 8.
+        assert abs(Decimal(got) - exact_min_eigenvalue(m)) <= 4 * Decimal(scale)
+        assert abs(got - min_eigenvalue_reference(m)) <= 8 * scale
+
+    def test_exact_cases(self):
+        assert _min_eigenvalue(np.diag([0.25, -0.5]).astype(complex)) == -0.5
+        assert _min_eigenvalue(np.eye(2, dtype=complex) / 2) == 0.5
+        assert _min_eigenvalue(np.array([[0, 2], [0, 0]], dtype=complex)) == -1.0
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_other_sizes_use_lapack(self, rng, n):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert _min_eigenvalue(m) == min_eigenvalue_reference(m)
 
 
 class TestHermitianEigendecompose:
@@ -111,6 +187,23 @@ class TestHermitianEigendecompose:
         with pytest.raises(NotHermitianError):
             hermitian_eigendecompose(np.zeros((2, 3), dtype=complex))
 
+    @pytest.mark.parametrize("form", ["coefficient", "b_form"])
+    def test_validated_form_uses_its_stored_residual(self, rng, form):
+        m = random_hermitian(rng, 4)
+        m[0, 1] += 1e-10  # a residual of 1e-10, accepted at construction
+        if form == "coefficient":
+            validated = CoefficientMatrix(basis=standard_basis(2), matrix=m, tol=1e-9)
+        else:
+            m -= (np.trace(m) - 2) * np.eye(4) / 4
+            validated = BForm(m, tol=1e-9)
+        residual = hermiticity_residual(m)
+        assert validated.hermiticity_residual == residual > 0
+        got, ref = hermitian_eigendecompose(validated, 1e-9), hermitian_eigendecompose(m, 1e-9)
+        assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(got.eigenvectors, ref.eigenvectors)
+        with pytest.raises(NotHermitianError, match=f"^asymmetry {residual:.3g} exceeds tol 5e-11$"):
+            hermitian_eigendecompose(validated, 5e-11)
+
 
 class TestBlochConversions:
     def test_maximally_mixed(self):
@@ -173,6 +266,11 @@ class TestDensityMatrixValidation:
         with pytest.raises(InvalidStateError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_negative_rejected_through_the_closed_form(self):
+        m = np.array([[0.5, 1.0], [1.0, 0.5]], dtype=complex)  # eigenvalues 1.5, -0.5
+        with pytest.raises(InvalidStateError, match=r"^not positive semidefinite: min eigenvalue -0.5 < -1e-09$"):
+            DensityMatrix(m)
+
     def test_matrix_is_read_only(self):
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
         with pytest.raises(ValueError):
@@ -219,4 +317,6 @@ class TestRowVectorize:
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
+            row_unvectorize(np.zeros(5, dtype=complex))
+        with pytest.raises(InvalidMatrixError, match="^vector length 5 is not a perfect square$"):
             row_unvectorize(np.zeros(5, dtype=complex))

@@ -1,5 +1,7 @@
 """Smoke runs of the scripts, so a renamed library name cannot break them silently."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +42,79 @@ def test_cli_matrix_is_reproducible():
     lines = runs[0].stdout.splitlines()
     assert len(lines) == 13 * 40  # six goldens and seven seeded documents, 40 runs each
     assert runs[1].stdout == runs[0].stdout
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchPairsSummary:
+    BETTER = {"ops_per_s": "higher", "op_p50_ms": "lower"}
+
+    @staticmethod
+    def runs(ops, p50):
+        return [{"ops_per_s": x, "op_p50_ms": y} for x, y in zip(ops, p50)]
+
+    def test_claim_holds_with_nine_wins_and_separated_medians(self):
+        bp = load_bench_pairs()
+        parent = self.runs([100, 102, 98, 101, 99, 100, 103, 97, 100, 150], [10.0] * 10)
+        change = self.runs([120, 121, 119, 122, 118, 120, 123, 117, 120, 140], [9.0] * 9 + [11.0])
+        s = bp.summarize(parent, change, self.BETTER, "ops_per_s")
+        ops = s["metrics"]["ops_per_s"]
+        assert s["pairs"] == 10 and ops["wins"] == 9
+        assert ops["parent_median"] == 100 and ops["change_median"] == 120
+        # Exclusive quartiles of the parent: 98.75 and 102.25.
+        assert ops["parent_q1"] == 98.75 and ops["parent_q3"] == 102.25
+        assert ops["parent_iqr"] == 3.5 and ops["relative_change"] == 0.2
+        assert s["claim"] == {"metric": "ops_per_s", "wins": 9, "wins_needed": 9, "holds": True}
+        # Lower is better for latency: nine of ten pairs got faster.
+        assert s["metrics"]["op_p50_ms"]["wins"] == 9
+        assert s["metrics"]["op_p50_ms"]["median_better"]
+
+    def test_claim_fails_on_eight_wins(self):
+        bp = load_bench_pairs()
+        parent = self.runs([100] * 10, [10.0] * 10)
+        change = self.runs([120] * 8 + [90, 90], [10.0] * 10)
+        s = bp.summarize(parent, change, self.BETTER, "ops_per_s")
+        assert s["claim"]["wins"] == 8 and not s["claim"]["holds"]
+        assert s["metrics"]["op_p50_ms"]["wins"] == 0  # ties are not wins
+
+    def test_claim_fails_when_medians_sit_inside_the_parent_iqr(self):
+        bp = load_bench_pairs()
+        parent = self.runs([80, 90, 100, 110, 120, 80, 90, 100, 110, 120], [10.0] * 10)
+        change = self.runs([x + 1 for x in [80, 90, 100, 110, 120, 80, 90, 100, 110, 120]], [10.0] * 10)
+        s = bp.summarize(parent, change, self.BETTER, "ops_per_s")
+        assert s["claim"]["wins"] == 10
+        assert not s["metrics"]["ops_per_s"]["medians_apart_beyond_parent_iqr"]
+        assert not s["claim"]["holds"]
+
+    def test_claim_fails_when_the_median_moves_the_wrong_way(self):
+        bp = load_bench_pairs()
+        parent = self.runs([100] * 10, [10.0] * 10)
+        change = self.runs([100] * 10, [20.0] * 10)
+        s = bp.summarize(parent, change, self.BETTER, "op_p50_ms")
+        assert s["metrics"]["op_p50_ms"]["medians_apart_beyond_parent_iqr"]
+        assert not s["claim"]["holds"]
+
+    def test_no_claim_and_bad_counts(self):
+        bp = load_bench_pairs()
+        s = bp.summarize(self.runs([1], [1.0]), self.runs([2], [1.0]), self.BETTER, None)
+        assert "claim" not in s and s["metrics"]["ops_per_s"]["parent_iqr"] == 0
+        with pytest.raises(ValueError):
+            bp.summarize(self.runs([1, 2], [1.0, 1.0]), self.runs([1], [1.0]), self.BETTER, None)
+
+    def test_seed_ranges(self):
+        bp = load_bench_pairs()
+        assert bp.parse_seeds(["1301-1303", "7"]) == [1301, 1302, 1303, 7]
+
+    def test_spec_comes_from_the_benchmark_file(self):
+        bp = load_bench_pairs()
+        root = SCRIPTS.parent
+        spec = json.loads((root / "BENCHMARK.json").read_text())
+        better, seconds = bp.benchmark_spec(root)
+        assert seconds == spec["run_seconds"]
+        assert better["ops_per_s"] == "higher" and better["peak_rss_mb"] == "lower"
+        assert list(better) == [m["name"] for m in spec["end_to_end"]]
