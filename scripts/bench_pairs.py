@@ -16,12 +16,14 @@ The file holds every run's metrics, ``record`` and exit code (not the
 checkouts' paths), and a summary of each end-to-end metric listed in
 the change's ``BENCHMARK.json``: both medians, both sides' quartiles
 (``statistics``' default exclusive method), the pairs the change won in
-the metric's better direction, and whether the medians are further
-apart than the parent's interquartile range.  With ``--claim``, the summary says
-whether the claim rule holds for that metric: the change wins at least
-9 of every 10 pairs and its median is better than the parent's by more
-than the parent's IQR.  The file is rewritten after every pair, so an
-interrupted series keeps the pairs it finished.
+the metric's better direction, whether the medians are further apart
+than the parent's interquartile range, and the metric's no-regression
+verdict against its ``bound`` in that file (see ``verdict``).  With
+``--claim``, the summary says whether the claim rule holds for that
+metric: the change wins at least 9 of every 10 pairs and its median is
+better than the parent's by more than the parent's IQR.  The file is
+rewritten after every pair, so an interrupted series keeps the pairs it
+finished.
 """
 
 from __future__ import annotations
@@ -47,11 +49,13 @@ def parse_seeds(items: list[str]) -> list[int]:
     return seeds
 
 
-def benchmark_spec(tree: Path) -> tuple[dict[str, str], float]:
-    """End-to-end metric name -> "higher" or "lower", and the run length in
-    seconds, from the tree's BENCHMARK.json."""
+def benchmark_spec(tree: Path) -> tuple[dict[str, str], dict[str, float], float]:
+    """From the tree's BENCHMARK.json: end-to-end metric name -> "higher" or
+    "lower", metric name -> the relative worsening its ``bound`` allows, and
+    the run length in seconds."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}, spec["run_seconds"]
+    metrics = spec["end_to_end"]
+    return {m["name"]: m["better"] for m in metrics}, {m["name"]: m["bound"] for m in metrics}, spec["run_seconds"]
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -79,12 +83,38 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(parent: list[dict], change: list[dict], better: dict[str, str], claim: str | None) -> dict:
-    """Medians, quartiles and wins per metric over paired runs (``parent[i]`` with ``change[i]``).
+def verdict(parent: list[float], change: list[float], direction: str, bound: float) -> str:
+    """No-regression verdict of one metric whose relative worsening may reach ``bound``.
+
+    ``worse``: the change's median is worse than the parent's by more than
+    ``bound`` times the parent's median.  ``unresolved``: otherwise, when the
+    parent's IQR exceeds that much and not every change run beats every
+    parent run, so the runs cannot tell.  ``not_worse``: otherwise.
+    """
+    sign = 1.0 if direction == "higher" else -1.0
+    pm, cm = statistics.median(parent), statistics.median(change)
+    allowed = bound * abs(pm)
+    if sign * (cm - pm) < -allowed:
+        return "worse"
+    q1, q3 = quartiles(parent)
+    if q3 - q1 > allowed and not all(sign * (y - x) > 0 for x in parent for y in change):
+        return "unresolved"
+    return "not_worse"
+
+
+def summarize(
+    parent: list[dict],
+    change: list[dict],
+    better: dict[str, str],
+    bounds: dict[str, float],
+    claim: str | None,
+) -> dict:
+    """Medians, quartiles, wins and verdict per metric over paired runs (``parent[i]`` with ``change[i]``).
 
     Each run is a mapping of metric name to value; ``better`` gives each
-    metric's direction.  Returns one entry per metric of ``better`` and,
-    when ``claim`` names one of them, whether the claim rule holds.
+    metric's direction and ``bounds`` its allowed relative worsening.
+    Returns one entry per metric of ``better`` and, when ``claim`` names one
+    of them, whether the claim rule holds.
     """
     pairs = len(parent)
     if pairs == 0 or pairs != len(change):
@@ -110,6 +140,8 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str], cl
             "wins": sum(sign * (y - x) > 0 for x, y in zip(p, c)),
             "medians_apart_beyond_parent_iqr": abs(cm - pm) > pq3 - pq1,
             "median_better": sign * (cm - pm) > 0,
+            "bound": bounds[name],
+            "verdict": verdict(p, c, direction, bounds[name]),
         }
     summary = {"pairs": pairs, "metrics": metrics}
     if claim is not None:
@@ -135,7 +167,7 @@ def main() -> int:
     args = p.parse_args()
 
     seeds = parse_seeds(args.seeds)
-    better, seconds = benchmark_spec(args.change)
+    better, bounds, seconds = benchmark_spec(args.change)
     if args.claim is not None and args.claim not in better:
         p.error(f"--claim must be one of {sorted(better)}")
     out = args.out or args.change / f"BENCH_{args.workload}.json"
@@ -156,6 +188,7 @@ def main() -> int:
             [r["parent"]["metrics"] for r in doc["runs"]],
             [r["change"]["metrics"] for r in doc["runs"]],
             better,
+            bounds,
             args.claim,
         )
         doc["summary"]["all_correct"] = all(r[s]["correct"] for r in doc["runs"] for s in trees)
@@ -165,6 +198,8 @@ def main() -> int:
         out.write_text(json.dumps(doc, indent=1) + "\n")
         line = "  ".join(f"{side} {pair[side]['metrics'][args.claim or 'ops_per_s']:.6g}" for side in trees)
         print(f"pair {i + 1}/{len(seeds)} seed {seed} ({order[0]} first): {line}", flush=True)
+    for name, m in doc["summary"]["metrics"].items():
+        print(f"{name}: {m['verdict']} (median {m['parent_median']:.6g} -> {m['change_median']:.6g})")
     print(json.dumps(doc["summary"].get("claim", {}), sort_keys=True))
     return 0
 

@@ -11,9 +11,12 @@ and on the change and comparing the two outputs with ``diff``:
 
 The documents are the six golden channel documents and, for each size n
 in ``--sizes``, seeded ``raw_kraus`` and ``raw_a`` documents of CP maps of
-Kraus rank 1, n and n^2 and one ``raw_a`` document of a map that is not
-completely positive.  They are built with numpy alone, so they do not
-depend on the code under test, and are written to a temporary directory.
+Kraus rank 1, n and n^2, one ``raw_a`` document of a map that is not
+completely positive, and two ``raw_kraus`` documents that are not Kraus
+sets: the first operator of the rank-n set next to the (n+1) x (n+1)
+identity (mixed sizes), and that operator alone (incomplete).  They are
+built with numpy alone, so they do not depend on the code under test, and
+are written to a temporary directory.
 Each document goes through ``analyze``, the five ``convert`` targets and
 ``apply``, in human and machine output, with the default options,
 ``--basis units`` (not for ``apply``, which takes no basis) and
@@ -43,8 +46,10 @@ def wire(m: np.ndarray) -> list:
     return np.stack((m.real, m.imag), -1).tolist()
 
 
-def channel_text(kind: str, field: str, payload: np.ndarray) -> str:
-    return json.dumps({"format_version": "1", "channel": {"kind": kind, field: wire(payload)}})
+def channel_text(kind: str, field: str, payload) -> str:
+    """A channel document; ``payload`` is a matrix or a sequence of matrices."""
+    wired = wire(payload) if isinstance(payload, np.ndarray) else [wire(m) for m in payload]
+    return json.dumps({"format_version": "1", "channel": {"kind": kind, field: wired}})
 
 
 def random_kraus(rng: np.random.Generator, n: int, rank: int) -> np.ndarray:
@@ -85,11 +90,15 @@ def documents(sizes: list[int], work: Path) -> list[tuple[str, Path, str]]:
             ops = random_kraus(rng, n, rank)
             texts[f"raw_kraus-rank{rank}"] = channel_text("raw_kraus", "operators", ops)
             texts[f"raw_a-cp-rank{rank}"] = channel_text("raw_a", "matrix", process_matrix(ops))
+            if rank == n:
+                first = ops[0]
         # The transpose's B-form has an eigenvalue -1, so the mixture is not
         # CP while the CP part's largest B eigenvalue is below 3 (at n = 2 it
         # is at most the trace, 2; ``analyze`` exits 3 on each of them).
         ncp = 0.25 * process_matrix(random_kraus(rng, n, n * n)) + 0.75 * transpose_matrix(n)
         texts["raw_a-ncp"] = channel_text("raw_a", "matrix", ncp)
+        texts["raw_kraus-mixed-sizes"] = channel_text("raw_kraus", "operators", [first, np.eye(n + 1)])
+        texts["raw_kraus-incomplete"] = channel_text("raw_kraus", "operators", [first])
         state = json.dumps({"density": wire(random_density(rng, n))})
         for name, text in texts.items():
             path = work / f"n{n}-{name}.json"

@@ -11,6 +11,7 @@ add nothing, so they are never searched.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .forms import (
     extract_kraus,
     realign_a_to_b,
 )
-from .linalg import DEFAULT_TOL, hermitian_eigendecompose, max_abs
+from .linalg import DEFAULT_TOL, _freeze, hermitian_eigendecompose, max_abs
 from .zoo import ChannelSpec, channel_a
 
 
@@ -110,6 +111,12 @@ def maximally_entangled_state(n: int) -> np.ndarray:
     return np.outer(omega, omega.conj())
 
 
+@functools.cache
+def _omega4(n: int) -> np.ndarray:
+    """``maximally_entangled_state(n)`` as a read-only (n, n, n, n) array, built once per n."""
+    return _freeze(maximally_entangled_state(n).reshape(n, n, n, n))
+
+
 def choi_state(a: AForm) -> np.ndarray:
     """Image of the maximally entangled state under ``map (x) identity``.
 
@@ -119,8 +126,7 @@ def choi_state(a: AForm) -> np.ndarray:
     """
     n = a.dim
     a4 = a.matrix.reshape(n, n, n, n)
-    omega4 = maximally_entangled_state(n).reshape(n, n, n, n)  # ((r,b),(s,d))
-    out4 = np.einsum("acrs,rbsd->abcd", a4, omega4)
+    out4 = np.einsum("acrs,rbsd->abcd", a4, _omega4(n))  # omega4 is ((r,b),(s,d))
     return out4.reshape(n * n, n * n)
 
 

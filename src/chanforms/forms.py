@@ -53,8 +53,6 @@ from .linalg import (
     hermitian_eigendecompose,
     hermiticity_residual,
     max_abs,
-    row_unvectorize,
-    row_vectorize,
 )
 
 
@@ -86,6 +84,12 @@ def _reshuffle(matrix: np.ndarray, n: int) -> np.ndarray:
     return matrix.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only."""
+    return _freeze(np.eye(n))
+
+
 def _operator_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_{j,k} weights[j,k] O_j (x) conj(O_k) for a (k, n, n) stack of operators.
 
@@ -113,7 +117,7 @@ class OperatorBasis:
             raise InvalidMatrixError(f"expected {n * n} elements of shape ({n},{n}), got {el.shape}")
         v = el.reshape(n * n, n * n)
         gram = v.conj() @ v.T
-        if max_abs(gram - np.eye(n * n)) > tol:
+        if max_abs(gram - _identity(n * n)) > tol:
             raise InvalidMatrixError("basis elements are not trace-orthonormal")
         object.__setattr__(self, "elements", _freeze(el))
 
@@ -183,7 +187,7 @@ class AForm:
         n = _side_dim(m, "A-form")
         a4 = m.reshape(n, n, n, n)
         herm = max_abs(np.conj(a4) - a4.transpose(1, 0, 3, 2))
-        tp = max_abs(np.einsum("iikl->kl", a4) - np.eye(n))
+        tp = max_abs(a4.trace(axis1=0, axis2=1) - _identity(n))
         if herm > tol:
             raise NotHermiticityPreservingError(
                 f"hermiticity-preservation residual {herm:.3g} exceeds tol {tol:g}"
@@ -290,35 +294,52 @@ class CanonicalDecomposition:
         return int(np.sum(np.abs(self.eigenvalues) > tol))
 
 
-@dataclass(frozen=True, eq=False)
-class KrausSet:
-    """Operators of a completely positive map, sum_k E_k^dag E_k = I."""
-
-    operators: tuple[np.ndarray, ...]
-    tol: InitVar[float] = DEFAULT_TOL
-
-    def __post_init__(self, tol: float) -> None:
-        ops = tuple(as_complex_matrix(op) for op in self.operators)
+def _operator_stack(operators) -> np.ndarray:
+    """One finite (k, n, n) complex copy of a sequence of n x n matrices; any other
+    input takes the per-operator checks, which raise the error naming the fault."""
+    try:
+        ops = np.array(operators, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # ragged, mixed sizes or not numbers
+        ops = np.empty(0)
+    if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
+        ops = tuple(as_complex_matrix(op) for op in operators)
         if not ops:
             raise IncompleteKrausError("a Kraus set needs at least one operator")
         n = ops[0].shape[0]
         for op in ops:
             if op.shape != (n, n):
-                raise DimensionMismatchError(
-                    f"Kraus operators must all be {n}x{n}, got {op.shape}"
-                )
-        v = np.concatenate(ops)  # (k*n, n): sum_k E_k^dag E_k == V^dag V
-        total = v.conj().T @ v
-        residual = max_abs(total - np.eye(n))
+                raise DimensionMismatchError(f"Kraus operators must all be {n}x{n}, got {op.shape}")
+        return np.stack(ops)
+    if not np.isfinite(ops).all():
+        raise InvalidMatrixError("matrix contains non-finite entries")
+    return ops
+
+
+@dataclass(frozen=True, eq=False)
+class KrausSet:
+    """Operators of a completely positive map, sum_k E_k^dag E_k = I.
+
+    Built from any sequence of n x n matrices, ``operators`` is one read-only
+    ``(k, n, n)`` array like ``canonical_ops``: iterating or indexing it gives
+    the operators one by one, and ``len`` counts them.
+    """
+
+    operators: np.ndarray  # shape (k, n, n)
+    tol: InitVar[float] = DEFAULT_TOL
+
+    def __post_init__(self, tol: float) -> None:
+        ops = _operator_stack(self.operators)
+        v = ops.reshape(len(ops) * ops.shape[1], ops.shape[2])  # sum_k E_k^dag E_k == V^dag V
+        residual = max_abs(v.conj().T @ v - _identity(v.shape[1]))
         if residual > tol:
             raise IncompleteKrausError(
                 f"completeness residual {residual:.3g} exceeds tol {tol:g}"
             )
-        object.__setattr__(self, "operators", tuple(_freeze(op) for op in ops))
+        object.__setattr__(self, "operators", _freeze(ops))
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -446,10 +467,9 @@ def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausS
         raise NotCompletelyPositiveError(
             f"map is not completely positive: min eigenvalue {min_eig:.6g} < -{tol:g}"
         )
-    kept = [
-        np.sqrt(lam) * op for lam, op in zip(w, c.canonical_ops) if lam > tol
-    ]
-    return KrausSet(tuple(kept), tol=_kraus_tol(tol, c.dim))
+    keep = w > tol
+    kept = np.sqrt(w[keep])[:, None, None] * c.canonical_ops[keep]
+    return KrausSet(kept, tol=_kraus_tol(tol, c.dim))
 
 
 def _map_output(matrix: np.ndarray, tol: float) -> MapOutput:
@@ -460,8 +480,7 @@ def _map_output(matrix: np.ndarray, tol: float) -> MapOutput:
 def apply_a(a: AForm, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
     """Apply the map through its A-form: unvectorize(A @ vectorize(rho))."""
     _check_dims(a.dim, rho.dim)
-    out = row_unvectorize(a.matrix @ row_vectorize(rho))
-    return _map_output(out, tol)
+    return _map_output((a.matrix @ rho.matrix.reshape(-1)).reshape(rho.matrix.shape), tol)
 
 
 def apply_canonical(c: CanonicalDecomposition, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
@@ -476,8 +495,8 @@ def apply_canonical(c: CanonicalDecomposition, rho: DensityMatrix, tol: float = 
 def apply_kraus(kraus: KrausSet, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
     """Apply the operator sum rho -> sum_k E_k rho E_k^dag."""
     _check_dims(kraus.dim, rho.dim)
-    out = sum(op @ rho.matrix @ op.conj().T for op in kraus.operators)
-    return _map_output(out, tol)
+    ops = kraus.operators
+    return _map_output((ops @ rho.matrix @ ops.conj().transpose(0, 2, 1)).sum(axis=0), tol)
 
 
 def kraus_to_a(ops: KrausSet | Iterable[np.ndarray], tol: float = DEFAULT_TOL) -> AForm:
@@ -488,10 +507,10 @@ def kraus_to_a(ops: KrausSet | Iterable[np.ndarray], tol: float = DEFAULT_TOL) -
     completeness sum deviates from the identity beyond ``tol``).
     """
     if not isinstance(ops, KrausSet):
-        ops = KrausSet(tuple(ops), tol=tol)
+        ops = KrausSet(ops, tol=tol)
     # The trace-preservation residual of the result equals the Kraus
     # completeness residual, so the same tolerance applies.
-    return AForm(_operator_sum(np.stack(ops.operators), np.eye(len(ops))), tol=tol)
+    return AForm(_operator_sum(ops.operators, _identity(len(ops))), tol=tol)
 
 
 def _classify(eigenvalues: np.ndarray, tol: float) -> CpVerdict:

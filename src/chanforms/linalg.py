@@ -118,7 +118,7 @@ class BlochVector:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(self.p1**2 + self.p2**2 + self.p3**2)
+        return math.hypot(self.p1, self.p2, self.p3)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3])

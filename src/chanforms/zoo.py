@@ -83,7 +83,7 @@ class ChannelSpec:
     p0: BlochVector | None = None
     p: float | None = None
     matrix: np.ndarray | None = None
-    operators: tuple[np.ndarray, ...] | None = None
+    operators: np.ndarray | None = None  # shape (k, n, n)
 
     @classmethod
     def unitary(cls, axis, angle: float) -> "ChannelSpec":
@@ -120,15 +120,14 @@ class ChannelSpec:
 
     @classmethod
     def raw_kraus(cls, operators, tol: float = DEFAULT_TOL) -> "ChannelSpec":
-        ks = KrausSet(tuple(operators), tol=tol)
-        return cls(kind=ChannelKind.RAW_KRAUS, operators=ks.operators)
+        return cls(kind=ChannelKind.RAW_KRAUS, operators=KrausSet(operators, tol=tol).operators)
 
     @property
     def dim(self) -> int:
         if self.kind is ChannelKind.RAW_A:
             return math.isqrt(self.matrix.shape[0])
         if self.kind is ChannelKind.RAW_KRAUS:
-            return self.operators[0].shape[0]
+            return self.operators.shape[1]
         return 2
 
     def describe(self) -> dict:
@@ -149,7 +148,7 @@ def _require_probability(p: float) -> float:
 
 def _require_unit_axis(axis, tol: float = DEFAULT_TOL) -> np.ndarray:
     ax = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(ax))
+    norm = math.hypot(*ax)
     if abs(norm - 1.0) > tol:
         raise NotUnitAxisError(f"axis norm {norm:.6g} differs from 1 beyond tol {tol:g}")
     return ax
@@ -244,9 +243,8 @@ def build_phase_flip_a(p: float) -> AForm:
 def _random_kraus(rng: np.random.Generator, n: int, rank: int) -> KrausSet:
     g = rng.standard_normal((rank * n, n)) + 1j * rng.standard_normal((rank * n, n))
     q, _ = np.linalg.qr(g)
-    ops = tuple(np.ascontiguousarray(q[i * n : (i + 1) * n, :]) for i in range(rank))
     # Column orthonormalization makes sum E^dag E = Q^dag Q = I by construction.
-    return KrausSet(ops, tol=1e-12)
+    return KrausSet(q.reshape(rank, n, n), tol=1e-12)
 
 
 def random_cp_channel(n: int, rank: int, seed: int) -> KrausSet:
@@ -355,7 +353,7 @@ _KINDS: dict[ChannelKind, _KindRule] = {
     ChannelKind.RAW_KRAUS: _KindRule(
         (("operators", "operators"),),
         lambda tol, operators: ChannelSpec.raw_kraus(operators, tol=tol),
-        lambda spec, tol: kraus_to_a(KrausSet(spec.operators, tol=tol), tol=tol),
+        lambda spec, tol: kraus_to_a(spec.operators, tol=tol),
     ),
 }
 

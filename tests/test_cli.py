@@ -83,6 +83,27 @@ class TestExitCodes:
         assert "internal error" not in result.stderr
         assert path in result.stderr
 
+    @pytest.mark.parametrize(
+        "argv, channel, message",
+        [
+            (["analyze", "-"], {"kind": "pin", "p0": [1e308, 0.0, 0.5]}, "Bloch vector norm 1e+308 exceeds 1"),
+            (
+                ["apply", "-", "--state", '{"bloch":[1e200,0,0]}'],
+                {"kind": "transpose"},
+                "Bloch vector norm 1e+200 exceeds 1",
+            ),
+            (["analyze", "-"], {"kind": "unitary", "axis": [1e200, 0, 0], "angle": 1.0}, "axis norm 1e+200"),
+        ],
+        ids=["pin_p0", "apply_state", "unitary_axis"],
+    )
+    def test_huge_finite_vector_components_exit_two(self, argv, channel, message):
+        # Squaring a component above ~1.3e154 overflows; the norm must not.
+        result = run_cli(argv, stdin_text=dumps({"format_version": "1", "channel": channel}))
+        assert result.returncode == 2
+        assert "internal error" not in result.stderr and "Warning" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
     def test_apply_returns_zero_regardless_of_verdict(self):
         result = run_cli(
             ["apply", "-", "--state", '{"bloch":[0,1,0]}'], stdin_text=TRANSPOSE_DOC

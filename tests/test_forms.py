@@ -35,6 +35,7 @@ from chanforms import (
     build_unitary_a,
     canonical_decompose,
     canonical_to_a,
+    channel_a,
     coefficient_matrix,
     cp_verdict,
     default_basis,
@@ -42,16 +43,19 @@ from chanforms import (
     expand_coefficients,
     extract_kraus,
     kraus_to_a,
+    maximally_entangled_state,
     random_cp_channel,
     random_ncp_a,
     realign_a_to_b,
     realign_b_to_a,
     rotation_unitary,
+    row_unvectorize,
+    row_vectorize,
     standard_basis,
 )
-from chanforms import forms
+from chanforms import analysis, forms
 from chanforms.forms import _is_unit_basis, _reshuffle, _standard_basis
-from chanforms.linalg import hermitian_eigendecompose, hermiticity_residual, max_abs
+from chanforms.linalg import as_complex_matrix, hermitian_eigendecompose, hermiticity_residual, max_abs
 from conftest import random_density
 
 PAULI = standard_basis(2, BasisLabel.PAULI_OVER_SQRT2)
@@ -771,3 +775,193 @@ class TestUnitBasisShortcut:
         assert not _is_unit_basis(PAULI)
         cm = coefficient_matrix(kraus_to_a(random_cp_channel(2, 2, seed=3)), PAULI)
         assert cm.basis is PAULI
+
+
+# The Kraus set as a tuple of separately checked operators, and the
+# application routes, as they were before the Kraus set became one stacked
+# array; the new code must give the same operators, errors and bits.
+
+
+def kraus_reference(operators, tol: float = 1e-9) -> tuple[np.ndarray, ...]:
+    ops = tuple(as_complex_matrix(op) for op in operators)
+    if not ops:
+        raise IncompleteKrausError("a Kraus set needs at least one operator")
+    n = ops[0].shape[0]
+    for op in ops:
+        if op.shape != (n, n):
+            raise DimensionMismatchError(f"Kraus operators must all be {n}x{n}, got {op.shape}")
+    v = np.concatenate(ops)
+    residual = max_abs(v.conj().T @ v - np.eye(n))
+    if residual > tol:
+        raise IncompleteKrausError(f"completeness residual {residual:.3g} exceeds tol {tol:g}")
+    return ops
+
+
+def extract_kraus_reference(c: CanonicalDecomposition, tol: float = 1e-9) -> list[np.ndarray]:
+    return [np.sqrt(lam) * op for lam, op in zip(c.eigenvalues, c.canonical_ops) if lam > tol]
+
+
+def apply_a_reference(a: AForm, rho: DensityMatrix) -> np.ndarray:
+    return row_unvectorize(a.matrix @ row_vectorize(rho))
+
+
+def apply_canonical_reference(c: CanonicalDecomposition, rho: DensityMatrix) -> np.ndarray:
+    return np.einsum("k,kij,jl,kml->im", c.eigenvalues, c.canonical_ops, rho.matrix, c.canonical_ops.conj())
+
+
+def apply_kraus_reference(ops, rho: DensityMatrix) -> np.ndarray:
+    return sum(op @ rho.matrix @ op.conj().T for op in ops)
+
+
+def outcome(build, operators):
+    """("ok", result) or (error class, message)."""
+    try:
+        return "ok", build(operators)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+FAULTS = ["none", "incomplete", "nan", "inf", "-inf", "huge", "ragged", "flat", "cube", "all_3d",
+          "bigger", "smaller", "nonsquare_one", "nonsquare_all"]
+
+
+@st.composite
+def operator_sequences(draw):
+    """Kraus-like sequences, complete or carrying one fault, as lists, arrays or one stack."""
+    n = draw(st.sampled_from([0, 2, 3, 4]))
+    k = draw(st.integers(0, n * n + 1 if n else 3))
+    fault = draw(st.sampled_from(FAULTS))
+    form = draw(st.sampled_from(["lists", "arrays", "stack"]))
+    ops = []
+    if k and not n:  # 0 x 0 operators: a complete set with nothing to fault
+        ops = [np.zeros((0, 0), dtype=complex)] * k
+    elif k:
+        # A complete set of min(k, n^2) operators; a zero operator keeps it complete.
+        ops = list(random_cp_channel(n, min(k, n * n), draw(st.integers(0, 2**31 - 1))).operators)
+        ops += [np.zeros((n, n), dtype=complex)] * (k - len(ops))
+        j = draw(st.integers(0, k - 1))
+        if fault == "incomplete":
+            scale = np.sqrt(1 + draw(st.floats(1e-6, 1.0)))
+            ops = [op * scale for op in ops]
+        elif fault in ("nan", "inf", "-inf"):
+            ops[j] = ops[j].copy()
+            ops[j][draw(st.integers(0, n - 1)), 0] = complex(float(fault), 0.0)
+        elif fault == "flat":
+            ops[j] = ops[j].reshape(-1)
+        elif fault == "cube":
+            ops[j] = ops[j][None]
+        elif fault == "all_3d":  # every operator n x n x 2, so a stack is (k, n, n, 2)
+            ops = [np.stack([op, op], -1) for op in ops]
+        elif fault == "bigger":
+            ops[j] = np.eye(n + 1, dtype=complex)
+        elif fault == "smaller":
+            ops[j] = ops[j][:-1, :-1]
+        elif fault == "nonsquare_one":
+            ops[j] = ops[j][:, :-1]
+        elif fault == "nonsquare_all":
+            ops = [op[:-1, :] for op in ops]
+    if form == "lists":
+        ops = [op.tolist() for op in ops]
+    elif form == "stack":
+        try:
+            ops = np.array(ops, dtype=complex)
+        except ValueError:  # mixed shapes stay a list of arrays
+            pass
+    if fault in ("ragged", "huge") and k and n:
+        ops = list(ops)
+        rows = np.asarray(ops[j]).tolist()
+        if fault == "ragged":
+            ops[j] = rows[:-1] + [rows[-1][:-1]]
+        else:  # an integer beyond double range
+            ops[j] = [[10**400] + rows[0][1:]] + rows[1:]
+    return ops
+
+
+class TestStackedKrausSet:
+    @settings(max_examples=400, deadline=None)
+    @given(operator_sequences())
+    def test_accepts_and_rejects_like_the_tuple_constructor(self, ops):
+        got = outcome(lambda x: KrausSet(x).operators, ops)
+        want = outcome(kraus_reference, ops)
+        assert got[0] == want[0]
+        if got[0] != "ok":
+            assert got[1] == want[1]
+            return
+        stack = got[1]
+        assert isinstance(stack, np.ndarray) and not stack.flags.writeable
+        assert bit_equal(stack, np.stack(want[1]))
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [[[1, 0], [0]], [[10**400, 0], [0, 1]]],
+            [[[10**400, 0], [0, 1]], [[1, 0], [0]]],
+            [np.eye(2), [[10**400, 0], [0, 1]], np.eye(3)],
+            [[[float("nan"), 0], [0, 1]], [[10**400, 0], [0, 1]]],
+        ],
+        ids=["ragged_then_huge", "huge_then_ragged", "huge_between_sizes", "nan_then_huge"],
+    )
+    def test_first_fault_in_operator_order_wins(self, ops):
+        got, want = outcome(KrausSet, ops), outcome(kraus_reference, ops)
+        assert got[0] is want[0] and got[1] == want[1]
+
+    def test_sequence_behaviour_is_kept(self):
+        ops = random_cp_channel(3, 4, seed=11).operators
+        kraus = KrausSet(list(ops))
+        assert kraus.operators.shape == (4, 3, 3) and kraus.dim == 3 and len(kraus) == 4
+        listed = list(kraus.operators)  # iteration gives the operators one by one
+        assert len(listed) == 4 and all(np.array_equal(x, y) for x, y in zip(listed, ops))
+        assert np.array_equal(kraus.operators[-1], ops[3])
+        # A generator is read once, through the per-operator checks.
+        assert np.array_equal(KrausSet(op for op in ops).operators, ops)
+        assert np.array_equal(kraus_to_a(op for op in ops).matrix, kraus_to_a(kraus).matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 2**31 - 1), st.booleans())
+    def test_extract_kraus_equals_the_list_comprehension(self, n, seed, units):
+        rng = np.random.default_rng(seed)
+        a = kraus_to_a(random_cp_channel(n, int(rng.integers(1, n * n + 1)), seed))
+        basis = PAULI if n == 2 and not units else standard_basis(n)
+        decomp = canonical_decompose(a, basis)
+        assert bit_equal(extract_kraus(decomp).operators, np.stack(extract_kraus_reference(decomp)))
+
+    @pytest.mark.parametrize("basis", [PAULI, UNITS2], ids=["pauli", "units"])
+    @pytest.mark.parametrize("p", [0.0, 0.25, 1.0])
+    def test_extract_kraus_signed_zeros_of_named_channels(self, basis, p):
+        for spec in (ChannelSpec.bit_flip(p), ChannelSpec.phase_flip(p), ChannelSpec.pin(BlochVector(0, 0, 1))):
+            decomp = canonical_decompose(channel_a(spec), basis)
+            assert bit_equal(extract_kraus(decomp).operators, np.stack(extract_kraus_reference(decomp)))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_trace_residual_equals_the_einsum(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-12, 1.0, 1e3):
+            m = scale * (rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n)))
+            a = AForm(m, tol=1e9)
+            assert a.trace_residual == a_residuals_reference(a.matrix, n)[1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 2**31 - 1), st.booleans())
+    def test_application_routes_match_the_old_code(self, n, seed, cp):
+        rng = np.random.default_rng(seed)
+        if cp:
+            a = kraus_to_a(random_cp_channel(n, int(rng.integers(1, n * n + 1)), seed))
+        else:
+            a = random_ncp_a(n, seed)
+        decomp = canonical_decompose(a, default_basis(n))
+        rho = DensityMatrix(random_density(rng, n))
+        assert bit_equal(apply_a(a, rho).matrix, apply_a_reference(a, rho))
+        assert bit_equal(apply_canonical(decomp, rho).matrix, apply_canonical_reference(decomp, rho))
+        if cp:
+            kraus = extract_kraus(decomp)
+            assert bit_equal(apply_kraus(kraus, rho).matrix, apply_kraus_reference(kraus.operators, rho))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_per_n_constants_are_shared_and_read_only(self, n):
+        eye, omega = forms._identity(n), analysis._omega4(n)
+        assert eye is forms._identity(n) and omega is analysis._omega4(n)
+        assert np.array_equal(eye, np.eye(n))
+        assert np.array_equal(omega, maximally_entangled_state(n).reshape(n, n, n, n))
+        for const in (eye, omega):
+            with pytest.raises(ValueError):
+                const[(0,) * const.ndim] = 2.0

@@ -40,7 +40,7 @@ def test_cli_matrix_is_reproducible():
     for result in runs:
         assert result.returncode == 0, result.stderr
     lines = runs[0].stdout.splitlines()
-    assert len(lines) == 13 * 40  # six goldens and seven seeded documents, 40 runs each
+    assert len(lines) == 15 * 40  # six goldens and nine seeded documents, 40 runs each
     assert runs[1].stdout == runs[0].stdout
 
 
@@ -53,6 +53,7 @@ def load_bench_pairs():
 
 class TestBenchPairsSummary:
     BETTER = {"ops_per_s": "higher", "op_p50_ms": "lower"}
+    BOUNDS = {"ops_per_s": 0.1, "op_p50_ms": 0.1}
 
     @staticmethod
     def runs(ops, p50):
@@ -62,7 +63,7 @@ class TestBenchPairsSummary:
         bp = load_bench_pairs()
         parent = self.runs([100, 102, 98, 101, 99, 100, 103, 97, 100, 150], [10.0] * 10)
         change = self.runs([120, 121, 119, 122, 118, 120, 123, 117, 120, 140], [9.0] * 9 + [11.0])
-        s = bp.summarize(parent, change, self.BETTER, "ops_per_s")
+        s = bp.summarize(parent, change, self.BETTER, self.BOUNDS, "ops_per_s")
         ops = s["metrics"]["ops_per_s"]
         assert s["pairs"] == 10 and ops["wins"] == 9
         assert ops["parent_median"] == 100 and ops["change_median"] == 120
@@ -78,7 +79,7 @@ class TestBenchPairsSummary:
         bp = load_bench_pairs()
         parent = self.runs([100] * 10, [10.0] * 10)
         change = self.runs([120] * 8 + [90, 90], [10.0] * 10)
-        s = bp.summarize(parent, change, self.BETTER, "ops_per_s")
+        s = bp.summarize(parent, change, self.BETTER, self.BOUNDS, "ops_per_s")
         assert s["claim"]["wins"] == 8 and not s["claim"]["holds"]
         assert s["metrics"]["op_p50_ms"]["wins"] == 0  # ties are not wins
 
@@ -86,7 +87,7 @@ class TestBenchPairsSummary:
         bp = load_bench_pairs()
         parent = self.runs([80, 90, 100, 110, 120, 80, 90, 100, 110, 120], [10.0] * 10)
         change = self.runs([x + 1 for x in [80, 90, 100, 110, 120, 80, 90, 100, 110, 120]], [10.0] * 10)
-        s = bp.summarize(parent, change, self.BETTER, "ops_per_s")
+        s = bp.summarize(parent, change, self.BETTER, self.BOUNDS, "ops_per_s")
         assert s["claim"]["wins"] == 10
         assert not s["metrics"]["ops_per_s"]["medians_apart_beyond_parent_iqr"]
         assert not s["claim"]["holds"]
@@ -95,16 +96,16 @@ class TestBenchPairsSummary:
         bp = load_bench_pairs()
         parent = self.runs([100] * 10, [10.0] * 10)
         change = self.runs([100] * 10, [20.0] * 10)
-        s = bp.summarize(parent, change, self.BETTER, "op_p50_ms")
+        s = bp.summarize(parent, change, self.BETTER, self.BOUNDS, "op_p50_ms")
         assert s["metrics"]["op_p50_ms"]["medians_apart_beyond_parent_iqr"]
         assert not s["claim"]["holds"]
 
     def test_no_claim_and_bad_counts(self):
         bp = load_bench_pairs()
-        s = bp.summarize(self.runs([1], [1.0]), self.runs([2], [1.0]), self.BETTER, None)
+        s = bp.summarize(self.runs([1], [1.0]), self.runs([2], [1.0]), self.BETTER, self.BOUNDS, None)
         assert "claim" not in s and s["metrics"]["ops_per_s"]["parent_iqr"] == 0
         with pytest.raises(ValueError):
-            bp.summarize(self.runs([1, 2], [1.0, 1.0]), self.runs([1], [1.0]), self.BETTER, None)
+            bp.summarize(self.runs([1, 2], [1.0, 1.0]), self.runs([1], [1.0]), self.BETTER, self.BOUNDS, None)
 
     def test_seed_ranges(self):
         bp = load_bench_pairs()
@@ -114,7 +115,48 @@ class TestBenchPairsSummary:
         bp = load_bench_pairs()
         root = SCRIPTS.parent
         spec = json.loads((root / "BENCHMARK.json").read_text())
-        better, seconds = bp.benchmark_spec(root)
+        better, bounds, seconds = bp.benchmark_spec(root)
         assert seconds == spec["run_seconds"]
         assert better["ops_per_s"] == "higher" and better["peak_rss_mb"] == "lower"
         assert list(better) == [m["name"] for m in spec["end_to_end"]]
+        assert bounds == {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+class TestBenchPairsVerdict:
+    BETTER = {"ops_per_s": "higher", "setup_s": "lower"}
+    BOUNDS = {"ops_per_s": 0.25, "setup_s": 0.25}
+
+    @staticmethod
+    def runs(ops, setup):
+        return [{"ops_per_s": x, "setup_s": y} for x, y in zip(ops, setup)]
+
+    def verdicts(self, parent, change):
+        s = load_bench_pairs().summarize(parent, change, self.BETTER, self.BOUNDS, None)
+        assert all(s["metrics"][name]["bound"] == 0.25 for name in self.BETTER)
+        return {name: m["verdict"] for name, m in s["metrics"].items()}
+
+    def test_worse_beyond_the_bound_in_either_direction(self):
+        parent = self.runs([100] * 10, [1.0] * 10)
+        change = self.runs([74] * 10, [1.26] * 10)
+        assert self.verdicts(parent, change) == {"ops_per_s": "worse", "setup_s": "worse"}
+
+    def test_worse_within_the_bound_and_a_tight_parent_is_not_worse(self):
+        parent = self.runs([99, 100, 101] * 3 + [100], [1.0] * 10)
+        change = self.runs([80] * 10, [1.2] * 10)  # 20% worse, inside the 25% bound
+        assert self.verdicts(parent, change) == {"ops_per_s": "not_worse", "setup_s": "not_worse"}
+
+    def test_wide_parent_spread_is_unresolved(self):
+        # Parent IQR 60 on a median of 100 is wider than the 25% bound.
+        parent = self.runs([40, 70, 100, 130, 160] * 2, [0.5, 0.8, 1.0, 1.2, 1.5] * 2)
+        change = self.runs([95] * 10, [1.1] * 10)
+        assert self.verdicts(parent, change) == {"ops_per_s": "unresolved", "setup_s": "unresolved"}
+
+    def test_wide_parent_spread_beaten_by_every_run_is_not_worse(self):
+        parent = self.runs([40, 70, 100, 130, 160] * 2, [0.5, 0.8, 1.0, 1.2, 1.5] * 2)
+        change = self.runs([161] * 10, [0.4] * 10)
+        assert self.verdicts(parent, change) == {"ops_per_s": "not_worse", "setup_s": "not_worse"}
+
+    def test_worse_wins_over_unresolved(self):
+        parent = self.runs([40, 70, 100, 130, 160] * 2, [0.5, 0.8, 1.0, 1.2, 1.5] * 2)
+        change = self.runs([50] * 10, [2.0] * 10)
+        assert self.verdicts(parent, change) == {"ops_per_s": "worse", "setup_s": "worse"}
