@@ -20,7 +20,8 @@ are written to a temporary directory.
 Each document goes through ``analyze``, the five ``convert`` targets and
 ``apply``, in human and machine output, with the default options,
 ``--basis units`` (not for ``apply``, which takes no basis) and
-``--tol 1e-7``.
+``--tol 1e-7``.  ``zoo``, which reads no document, runs once in each
+output mode, labelled ``-``.
 """
 
 from __future__ import annotations
@@ -145,6 +146,10 @@ def main() -> int:
                 argv = [{"{doc}": str(path), "{state}": state}.get(a, a) for a in template]
                 code, out, err = run(argv, str(path))
                 print(label, " ".join(template), code, sha(out), sha(err), sep="\t")
+    for output in ("human", "machine"):
+        argv = ["zoo", "--output", output]
+        code, out, err = run(argv, "{doc}")  # no document path to mask
+        print("-", " ".join(argv), code, sha(out), sha(err), sep="\t")
     return 0
 
 

@@ -22,7 +22,7 @@ def main() -> int:
         return 1
     for doc in docs:
         result = subprocess.run(
-            [sys.executable, "-m", "chanforms", "analyze", str(doc), "--output", "machine", "--seed", "0"],
+            [sys.executable, "-m", "chanforms", "analyze", str(doc), "--output", "machine"],
             capture_output=True,
             text=True,
         )

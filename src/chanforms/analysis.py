@@ -136,22 +136,3 @@ def choi_consistency(a: AForm, tol: float = DEFAULT_TOL) -> float:
     b = realign_a_to_b(a, tol)
     return max_abs(choi_state(a) - b.matrix / a.dim)
 
-
-def positivity_probe(a: AForm, samples: int, seed: int) -> float:
-    """Most negative output eigenvalue over random pure-state inputs.
-
-    Pure states suffice to witness positivity violations of the map
-    itself (outputs are convex in the input).  A CP map never probes
-    negative; a clean probe does **not** certify CP.
-    """
-    n = a.dim
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(samples):
-        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        psi /= np.linalg.norm(psi)
-        out_vec = a.matrix @ np.outer(psi, psi.conj()).reshape(-1)
-        out = out_vec.reshape(n, n)
-        min_eig = float(np.linalg.eigvalsh((out + out.conj().T) / 2).min())
-        worst = min(worst, min_eig)
-    return worst

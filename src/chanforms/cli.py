@@ -34,6 +34,7 @@ from .errors import (
     ChanformsError,
     DocumentError,
     InvalidMapError,
+    InvalidMatrixError,
     NotCompletelyPositiveError,
 )
 from .forms import (
@@ -52,6 +53,8 @@ from .forms import (
 )
 from .linalg import DEFAULT_TOL, SIGMA_1, SIGMA_2, SIGMA_3
 from .serialize import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     ChannelDocument,
     _check_tol,
     channel_document_wire,
@@ -194,15 +197,8 @@ def _tol_flag(raw: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _nonnegative_seed(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
-    return value
-
-
 def _resolve_basis(flag: str | None, doc: ChannelDocument, dim: int) -> OperatorBasis:
-    label = BasisLabel(flag) if flag is not None else doc.options.basis
+    label = BasisLabel(flag) if flag is not None else doc.basis
     return default_basis(dim) if label is None else standard_basis(dim, label)
 
 
@@ -225,11 +221,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     tol = doc.tol
     basis = _resolve_basis(args.basis, doc, doc.channel.dim)
-    seed = args.seed if args.seed is not None else doc.options.seed
     report = analyze(doc.channel, basis, tol)
 
     if args.output == "machine":
-        sys.stdout.write(dumps(report_wire(report, seed, doc.options.samples)))
+        sys.stdout.write(dumps(report_wire(report, DEFAULT_SEED, DEFAULT_SAMPLES)))
     else:
         _print_human_report(report, tol)
     return 0 if report.verdict.is_cp else 3
@@ -399,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_basis:
             p.add_argument("--basis", choices=[b.value for b in BasisLabel], default=None)
         p.add_argument("--tol", type=_tol_flag, default=None, help="validity/classification tolerance")
-        p.add_argument("--seed", type=_nonnegative_seed, default=None)
         p.add_argument("--output", choices=["human", "machine"], default="human")
 
     p_analyze = sub.add_parser("analyze", help="full validity and positivity report")
@@ -425,6 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Run a subcommand; an overflow in its arithmetic is an input error.
+
+    A valid map may have entries near the double-precision limit, and
+    its B-form or its output can then overflow.  numpy would warn and go
+    on with infinities, which no report or output document can hold.
+    """
+    with np.errstate(over="raise"):
+        try:
+            return args.func(args)
+        except FloatingPointError as exc:  # numpy's "overflow encountered in add", ...
+            raise InvalidMatrixError(f"numeric {exc}; the input's entries are too large") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -434,16 +442,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 2
 
     try:
-        return args.func(args)
+        return _run(args)
     except InvalidMapError as exc:
         print(f"invalid map: {exc}", file=sys.stderr)
         return 1
     except NotCompletelyPositiveError as exc:
         print(f"not completely positive: {exc}", file=sys.stderr)
         return 3
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ChanformsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,29 +31,21 @@ from .errors import (
 )
 from .forms import BasisLabel, CpClassification
 from .linalg import DEFAULT_TOL, BlochVector, DensityMatrix, bloch_to_density
-from .zoo import _KINDS, _PLAIN, ChannelKind, ChannelSpec
+from .zoo import _KINDS, _PLAIN, NAMED_KINDS, ChannelKind, ChannelSpec
 
 FORMAT_VERSION = "1"
 
+# What every report writes as ``options.seed`` and ``options.samples``;
+# no computation reads either.
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 100
-
-
-@dataclass(frozen=True)
-class DocumentOptions:
-    """Optional per-document analysis settings."""
-
-    basis: BasisLabel | None = None
-    tol: float | None = None
-    seed: int = DEFAULT_SEED
-    samples: int = DEFAULT_SAMPLES
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelDocument:
     format_version: str
     channel: ChannelSpec
-    options: DocumentOptions
+    basis: BasisLabel | None  # the document's ``options.basis``
     tol: float  # the effective tolerance the channel was validated at
 
 
@@ -351,16 +343,16 @@ def _make_channel(fields: dict, tol: float) -> ChannelSpec:
 # ---------------------------------------------------------------------------
 # channel documents
 
-_OPTIONS = {"basis": _basis, "tol": _tol, "seed": _seed, "samples": _samples}
+_OPTIONS = {"basis": _basis, "tol": _tol}
 
 
-def _parse_options(obj, path: str) -> DocumentOptions:
+def _parse_options(obj, path: str) -> dict:
     """Like an object schema, except that every field is optional."""
     d = _as_object(obj, path)
     for field in d:
         if field not in _OPTIONS:
             raise UnknownFieldError(f"{path}: unknown field {field!r}")
-    return DocumentOptions(**{f: _walk(_OPTIONS[f], v, f"{path}.{f}") for f, v in d.items()})
+    return {f: _walk(_OPTIONS[f], v, f"{path}.{f}") for f, v in d.items()}
 
 
 def parse_channel_document(
@@ -380,15 +372,13 @@ def parse_channel_document(
     options = _parse_options(d.pop("options", {}), "document.options")
     if tol_override is not None:
         tol = tol_override
-    elif options.tol is not None:
-        tol = options.tol
     else:
-        tol = default_tol
+        tol = options.get("tol", default_tol)
     doc = _walk({"format_version": _version, "channel": _PAYLOAD}, d, "document")
     return ChannelDocument(
         format_version=doc["format_version"],
         channel=_make_channel(doc["channel"], tol),
-        options=options,
+        basis=options.get("basis"),
         tol=tol,
     )
 
@@ -517,7 +507,7 @@ def parse_report_document(text: str | bytes) -> dict:
     channel = out["channel"]
     dim = channel["dim"]
     # Raw kinds echo none of their payload, so only named kinds can be rebuilt.
-    if all(t in _PLAIN for _, t in _KINDS[ChannelKind(channel["kind"])].fields):
+    if ChannelKind(channel["kind"]) in NAMED_KINDS:
         expected = _make_channel(channel, DEFAULT_TOL).dim
         if dim != expected:
             raise BadMatrixShapeError(

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     NotUnitAxisError,
-    OutsideBallError,
     ProbabilityRangeError,
     RankRangeError,
 )
@@ -34,43 +33,6 @@ class ChannelKind(str, Enum):
     PHASE_FLIP = "phase_flip"
     RAW_A = "raw_a"
     RAW_KRAUS = "raw_kraus"
-
-
-NAMED_KINDS = (
-    ChannelKind.UNITARY,
-    ChannelKind.PIN,
-    ChannelKind.TRANSPOSE,
-    ChannelKind.EQUATORIAL_PROJECTION,
-    ChannelKind.BIT_FLIP,
-    ChannelKind.PHASE_FLIP,
-)
-
-CHANNEL_CATALOG: dict[ChannelKind, str] = {
-    ChannelKind.UNITARY: (
-        "rho -> U rho U^dag with U = exp(i(theta/2) n.sigma); completely positive, "
-        "canonical rank 1 with eigenvalue 2"
-    ),
-    ChannelKind.PIN: (
-        "sends every input state to a fixed state rho0; completely positive, "
-        "spectrum {(1+|p0|)/2 twice, (1-|p0|)/2 twice}; B-form equals rho0 (x) I"
-    ),
-    ChannelKind.TRANSPOSE: (
-        "rho -> rho^T; positive but not completely positive (one canonical "
-        "eigenvalue is -1); its B-form equals its A-form"
-    ),
-    ChannelKind.EQUATORIAL_PROJECTION: (
-        "projects the Bloch ball onto its equator, (p1,p2,p3) -> (p1,p2,0); "
-        "not completely positive (spectrum {3/2, 1/2, 1/2, -1/2})"
-    ),
-    ChannelKind.BIT_FLIP: (
-        "keeps the state with probability p, applies sigma_1 with probability "
-        "1-p; completely positive, spectrum {2p, 2(1-p), 0, 0}"
-    ),
-    ChannelKind.PHASE_FLIP: (
-        "keeps the state with probability p, applies sigma_3 with probability "
-        "1-p; completely positive, spectrum {2p, 2(1-p), 0, 0}"
-    ),
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +111,7 @@ def _require_probability(p: float) -> float:
 def _require_unit_axis(axis, tol: float = DEFAULT_TOL) -> np.ndarray:
     ax = np.asarray(axis, dtype=float)
     norm = math.hypot(*ax)
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # also rejects a NaN component
         raise NotUnitAxisError(f"axis norm {norm:.6g} differs from 1 beyond tol {tol:g}")
     return ax
 
@@ -169,8 +131,6 @@ def build_unitary_a(axis, angle: float) -> AForm:
 
 def build_pin_a(p0: BlochVector) -> AForm:
     """Process matrix of the map pinning every input to the state with Bloch vector ``p0``."""
-    if p0.norm > 1.0 + DEFAULT_TOL:
-        raise OutsideBallError(f"pin target norm {p0.norm:.6g} exceeds 1")
     col = row_major_pin_column(p0)
     a = np.zeros((4, 4), dtype=complex)
     a[:, 0] = col
@@ -300,12 +260,14 @@ class _KindRule:
     "real", "axis" (three reals), "bloch" (three reals, a Bloch vector),
     "a_matrix" or "operators".  ``make(tol, **fields)`` is the validating
     constructor applied to the parsed fields; ``build_a(spec, tol)`` gives
-    the A-form of a spec of this kind.
+    the A-form of a spec of this kind.  ``summary`` is the kind's line in
+    the ``zoo`` catalog, None for the raw kinds.
     """
 
     fields: tuple[tuple[str, str], ...]
     make: Callable[..., ChannelSpec]
     build_a: Callable[[ChannelSpec, float], AForm]
+    summary: str | None = None
 
 
 # How ``describe`` and the channel documents write the scalar wire types;
@@ -321,29 +283,43 @@ _KINDS: dict[ChannelKind, _KindRule] = {
         (("axis", "axis"), ("angle", "real")),
         lambda tol, axis, angle: ChannelSpec.unitary(axis, angle),
         lambda spec, tol: build_unitary_a(spec.axis, spec.angle),
+        "rho -> U rho U^dag with U = exp(i(theta/2) n.sigma); completely positive, "
+        "canonical rank 1 with eigenvalue 2",
     ),
     ChannelKind.PIN: _KindRule(
         (("p0", "bloch"),),
         lambda tol, p0: ChannelSpec.pin(BlochVector(*p0)),
         lambda spec, tol: build_pin_a(spec.p0),
+        "sends every input state to a fixed state rho0; completely positive, "
+        "spectrum {(1+|p0|)/2 twice, (1-|p0|)/2 twice}; B-form equals rho0 (x) I",
     ),
     ChannelKind.TRANSPOSE: _KindRule(
-        (), lambda tol: ChannelSpec.transpose(), lambda spec, tol: build_transpose_a()
+        (),
+        lambda tol: ChannelSpec.transpose(),
+        lambda spec, tol: build_transpose_a(),
+        "rho -> rho^T; positive but not completely positive (one canonical "
+        "eigenvalue is -1); its B-form equals its A-form",
     ),
     ChannelKind.EQUATORIAL_PROJECTION: _KindRule(
         (),
         lambda tol: ChannelSpec.equatorial_projection(),
         lambda spec, tol: build_equatorial_projection_a(),
+        "projects the Bloch ball onto its equator, (p1,p2,p3) -> (p1,p2,0); "
+        "not completely positive (spectrum {3/2, 1/2, 1/2, -1/2})",
     ),
     ChannelKind.BIT_FLIP: _KindRule(
         (("p", "real"),),
         lambda tol, p: ChannelSpec.bit_flip(p),
         lambda spec, tol: build_bit_flip_a(spec.p),
+        "keeps the state with probability p, applies sigma_1 with probability "
+        "1-p; completely positive, spectrum {2p, 2(1-p), 0, 0}",
     ),
     ChannelKind.PHASE_FLIP: _KindRule(
         (("p", "real"),),
         lambda tol, p: ChannelSpec.phase_flip(p),
         lambda spec, tol: build_phase_flip_a(spec.p),
+        "keeps the state with probability p, applies sigma_3 with probability "
+        "1-p; completely positive, spectrum {2p, 2(1-p), 0, 0}",
     ),
     ChannelKind.RAW_A: _KindRule(
         (("matrix", "a_matrix"),),
@@ -356,6 +332,10 @@ _KINDS: dict[ChannelKind, _KindRule] = {
         lambda spec, tol: kraus_to_a(spec.operators, tol=tol),
     ),
 }
+
+# The named kinds, in catalog order, with their one-line summaries.
+CHANNEL_CATALOG: dict[ChannelKind, str] = {k: r.summary for k, r in _KINDS.items() if r.summary}
+NAMED_KINDS = tuple(CHANNEL_CATALOG)
 
 
 def channel_a(spec: ChannelSpec, tol: float = DEFAULT_TOL) -> AForm:

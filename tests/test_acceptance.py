@@ -226,7 +226,7 @@ def test_criterion_10_cli_contract():
         for name, expected_exit in GOLDEN_EXITS.items():
             doc = GOLDEN_DIR / f"{name}.doc.json"
             expected = (GOLDEN_DIR / f"{name}.out.json").read_text()
-            result = run_cli(["analyze", str(doc), "--output", "machine", "--seed", "0"])
+            result = run_cli(["analyze", str(doc), "--output", "machine"])
             assert result.returncode == expected_exit, name
             assert result.stdout == expected, f"golden mismatch for {name}"
             parse_report_document(result.stdout)  # round-trip stability

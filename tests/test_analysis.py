@@ -8,15 +8,11 @@ from chanforms import (
     ChannelSpec,
     analyze,
     bloch_to_density,
-    build_bit_flip_a,
-    build_equatorial_projection_a,
     build_pin_a,
-    build_transpose_a,
     choi_consistency,
     choi_state,
     kraus_to_a,
     maximally_entangled_state,
-    positivity_probe,
     random_cp_channel,
     random_ncp_a,
     standard_basis,
@@ -87,35 +83,3 @@ class TestChoiConsistency:
     def test_qutrit(self):
         a = kraus_to_a(random_cp_channel(3, 2, seed=3))
         assert choi_consistency(a) < 1e-9
-
-
-class TestPositivityProbe:
-    def test_transpose_is_positive(self):
-        assert positivity_probe(build_transpose_a(), samples=100, seed=1) >= -1e-12
-
-    def test_projection_is_positive(self):
-        assert positivity_probe(build_equatorial_projection_a(), samples=100, seed=2) >= -1e-12
-
-    def test_cp_channel_is_positive(self):
-        assert positivity_probe(build_bit_flip_a(0.5), samples=100, seed=3) >= -1e-12
-
-    def test_detects_nonpositive_map(self):
-        stretch = AForm(np.array(
-            [
-                [1.25, 0, 0, -0.25],
-                [0, 0, 0, 0],
-                [0, 0, 0, 0],
-                [-0.25, 0, 0, 1.25],
-            ],
-            dtype=complex,
-        ))
-        assert positivity_probe(stretch, samples=200, seed=4) < -1e-3
-
-    def test_deterministic_per_seed(self):
-        a = build_bit_flip_a(0.3)
-        assert positivity_probe(a, 50, seed=9) == positivity_probe(a, 50, seed=9)
-
-    def test_never_flags_cp_channels(self):
-        for seed in range(10):
-            a = kraus_to_a(random_cp_channel(2, seed % 4 + 1, seed=700 + seed))
-            assert positivity_probe(a, samples=50, seed=seed) >= -1e-12

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ class TestAnalyzeOutput:
         assert report["coefficient_spectrum"][0] == pytest.approx(1.5)
 
     def test_machine_output_byte_identical(self):
-        args = ["analyze", "-", "--output", "machine", "--seed", "5"]
+        args = ["analyze", "-", "--output", "machine"]
         first = run_cli(args, stdin_text=BIT_FLIP_DOC)
         second = run_cli(args, stdin_text=BIT_FLIP_DOC)
         assert first.stdout == second.stdout
@@ -383,6 +384,7 @@ class TestToleranceResolution:
     def test_negative_seed_flag_exits_two(self):
         result = run_cli(["analyze", "-", "--seed", "-3"], stdin_text=TRANSPOSE_DOC)
         assert result.returncode == 2
+        assert "unrecognized arguments: --seed" in result.stderr
 
 
 def main_in_process(capsys, argv):
@@ -461,6 +463,51 @@ class TestInProcess:
             capsys, ["convert", str(file), "--to", "a_form", "--output", "machine"]
         )
         assert (code, out, err) == (0, text + "\n", "")
+
+    def test_seed_flag_is_a_usage_error(self, capsys, bit_flip_path):
+        code, out, err = main_in_process(capsys, ["analyze", bit_flip_path, "--seed", "3"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: chanforms") and "unrecognized arguments: --seed 3" in err
+
+    @pytest.mark.parametrize("field", ["seed", "samples"])
+    def test_removed_document_option_exits_two(self, capsys, tmp_path, field):
+        file = tmp_path / "doc.json"
+        file.write_text(f'{{"format_version":"1","channel":{{"kind":"transpose"}},"options":{{"{field}":3}}}}')
+        code, out, err = main_in_process(capsys, ["analyze", str(file), "--output", "machine"])
+        assert (code, out, err) == (2, "", f"error: document.options: unknown field '{field}'\n")
+
+    @pytest.fixture
+    def huge_path(self, tmp_path):
+        """A valid raw_a map, the identity with A[1,0] = A[2,0] = 1e308: Hermitian
+        and trace preserving, but its B-form's Hermitian part and its outputs overflow."""
+        a = np.eye(4)
+        a[1, 0] = a[2, 0] = 1e308
+        matrix = np.stack((a, np.zeros_like(a)), -1).tolist()
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"format_version": "1", "channel": {"kind": "raw_a", "matrix": matrix}}))
+        return str(path)
+
+    @pytest.mark.parametrize("output", ["human", "machine"])
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["apply", "--state", '{"bloch":[0,0,1]}']],
+        ids=["analyze", "apply"],
+    )
+    def test_overflow_exits_two(self, capsys, huge_path, command, output):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+            code, out, err = main_in_process(capsys, [command[0], huge_path, *command[1:], "--output", output])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: numeric overflow encountered in ") and err.count("\n") == 1
+
+    def test_overflow_free_conversion_still_succeeds(self, capsys, huge_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = main_in_process(
+                capsys, ["convert", huge_path, "--to", "canonical", "--output", "machine"]
+            )
+        assert (code, err) == (0, "")
+        assert max(parse_representation_document(out)["eigenvalues"]) == pytest.approx(1e308)
 
     def test_parser_is_built_once_and_reused(self, capsys, bit_flip_path):
         assert cli.build_parser() is cli.build_parser()

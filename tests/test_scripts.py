@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize(
@@ -40,15 +42,34 @@ def test_cli_matrix_is_reproducible():
     for result in runs:
         assert result.returncode == 0, result.stderr
     lines = runs[0].stdout.splitlines()
-    assert len(lines) == 15 * 40  # six goldens and nine seeded documents, 40 runs each
+    # six goldens and nine seeded documents, 40 runs each, and zoo in both output modes
+    assert len(lines) == 15 * 40 + 2
     assert runs[1].stdout == runs[0].stdout
 
 
-def load_bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_bench_pairs():
+    return load_script("bench_pairs")
+
+
+def test_regen_golden_reproduces_the_committed_goldens(tmp_path, monkeypatch):
+    """Run on copies of the six golden documents, the script writes every committed output byte for byte."""
+    regen = load_script("regen_golden")
+    docs = sorted(GOLDEN.glob("*.doc.json"))
+    assert len(docs) == 6
+    for doc in docs:
+        shutil.copy(doc, tmp_path)
+    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
+    assert regen.main() == 0
+    for doc in docs:
+        out = doc.name.replace(".doc.json", ".out.json")
+        assert (tmp_path / out).read_bytes() == (GOLDEN / out).read_bytes(), out
 
 
 class TestBenchPairsSummary:

@@ -40,7 +40,7 @@ class TestParseChannelDocument:
     def test_transpose(self):
         doc = parse_channel_document('{"format_version":"1","channel":{"kind":"transpose"}}')
         assert doc.channel.kind is ChannelKind.TRANSPOSE
-        assert doc.options.seed == 0
+        assert doc.basis is None
 
     def test_bit_flip(self):
         doc = parse_channel_document(
@@ -52,12 +52,10 @@ class TestParseChannelDocument:
     def test_options(self):
         doc = parse_channel_document(
             '{"format_version":"1","channel":{"kind":"transpose"},'
-            '"options":{"basis":"units","tol":1e-8,"seed":3,"samples":7}}'
+            '"options":{"basis":"units","tol":1e-8}}'
         )
-        assert doc.options.basis is BasisLabel.MATRIX_UNITS
-        assert doc.options.tol == 1e-8
-        assert doc.options.seed == 3
-        assert doc.options.samples == 7
+        assert doc.basis is BasisLabel.MATRIX_UNITS
+        assert doc.tol == 1e-8
 
     @pytest.mark.parametrize(
         "options, override, expected",
@@ -77,6 +75,13 @@ class TestParseChannelDocument:
         with pytest.raises(UnknownFieldError):
             parse_channel_document(
                 '{"format_version":"1","channel":{"kind":"transpose"},"extra":1}'
+            )
+
+    @pytest.mark.parametrize("field", ["seed", "samples"])
+    def test_removed_options_rejected(self, field):
+        with pytest.raises(UnknownFieldError, match=f"^document.options: unknown field '{field}'$"):
+            parse_channel_document(
+                f'{{"format_version":"1","channel":{{"kind":"transpose"}},"options":{{"{field}":3}}}}'
             )
 
     def test_unknown_channel_field(self):

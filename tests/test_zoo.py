@@ -7,6 +7,7 @@ from chanforms import (
     PAULIS,
     BasisLabel,
     BlochVector,
+    ChannelSpec,
     DensityMatrix,
     NotUnitAxisError,
     OutsideBallError,
@@ -88,6 +89,15 @@ class TestUnitaryChannel:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(NotUnitAxisError):
             build_unitary_a((1, 1, 0), 0.3)
+
+    def test_nan_axis_rejected(self):
+        axis = (float("nan"), 0.0, 0.0)
+        with pytest.raises(NotUnitAxisError, match="axis norm nan"):
+            ChannelSpec.unitary(axis, 1.0)
+        with pytest.raises(NotUnitAxisError):
+            rotation_unitary(axis, 1.0)
+        with pytest.raises(NotUnitAxisError):
+            build_unitary_a(axis, 1.0)
 
 
 class TestPinChannel:
