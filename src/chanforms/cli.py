@@ -324,7 +324,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     # Each target gives its machine document and its human text, built
     # only for the output mode asked for.
     if args.to == "a_form":
-        wire = lambda: channel_document_wire(ChannelSpec.raw_a(a.matrix, tol=tol))
+        # Validated before the output mode is looked at, so both modes exit alike.
+        spec = ChannelSpec.raw_a(a.matrix, tol=tol)
+        wire = lambda: channel_document_wire(spec)
         human = lambda: f"A-form (dim {n}):\n{_render_matrix(a.matrix, tol)}"
     elif args.to == "b_form":
         b = realign_a_to_b(a, tol)

@@ -49,6 +49,7 @@ from .linalg import (
     _freeze,
     _MeasuredHermitian,
     _min_eigenvalue,
+    _new,
     as_complex_matrix,
     hermitian_eigendecompose,
     hermiticity_residual,
@@ -179,6 +180,7 @@ class AForm:
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
+    dim: int = field(init=False)
     hermiticity_residual: float = field(init=False)
     trace_residual: float = field(init=False)
 
@@ -186,23 +188,23 @@ class AForm:
         m = as_complex_matrix(self.matrix)
         n = _side_dim(m, "A-form")
         a4 = m.reshape(n, n, n, n)
-        herm = max_abs(np.conj(a4) - a4.transpose(1, 0, 3, 2))
-        tp = max_abs(a4.trace(axis1=0, axis2=1) - _identity(n))
-        if herm > tol:
-            raise NotHermiticityPreservingError(
-                f"hermiticity-preservation residual {herm:.3g} exceeds tol {tol:g}"
-            )
-        if tp > tol:
-            raise NotTracePreservingError(
-                f"trace-preservation residual {tp:.3g} exceeds tol {tol:g}"
-            )
         object.__setattr__(self, "matrix", _freeze(m))
-        object.__setattr__(self, "hermiticity_residual", herm)
-        object.__setattr__(self, "trace_residual", tp)
+        object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "hermiticity_residual", max_abs(np.conj(a4) - a4.transpose(1, 0, 3, 2)))
+        object.__setattr__(self, "trace_residual", max_abs(a4.trace(axis1=0, axis2=1) - _identity(n)))
+        self._check(tol)
 
-    @property
-    def dim(self) -> int:
-        return math.isqrt(self.matrix.shape[0])
+    def _check(self, tol: float) -> AForm:
+        """Raise what construction at ``tol`` would raise, from the kept residuals."""
+        if self.hermiticity_residual > tol:
+            raise NotHermiticityPreservingError(
+                f"hermiticity-preservation residual {self.hermiticity_residual:.3g} exceeds tol {tol:g}"
+            )
+        if self.trace_residual > tol:
+            raise NotTracePreservingError(
+                f"trace-preservation residual {self.trace_residual:.3g} exceeds tol {tol:g}"
+            )
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,13 +217,17 @@ class BForm(_MeasuredHermitian):
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
+    dim: int = field(init=False)
     hermiticity_residual: float = field(init=False)
     trace: float = field(init=False)
 
     def __post_init__(self, tol: float) -> None:
         m = as_complex_matrix(self.matrix)
-        n = _side_dim(m, "B-form")
-        herm = hermiticity_residual(m)
+        self._keep(_freeze(m), _side_dim(m, "B-form"), hermiticity_residual(m), tol)
+
+    def _keep(self, m: np.ndarray, n: int, herm: float, tol: float) -> BForm:
+        """Check ``herm``, the residual of ``m``, and the trace of ``m`` against
+        ``tol``, then keep them with ``m``."""
         if herm > tol:
             raise NotHermiticityPreservingError(
                 f"B-form hermiticity residual {herm:.3g} exceeds tol {tol:g}"
@@ -229,13 +235,11 @@ class BForm(_MeasuredHermitian):
         tr = complex(np.trace(m))
         if abs(tr - n) > tol * n:
             raise NotTracePreservingError(f"B-form trace {tr:.6g} differs from n={n}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dim", n)
         object.__setattr__(self, "hermiticity_residual", herm)
         object.__setattr__(self, "trace", tr.real)
-
-    @property
-    def dim(self) -> int:
-        return math.isqrt(self.matrix.shape[0])
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,14 +257,18 @@ class CoefficientMatrix(_MeasuredHermitian):
 
     def __post_init__(self, tol: float) -> None:
         m = as_complex_matrix(self.matrix, self.basis.dim ** 2, self.basis.dim ** 2)
-        herm = hermiticity_residual(m)
+        self._keep(_freeze(m), hermiticity_residual(m), tol)
+
+    def _keep(self, m: np.ndarray, herm: float, tol: float) -> CoefficientMatrix:
+        """Check ``herm``, the residual of ``m``, against ``tol``, then keep both."""
         if herm > tol:
             raise NotHermiticityPreservingError(
                 f"coefficient matrix residual {herm:.3g} exceeds tol {tol:g}; "
                 "source map does not preserve hermiticity"
             )
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "hermiticity_residual", herm)
+        return self
 
     @property
     def dim(self) -> int:
@@ -321,21 +329,29 @@ class KrausSet:
 
     Built from any sequence of n x n matrices, ``operators`` is one read-only
     ``(k, n, n)`` array like ``canonical_ops``: iterating or indexing it gives
-    the operators one by one, and ``len`` counts them.
+    the operators one by one, and ``len`` counts them.  Construction keeps
+    what it measured: ``completeness_residual`` is the max-norm of
+    ``sum_k E_k^dag E_k - I``.
     """
 
     operators: np.ndarray  # shape (k, n, n)
     tol: InitVar[float] = DEFAULT_TOL
+    completeness_residual: float = field(init=False)
 
     def __post_init__(self, tol: float) -> None:
         ops = _operator_stack(self.operators)
         v = ops.reshape(len(ops) * ops.shape[1], ops.shape[2])  # sum_k E_k^dag E_k == V^dag V
-        residual = max_abs(v.conj().T @ v - _identity(v.shape[1]))
-        if residual > tol:
-            raise IncompleteKrausError(
-                f"completeness residual {residual:.3g} exceeds tol {tol:g}"
-            )
         object.__setattr__(self, "operators", _freeze(ops))
+        object.__setattr__(self, "completeness_residual", max_abs(v.conj().T @ v - _identity(v.shape[1])))
+        self._check(tol)
+
+    def _check(self, tol: float) -> KrausSet:
+        """Raise what construction at ``tol`` would raise, from the kept residual."""
+        if self.completeness_residual > tol:
+            raise IncompleteKrausError(
+                f"completeness residual {self.completeness_residual:.3g} exceeds tol {tol:g}"
+            )
+        return self
 
     @property
     def dim(self) -> int:
@@ -388,13 +404,15 @@ def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL)
     (not via realignment), a route to the spectrum independent of the
     B-form.  In the matrix-unit basis ``standard_basis(n)`` the formula
     reduces to the realigned A, Choi's dynamical matrix B, so that basis
-    returns ``_reshuffle(A)`` (bit for bit what the contraction gives).
+    returns ``_reshuffle(A)`` (bit for bit what the contraction gives)
+    with A's hermiticity residual, which is B's (see ``realign_a_to_b``).
     """
     _check_dims(a.dim, basis.dim)
     n = a.dim
     # Residual hermiticity noise scales with the n^2 terms summed per entry.
     if _is_unit_basis(basis):
-        return CoefficientMatrix(basis=basis, matrix=_reshuffle(a.matrix, n), tol=tol * n * n)
+        cm = _new(CoefficientMatrix, basis=basis)
+        return cm._keep(_freeze(_reshuffle(a.matrix, n)), a.hermiticity_residual, tol * n * n)
     a4 = a.matrix.reshape(n, n, n, n)
     t = basis.elements
     # a[mu,nu] = sum A[(r's'),(rs)] conj(T_mu[r',r]) T_nu[s',s], factored
@@ -410,8 +428,14 @@ def expand_coefficients(cm: CoefficientMatrix) -> np.ndarray:
 
 
 def realign_a_to_b(a: AForm, tol: float = DEFAULT_TOL) -> BForm:
-    """Realign a process matrix into its dynamical matrix (exact permutation)."""
-    return BForm(_reshuffle(a.matrix, a.dim), tol=tol)
+    """Realign a process matrix into its dynamical matrix (exact permutation).
+
+    B - B^dag is a permutation of conj(A[r's'; rs]) - A[s'r'; sr] up to
+    conjugation, which leaves every magnitude's bits alone, so A's kept
+    hermiticity residual is B's and is not measured again.
+    """
+    n = a.dim
+    return _new(BForm)._keep(_freeze(_reshuffle(a.matrix, n)), n, a.hermiticity_residual, tol)
 
 
 def realign_b_to_a(b: BForm, tol: float = DEFAULT_TOL) -> AForm:
@@ -441,7 +465,7 @@ def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL
         pivot = op.flat[at]
         if abs(pivot) > 0.0:
             op *= pivot.conjugate() / abs(pivot)
-    return CanonicalDecomposition(basis=basis, eigenvalues=eig.eigenvalues, canonical_ops=ops)
+    return _new(CanonicalDecomposition, basis=basis, eigenvalues=eig.eigenvalues, canonical_ops=_freeze(ops))
 
 
 def canonical_to_a(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> AForm:
@@ -502,12 +526,12 @@ def apply_kraus(kraus: KrausSet, rho: DensityMatrix, tol: float = DEFAULT_TOL) -
 def kraus_to_a(ops: KrausSet | Iterable[np.ndarray], tol: float = DEFAULT_TOL) -> AForm:
     """Process matrix sum_k E_k (x) conj(E_k) of an operator-sum map.
 
-    Accepts a validated :class:`KrausSet` or a raw operator sequence
-    (which is validated here, raising ``IncompleteKrausError`` when the
-    completeness sum deviates from the identity beyond ``tol``).
+    Accepts a validated :class:`KrausSet`, whose kept completeness
+    residual is compared with ``tol``, or a raw operator sequence, which is
+    validated here.  Either raises ``IncompleteKrausError`` when the
+    completeness sum deviates from the identity beyond ``tol``.
     """
-    if not isinstance(ops, KrausSet):
-        ops = KrausSet(ops, tol=tol)
+    ops = ops._check(tol) if isinstance(ops, KrausSet) else KrausSet(ops, tol=tol)
     # The trace-preservation residual of the result equals the Kraus
     # completeness residual, so the same tolerance applies.
     return AForm(_operator_sum(ops.operators, _identity(len(ops))), tol=tol)

@@ -88,6 +88,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _new(cls, **fields):
+    """A frozen dataclass ``cls`` holding ``fields`` as given, without the
+    copies and checks of its ``__post_init__``: for arrays a function has
+    just computed and frozen, or measurements it has in hand."""
+    obj = object.__new__(cls)
+    for name in fields:
+        object.__setattr__(obj, name, fields[name])
+    return obj
+
+
 class _MeasuredHermitian:
     """Base of validated forms that keep a square, read-only complex
     ``matrix`` and the ``hermiticity_residual`` measured on it;
@@ -210,7 +220,7 @@ def hermitian_eigendecompose(
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     order = np.argsort(-w, kind="stable")
-    return EigenDecomposition(eigenvalues=w[order], eigenvectors=v[:, order].T)
+    return _new(EigenDecomposition, eigenvalues=_freeze(w[order]), eigenvectors=_freeze(v[:, order].T))
 
 
 def bloch_to_density(p: BlochVector, tol: float = DEFAULT_TOL) -> DensityMatrix:

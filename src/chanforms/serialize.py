@@ -59,9 +59,14 @@ def matrix_to_wire(m) -> list:
     return np.stack((m.real, m.imag), -1).tolist()
 
 
+# Wire dicts are freshly built trees, so the encoder's cycle check (one dict
+# insert and delete per container, every [re, im] pair included) is skipped.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
+
+
 def dumps(obj: dict) -> str:
     """Canonical single-line JSON used for all machine output."""
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ test suite to cross-check transcription.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -37,7 +37,15 @@ class ChannelKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
-    """Parsed description of a channel; use the classmethod constructors."""
+    """Parsed description of a channel; use the classmethod constructors.
+
+    A raw kind keeps the form ``raw_a`` or ``raw_kraus`` validated (the
+    ``AForm`` or the ``KrausSet``), so ``channel_a`` compares the residuals
+    kept there with its own ``tol`` instead of validating ``matrix`` or
+    ``operators`` again.  A raw spec built any other way (the dataclass
+    constructor, ``dataclasses.replace``) keeps none and is validated by
+    ``channel_a``.
+    """
 
     kind: ChannelKind
     axis: tuple[float, float, float] | None = None
@@ -46,6 +54,7 @@ class ChannelSpec:
     p: float | None = None
     matrix: np.ndarray | None = None
     operators: np.ndarray | None = None  # shape (k, n, n)
+    _form: AForm | KrausSet | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def unitary(cls, axis, angle: float) -> "ChannelSpec":
@@ -78,11 +87,16 @@ class ChannelSpec:
     @classmethod
     def raw_a(cls, matrix: np.ndarray, tol: float = DEFAULT_TOL) -> "ChannelSpec":
         a = AForm(matrix, tol=tol)  # validates the map constraints
-        return cls(kind=ChannelKind.RAW_A, matrix=a.matrix)
+        return cls(kind=ChannelKind.RAW_A, matrix=a.matrix)._keeping(a)
 
     @classmethod
     def raw_kraus(cls, operators, tol: float = DEFAULT_TOL) -> "ChannelSpec":
-        return cls(kind=ChannelKind.RAW_KRAUS, operators=KrausSet(operators, tol=tol).operators)
+        kraus = KrausSet(operators, tol=tol)
+        return cls(kind=ChannelKind.RAW_KRAUS, operators=kraus.operators)._keeping(kraus)
+
+    def _keeping(self, form: AForm | KrausSet) -> "ChannelSpec":
+        object.__setattr__(self, "_form", form)
+        return self
 
     @property
     def dim(self) -> int:
@@ -324,12 +338,12 @@ _KINDS: dict[ChannelKind, _KindRule] = {
     ChannelKind.RAW_A: _KindRule(
         (("matrix", "a_matrix"),),
         lambda tol, matrix: ChannelSpec.raw_a(matrix, tol=tol),
-        lambda spec, tol: AForm(spec.matrix, tol=tol),
+        lambda spec, tol: AForm(spec.matrix, tol=tol) if spec._form is None else spec._form._check(tol),
     ),
     ChannelKind.RAW_KRAUS: _KindRule(
         (("operators", "operators"),),
         lambda tol, operators: ChannelSpec.raw_kraus(operators, tol=tol),
-        lambda spec, tol: kraus_to_a(spec.operators, tol=tol),
+        lambda spec, tol: kraus_to_a(spec.operators if spec._form is None else spec._form, tol=tol),
     ),
 }
 

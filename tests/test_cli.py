@@ -1,6 +1,7 @@
 import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ TRANSPOSE_DOC = '{"format_version":"1","channel":{"kind":"transpose"}}'
 BIT_FLIP_DOC = '{"format_version":"1","channel":{"kind":"bit_flip","p":0.75}}'
 PROJECTION_DOC = '{"format_version":"1","channel":{"kind":"equatorial_projection"}}'
 PIN_DOC = '{"format_version":"1","channel":{"kind":"pin","p0":[0,0,1]}}'
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def invalid_map_doc() -> str:
@@ -68,6 +70,15 @@ class TestExitCodes:
     def test_convert_succeeds_on_ncp_map_for_other_targets(self):
         result = run_cli(["convert", "-", "--to", "b_form"], stdin_text=TRANSPOSE_DOC)
         assert result.returncode == 0
+
+    def test_a_form_conversion_exit_does_not_depend_on_output_mode(self):
+        # The unitary's A-form carries a hermiticity residual of ~4e-20, above this tol.
+        argv = ["convert", str(GOLDEN / "unitary.doc.json"), "--to", "a_form", "--tol", "1e-20"]
+        human, machine = run_cli(argv), run_cli([*argv, "--output", "machine"])
+        assert human.returncode == machine.returncode == 1
+        assert human.stdout == machine.stdout == ""
+        assert human.stderr == machine.stderr
+        assert "hermiticity-preservation residual" in machine.stderr
 
     @pytest.mark.parametrize(
         "channel, path",

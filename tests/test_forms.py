@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from chanforms import (
     ChanformsError,
     BlochVector,
     CanonicalDecomposition,
+    ChannelKind,
     ChannelSpec,
     CoefficientMatrix,
     DensityMatrix,
@@ -965,3 +968,163 @@ class TestStackedKrausSet:
         for const in (eye, omega):
             with pytest.raises(ValueError):
                 const[(0,) * const.ndim] = 2.0
+
+
+# The B-form and the unit-basis coefficient matrix as they were built before
+# they carried A's kept hermiticity residual: the reshuffled A copied and
+# measured again by the public constructors.  Kept as the references.
+
+
+def b_form_reference(a: AForm, tol: float = 1e-9) -> BForm:
+    return BForm(_reshuffle(a.matrix, a.dim), tol=tol)
+
+
+def unit_coefficient_reference(a: AForm, tol: float = 1e-9) -> CoefficientMatrix:
+    n = a.dim
+    return CoefficientMatrix(basis=standard_basis(n), matrix=_reshuffle(a.matrix, n), tol=tol * n * n)
+
+
+def tol_just_below(residual: float, n: int = 1) -> float:
+    """The largest tol whose ``tol * n * n`` is below ``residual`` (negative for 0)."""
+    tol = residual / (n * n)
+    while tol * n * n >= residual:
+        tol = np.nextafter(tol, -1.0)
+    return tol
+
+
+def noisy_map(n: int, cp: bool, seed: int, noise: float) -> AForm:
+    """A random CP or NCP map plus complex noise that breaks hermiticity preservation."""
+    rng = np.random.default_rng(seed)
+    if cp:
+        a = kraus_to_a(random_cp_channel(n, int(rng.integers(1, n * n + 1)), seed))
+    else:
+        a = random_ncp_a(n, seed)
+    g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    return AForm(a.matrix + noise * g)
+
+
+class TestCarriedMeasurements:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+        st.one_of(st.just(0.0), st.floats(1e-16, 1e-11)),
+    )
+    def test_equal_the_measuring_path(self, n, cp, seed, noise):
+        a = noisy_map(n, cp, seed, noise)
+        b, b_ref = realign_a_to_b(a), b_form_reference(a)
+        assert bit_equal(b.matrix, b_ref.matrix)
+        assert (b.dim, b.hermiticity_residual, b.trace) == (b_ref.dim, b_ref.hermiticity_residual, b_ref.trace)
+        cm, cm_ref = coefficient_matrix(a, standard_basis(n)), unit_coefficient_reference(a)
+        assert bit_equal(cm.matrix, cm_ref.matrix)
+        assert cm.hermiticity_residual == cm_ref.hermiticity_residual
+        assert cm.basis is cm_ref.basis
+
+        # Just below the residual both paths raise alike; at it, the
+        # hermiticity check passes on both (the trace check may still fail).
+        herm = b_ref.hermiticity_residual
+        tol = tol_just_below(herm)
+        got, want = outcome(lambda t: realign_a_to_b(a, t), tol), outcome(lambda t: b_form_reference(a, t), tol)
+        assert got[0] is want[0] is NotHermiticityPreservingError and got[1] == want[1]
+        got, want = outcome(lambda t: realign_a_to_b(a, t), herm), outcome(lambda t: b_form_reference(a, t), herm)
+        assert got[0] in ("ok", NotTracePreservingError) and got[0] == want[0]
+        assert got[0] == "ok" or got[1] == want[1]
+        tol = tol_just_below(herm, n)  # the coefficient matrix is checked at tol * n * n
+        got = outcome(lambda t: coefficient_matrix(a, standard_basis(n), t), tol)
+        want = outcome(lambda t: unit_coefficient_reference(a, t), tol)
+        assert got[0] is want[0] is NotHermiticityPreservingError and got[1] == want[1]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_b_trace_check_is_kept(self, n):
+        a = AForm(kraus_to_a(random_cp_channel(n, 2, seed=n)).matrix * (1 + 1e-6), tol=1e-3)
+        got, want = outcome(realign_a_to_b, a), outcome(b_form_reference, a)
+        assert got[0] is want[0] is NotTracePreservingError and got[1] == want[1]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_raw_a_spec_checks_at_the_callers_tol(self, n):
+        a = noisy_map(n, False, n, 1e-11)
+        a = AForm(a.matrix * (1 + 1e-10))  # trace residual above the hermiticity residual
+        spec = ChannelSpec.raw_a(a.matrix)
+        herm, tp = a.hermiticity_residual, a.trace_residual
+        assert 0 < herm < tp
+        for tol in (tol_just_below(herm), herm, tol_just_below(tp), tp, 1e-9):
+            got = outcome(lambda t: channel_a(spec, t), tol)
+            want = outcome(lambda t: AForm(spec.matrix, t), tol)  # how channel_a validated before
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                assert bit_equal(got[1].matrix, want[1].matrix)
+                assert (got[1].hermiticity_residual, got[1].trace_residual) == (herm, tp)
+            else:
+                assert got[1] == want[1]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_raw_kraus_spec_checks_at_the_callers_tol(self, n):
+        ops = random_cp_channel(n, n, seed=n).operators * (1 + 1e-11)
+        spec = ChannelSpec.raw_kraus(ops)
+        residual = kraus_reference_residual(spec.operators)
+        assert residual > 0
+        for tol in (tol_just_below(residual), residual, 1e-9):
+            got = outcome(lambda t: channel_a(spec, t), tol)
+            want = outcome(lambda t: kraus_to_a(spec.operators, t), tol)  # how channel_a validated before
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                assert bit_equal(got[1].matrix, want[1].matrix)
+            else:
+                assert got[0] is IncompleteKrausError and got[1] == want[1]
+
+    def test_kraus_set_checked_at_a_tighter_tol_is_incomplete(self):
+        ops = random_cp_channel(2, 2, seed=4).operators * (1 + 1e-6)
+        kraus = KrausSet(ops, tol=1e-3)
+        got = outcome(lambda k: kraus_to_a(k, 1e-9), kraus)
+        want = outcome(lambda o: KrausSet(o, tol=1e-9), ops)
+        assert got[0] is want[0] is IncompleteKrausError and got[1] == want[1]
+        assert kraus.completeness_residual == kraus_reference_residual(ops)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_results_are_read_only(self, n):
+        a = kraus_to_a(random_cp_channel(n, 2, seed=n))
+        decomp = canonical_decompose(a, default_basis(n))
+        eig = hermitian_eigendecompose(coefficient_matrix(a, default_basis(n)))
+        spec = ChannelSpec.raw_kraus(random_cp_channel(n, 2, seed=n).operators)
+        arrays = [
+            realign_a_to_b(a).matrix,
+            coefficient_matrix(a, standard_basis(n)).matrix,
+            eig.eigenvalues,
+            eig.eigenvectors,
+            decomp.eigenvalues,
+            decomp.canonical_ops,
+            extract_kraus(decomp).operators,
+            channel_a(ChannelSpec.raw_a(a.matrix)).matrix,
+            channel_a(spec).matrix,
+        ]
+        for arr in arrays:
+            assert not arr.flags.writeable
+
+    def test_raw_specs_built_without_their_constructors_are_validated(self):
+        a = kraus_to_a(random_cp_channel(2, 2, seed=5))
+        ops = random_cp_channel(2, 2, seed=6).operators
+        pairs = [
+            (ChannelSpec.raw_a(a.matrix), ChannelSpec(kind=ChannelKind.RAW_A, matrix=a.matrix)),
+            (ChannelSpec.raw_kraus(ops), dataclasses.replace(ChannelSpec.raw_kraus(ops))),
+        ]
+        for kept, bare in pairs:
+            assert bare.dim == kept.dim == 2
+            assert bit_equal(channel_a(bare).matrix, channel_a(kept).matrix)
+        with pytest.raises(NotTracePreservingError):
+            channel_a(ChannelSpec(kind=ChannelKind.RAW_A, matrix=0.5 * np.eye(4)))
+
+    def test_specs_do_not_follow_the_callers_input(self):
+        a = kraus_to_a(random_cp_channel(3, 2, seed=8))
+        matrix, ops = a.matrix.copy(), list(random_cp_channel(3, 2, seed=9).operators.copy())
+        specs = [ChannelSpec.raw_a(matrix), ChannelSpec.raw_kraus(ops)]
+        before = [channel_a(spec).matrix.copy() for spec in specs]
+        matrix[0, 0] = 7.0
+        ops[0][0, 0] = 7.0
+        for spec, want in zip(specs, before):
+            assert bit_equal(channel_a(spec).matrix, want)
+
+
+def kraus_reference_residual(ops) -> float:
+    v = np.concatenate(list(ops))
+    return max_abs(v.conj().T @ v - np.eye(v.shape[1]))

@@ -47,6 +47,16 @@ def test_cli_matrix_is_reproducible():
     assert runs[1].stdout == runs[0].stdout
 
 
+def test_op_calls_repeats_exactly():
+    """The call count is a noise-free figure: two runs print the same number."""
+    argv = [sys.executable, str(SCRIPTS / "op_calls.py"), "--workload", "qubit_sweep", "--seed", "1"]
+    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=120) for _ in range(2)]
+    for result in runs:
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) > 0
+    assert runs[1].stdout == runs[0].stdout
+
+
 def load_script(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

@@ -19,9 +19,14 @@ from chanforms import (
     NonFiniteEntryError,
     NotTracePreservingError,
     UnknownFieldError,
+    analyze,
     build_bit_flip_a,
+    random_cp_channel,
 )
+from chanforms.cli import report_wire
 from chanforms.serialize import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     channel_document_wire,
     dumps,
     matrix_to_wire,
@@ -177,6 +182,28 @@ class TestRoundTrips:
     def test_matrix_wire_round_trip(self):
         m = np.array([[1 + 2j, 0], [-0.5j, 3]], dtype=complex)
         assert np.array_equal(parse_matrix(matrix_to_wire(m), "m"), m)
+
+
+def dumps_reference(obj: dict) -> str:
+    """The encoder call ``dumps`` made before it kept one encoder without the cycle check."""
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+class TestDumps:
+    @pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.out.json")))
+    def test_golden_reports_equal_the_reference(self, golden):
+        doc = parse_channel_document((GOLDEN / golden.replace(".out.", ".doc.")).read_text())
+        wire = report_wire(analyze(doc.channel, tol=doc.tol), DEFAULT_SEED, DEFAULT_SAMPLES)
+        assert dumps(wire) == dumps_reference(wire) == (GOLDEN / golden).read_text()
+
+    def test_large_raw_kraus_report_equals_the_reference(self):
+        spec = ChannelSpec.raw_kraus(random_cp_channel(8, 8, seed=3).operators)
+        wire = report_wire(analyze(spec), DEFAULT_SEED, DEFAULT_SAMPLES)
+        assert dumps(wire) == dumps_reference(wire)
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(ValueError):
+            dumps({"x": [[float("nan"), 0.0]]})
 
 
 # Complex parts at the edges of the double range: signed zeros,
