@@ -23,8 +23,9 @@ from .forms import (
     CpVerdict,
     KrausSet,
     OperatorBasis,
+    _canonical_decompose,
     _classify,
-    canonical_decompose,
+    _is_unit_basis,
     default_basis,
     extract_kraus,
     realign_a_to_b,
@@ -62,16 +63,26 @@ def analyze(
     """Run the full pipeline on a channel description.
 
     Pure function: identical inputs give identical reports.
+
+    In the matrix-unit basis ``standard_basis(n)`` the coefficient matrix
+    is B bit for bit, so ``b_spectrum`` is the canonical spectrum and
+    ``spectral_match`` is 0.0 by construction.  In any other basis B is
+    eigendecomposed on its own and compared with the coefficient spectrum
+    of the trace formula, an independent route.
     """
     a = channel_a(spec, tol)
     if basis is None:
         basis = default_basis(a.dim)
     n = a.dim
+    unit = _is_unit_basis(basis)
 
     b = realign_a_to_b(a, tol)
-    decomp = canonical_decompose(a, basis, tol)
-    b_spectrum = hermitian_eigendecompose(b, tol * n * n).eigenvalues
-    spectral_match = float(np.abs(decomp.eigenvalues - b_spectrum).max())
+    decomp = _canonical_decompose(a, basis, tol, unit)
+    if unit:
+        b_spectrum, spectral_match = decomp.eigenvalues, 0.0
+    else:
+        b_spectrum = hermitian_eigendecompose(b, tol * n * n).eigenvalues
+        spectral_match = float(np.abs(decomp.eigenvalues - b_spectrum).max())
 
     verdict = _classify(decomp.eigenvalues, tol)
 

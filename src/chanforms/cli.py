@@ -40,7 +40,6 @@ from .errors import (
 from .forms import (
     BasisLabel,
     CanonicalDecomposition,
-    KrausSet,
     OperatorBasis,
     _kraus_tol,
     apply_a,
@@ -115,20 +114,27 @@ def _render_operators(ops, tol: float) -> str:
 # machine-mode wire builders
 
 
-def _canonical_wire(decomp: CanonicalDecomposition) -> dict:
-    return {
-        "basis": decomp.basis.label.value,
-        "eigenvalues": decomp.eigenvalues.tolist(),
-        "operators": matrix_to_wire(decomp.canonical_ops),
-    }
-
-
-def _kraus_wire(kraus: KrausSet) -> dict:
-    return {"operators": matrix_to_wire(kraus.operators)}
+def _canonical_wire(decomp: CanonicalDecomposition, support_tol: float | None = None) -> dict:
+    """The canonical block: every eigenvalue, and every operator, or with
+    ``support_tol`` only the operators whose |eigenvalue| exceeds it, in
+    eigenvalue order, and the number left out as ``null_dimension``."""
+    wire = {"basis": decomp.basis.label.value, "eigenvalues": decomp.eigenvalues.tolist()}
+    if support_tol is None:
+        wire["operators"] = matrix_to_wire(decomp.canonical_ops)
+    else:
+        support = np.abs(decomp.eigenvalues) > support_tol
+        wire["operators"] = matrix_to_wire(decomp.canonical_ops[support])
+        wire["null_dimension"] = len(support) - int(support.sum())
+    return wire
 
 
 def report_wire(report: AnalysisReport, seed: int, samples: int) -> dict:
-    """Stable machine layout of an analysis report."""
+    """Stable machine layout of an analysis report.
+
+    The canonical block holds the operators of the support only, and the
+    Kraus set is named by its rank r: E_k = sqrt(lam_k) C_k for the first
+    r canonical pairs, so no float is written twice.
+    """
     return {
         "format_version": "1",
         "report": {
@@ -156,8 +162,8 @@ def report_wire(report: AnalysisReport, seed: int, samples: int) -> dict:
                 "min_eigenvalue": report.verdict.min_eigenvalue,
                 "tol": report.verdict.tol,
             },
-            "canonical": _canonical_wire(report.canonical),
-            "kraus": _kraus_wire(report.kraus) if report.kraus is not None else None,
+            "canonical": _canonical_wire(report.canonical, report.tol),
+            "kraus": {"rank": len(report.kraus)} if report.kraus is not None else None,
             "kraus_absent_reason": report.kraus_absent_reason,
         },
     }

@@ -407,10 +407,15 @@ def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL)
     returns ``_reshuffle(A)`` (bit for bit what the contraction gives)
     with A's hermiticity residual, which is B's (see ``realign_a_to_b``).
     """
+    return _coefficient_matrix(a, basis, tol, _is_unit_basis(basis))
+
+
+def _coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float, unit: bool) -> CoefficientMatrix:
+    """``coefficient_matrix`` with ``unit``, the answer of ``_is_unit_basis(basis)``, in hand."""
     _check_dims(a.dim, basis.dim)
     n = a.dim
     # Residual hermiticity noise scales with the n^2 terms summed per entry.
-    if _is_unit_basis(basis):
+    if unit:
         cm = _new(CoefficientMatrix, basis=basis)
         return cm._keep(_freeze(_reshuffle(a.matrix, n)), a.hermiticity_residual, tol * n * n)
     a4 = a.matrix.reshape(n, n, n, n)
@@ -452,10 +457,15 @@ def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL
     only up to unitary remixing; eigenvalues, the reconstructed A, and
     the channel action are invariant under that freedom.
     """
-    cm = coefficient_matrix(a, basis, tol)
+    return _canonical_decompose(a, basis, tol, _is_unit_basis(basis))
+
+
+def _canonical_decompose(a: AForm, basis: OperatorBasis, tol: float, unit: bool) -> CanonicalDecomposition:
+    """``canonical_decompose`` with ``unit``, the answer of ``_is_unit_basis(basis)``, in hand."""
+    cm = _coefficient_matrix(a, basis, tol, unit)
     n = a.dim
     eig = hermitian_eigendecompose(cm, tol * n * n)
-    if _is_unit_basis(basis):
+    if unit:
         # C_k[i, j] = v_k[i*n + j]; + 0.0 turns -0.0 into +0.0 as the sum did.
         ops = eig.eigenvectors.reshape(n * n, n, n) + 0.0
     else:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     BadMatrixShapeError,
+    ChanformsError,
     DocumentSyntaxError,
     MissingFieldError,
     NonFiniteEntryError,
@@ -339,10 +340,17 @@ _PAYLOAD = _kind_union({}, _PARSERS)
 _SUMMARY = _kind_union({"dim": _dim}, _PLAIN)
 
 
-def _make_channel(fields: dict, tol: float) -> ChannelSpec:
-    """Run parsed payload fields through their kind's validating constructor."""
+def _make_channel(fields: dict, tol: float, path: str) -> ChannelSpec:
+    """Run parsed payload fields through their kind's validating constructor.
+
+    An error it raises keeps its class and is prefixed with ``path``, the
+    payload's place in the document.
+    """
     rule = _KINDS[ChannelKind(fields["kind"])]
-    return rule.make(tol, **{name: fields[name] for name, _ in rule.fields})
+    try:
+        return rule.make(tol, **{name: fields[name] for name, _ in rule.fields})
+    except ChanformsError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +390,7 @@ def parse_channel_document(
     doc = _walk({"format_version": _version, "channel": _PAYLOAD}, d, "document")
     return ChannelDocument(
         format_version=doc["format_version"],
-        channel=_make_channel(doc["channel"], tol),
+        channel=_make_channel(doc["channel"], tol, "document.channel"),
         basis=options.get("basis"),
         tol=tol,
     )
@@ -437,7 +445,7 @@ _REPORT = {
     "format_version": _version,
     "report": {
         "channel": _SUMMARY,
-        "options": {"basis": _basis, "tol": _real, "seed": _seed, "samples": _samples},
+        "options": {"basis": _basis, "tol": _tol, "seed": _seed, "samples": _samples},
         "a_form": {"hermiticity_residual": _real, "trace_residual": _real, "valid": _boolean},
         "b_form": {"hermiticity_residual": _real, "trace": _real},
         "coefficient_spectrum": _reals,
@@ -448,8 +456,8 @@ _REPORT = {
             "min_eigenvalue": _real,
             "tol": _real,
         },
-        "canonical": _CANONICAL,
-        "kraus": _or_null({"operators": _matrices}),
+        "canonical": {**_CANONICAL, "null_dimension": _int_at_least(0)},
+        "kraus": _or_null({"rank": _int_at_least(1)}),
         "kraus_absent_reason": _or_null(_string),
     },
 }
@@ -470,22 +478,29 @@ _ZOO = {
 }
 
 
-def _check_operators(ops: list, dim: int, path: str) -> None:
-    if len(ops) > dim * dim:
-        raise BadMatrixShapeError(
-            f"{path}: dim {dim} allows at most {dim * dim} operators, got {len(ops)}"
-        )
-    for i, op in enumerate(ops):
-        _check_shape(op, f"{path}[{i}]", dim, dim)
+def _check_count(items: list, needed: int, path: str, rule: str) -> None:
+    if len(items) != needed:
+        raise BadMatrixShapeError(f"{path}: {rule} needs {needed} entries, got {len(items)}")
 
 
-def _check_canonical(c: dict, dim: int, path: str) -> None:
-    for name in ("eigenvalues", "operators"):
-        if len(c[name]) != dim * dim:
+def _check_canonical(c: dict, dim: int, path: str, support_tol: float | None = None) -> None:
+    """A canonical block lists dim^2 eigenvalues and dim x dim operators:
+    all dim^2 of them, or with ``support_tol`` (a report's) one per
+    eigenvalue above it in magnitude, the rest counted by ``null_dimension``."""
+    eigenvalues, ops = c["eigenvalues"], c["operators"]
+    _check_count(eigenvalues, dim * dim, f"{path}.eigenvalues", f"dim {dim}")
+    if support_tol is None:
+        _check_count(ops, dim * dim, f"{path}.operators", f"dim {dim}")
+    else:
+        support = sum(abs(lam) > support_tol for lam in eigenvalues)
+        _check_count(ops, support, f"{path}.operators", f"a support of |eigenvalue| > {support_tol:g}")
+        if c["null_dimension"] != dim * dim - support:
             raise BadMatrixShapeError(
-                f"{path}.{name}: dim {dim} needs {dim * dim} entries, got {len(c[name])}"
+                f"{path}.null_dimension: dim {dim} with {support} operators needs"
+                f" {dim * dim - support}, got {c['null_dimension']}"
             )
-    _check_operators(c["operators"], dim, f"{path}.operators")
+    for i, op in enumerate(ops):
+        _check_shape(op, f"{path}.operators[{i}]", dim, dim)
 
 
 def parse_representation_document(text: str | bytes) -> dict:
@@ -506,14 +521,17 @@ def parse_report_document(text: str | bytes) -> dict:
     The channel block follows the same per-kind rules as a channel
     document's payload, less the matrix fields a report does not echo.
     Its ``dim`` is 2 for a named kind, and both spectra have dim^2 entries.
-    ``kraus`` is null exactly when the verdict is not completely positive.
+    The canonical block lists the operators of the eigenvalues above
+    ``options.tol`` in magnitude and counts the rest as ``null_dimension``.
+    ``kraus`` is null exactly when the verdict is not completely positive;
+    otherwise its ``rank`` counts the eigenvalues above ``options.tol``.
     """
     out = _walk(_REPORT, _load_json(text, "report"), "report")["report"]
     channel = out["channel"]
     dim = channel["dim"]
     # Raw kinds echo none of their payload, so only named kinds can be rebuilt.
     if ChannelKind(channel["kind"]) in NAMED_KINDS:
-        expected = _make_channel(channel, DEFAULT_TOL).dim
+        expected = _make_channel(channel, DEFAULT_TOL, "report.report.channel").dim
         if dim != expected:
             raise BadMatrixShapeError(
                 f"report.report.channel.dim: a {channel['kind']} channel has dim {expected}, got {dim}"
@@ -524,9 +542,8 @@ def parse_report_document(text: str | bytes) -> dict:
                 f"report.report.channel.dim: dim {dim} needs {dim * dim} {name} entries,"
                 f" got {len(out[name])}"
             )
-    _check_canonical(out["canonical"], dim, "report.report.canonical")
-    if out["kraus"] is not None:
-        _check_operators(out["kraus"]["operators"], dim, "report.report.kraus.operators")
+    tol = out["options"]["tol"]
+    _check_canonical(out["canonical"], dim, "report.report.canonical", tol)
     if (out["kraus"] is None) == (out["kraus_absent_reason"] is None):
         raise MissingFieldError("report: exactly one of kraus and kraus_absent_reason must be set")
     classification = out["verdict"]["classification"]
@@ -536,6 +553,12 @@ def parse_report_document(text: str | bytes) -> dict:
             f" positive, got {'null' if out['kraus'] is None else 'a Kraus set'}"
             f" for {classification.value}"
         )
+    if out["kraus"] is not None:
+        rank = sum(lam > tol for lam in out["canonical"]["eigenvalues"])
+        if out["kraus"]["rank"] != rank:
+            raise BadMatrixShapeError(
+                f"report.report.kraus.rank: {rank} eigenvalues exceed tol {tol:g}, got rank {out['kraus']['rank']}"
+            )
     return out
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import chanforms.analysis
+import chanforms.forms
 from chanforms import (
     AForm,
     BasisLabel,
@@ -11,10 +13,12 @@ from chanforms import (
     build_pin_a,
     choi_consistency,
     choi_state,
+    hermitian_eigendecompose,
     kraus_to_a,
     maximally_entangled_state,
     random_cp_channel,
     random_ncp_a,
+    realign_a_to_b,
     standard_basis,
 )
 from chanforms.cli import report_wire
@@ -57,6 +61,58 @@ class TestAnalyze:
         assert (report.kraus is not None) == report.verdict.is_cp
         assert report.b_trace == pytest.approx(2.0, abs=1e-12)
         assert report.basis is BasisLabel.PAULI_OVER_SQRT2
+
+
+def _sample_maps(n: int) -> list[AForm]:
+    """CP maps of Kraus rank 1 and n, and one map that is not CP."""
+    return [kraus_to_a(random_cp_channel(n, r, seed=7 * n + r)) for r in (1, n)] + [random_ncp_a(n, seed=n)]
+
+
+@pytest.fixture
+def eigensolve_calls(monkeypatch):
+    """A list that gains one entry per ``hermitian_eigendecompose`` call made
+    through the two modules ``analyze`` reaches it by."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hermitian_eigendecompose(*args, **kwargs)
+
+    for module in (chanforms.forms, chanforms.analysis):
+        monkeypatch.setattr(module, "hermitian_eigendecompose", counted)
+    return calls
+
+
+class TestEigensolves:
+    """``analyze`` eigensolves B on its own only where that is a second route."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_unit_basis_solves_once(self, n, eigensolve_calls):
+        basis = standard_basis(n)
+        for a in _sample_maps(n):
+            del eigensolve_calls[:]
+            report = analyze(ChannelSpec.raw_a(a.matrix), basis)
+            assert len(eigensolve_calls) == 1
+            assert report.b_spectrum.tobytes() == report.coefficient_spectrum.tobytes()
+            assert report.spectral_match == 0.0
+            # What the dropped second solve of B gave, bit for bit.
+            b_alone = hermitian_eigendecompose(realign_a_to_b(a), 1e-9 * n * n).eigenvalues
+            assert b_alone.tobytes() == report.b_spectrum.tobytes()
+
+    def test_pauli_basis_solves_b_again(self, eigensolve_calls):
+        for a in _sample_maps(2):
+            del eigensolve_calls[:]
+            report = analyze(ChannelSpec.raw_a(a.matrix), PAULI)
+            assert len(eigensolve_calls) == 2
+            assert report.spectral_match <= report.tol * 4
+
+    def test_other_basis_with_the_units_label_solves_b_again(self, eigensolve_calls):
+        units = standard_basis(3)
+        copy = type(units)(dim=3, label=units.label, elements=units.elements)
+        a = _sample_maps(3)[1]
+        report = analyze(ChannelSpec.raw_a(a.matrix), copy)
+        assert len(eigensolve_calls) == 2
+        assert report.spectral_match <= report.tol * 9
 
 
 class TestChoiConsistency:

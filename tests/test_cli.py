@@ -44,6 +44,28 @@ class TestExitCodes:
         assert result.returncode == 1
         assert "trace-preservation" in result.stderr
 
+    @pytest.mark.parametrize(
+        "channel, message",
+        [
+            ({"kind": "bit_flip", "p": 7}, "probability 7.0 outside [0, 1]"),
+            ({"kind": "pin", "p0": [2, 0, 0]}, "Bloch vector norm 2 exceeds 1 (tol 1e-09)"),
+            (
+                {"kind": "unitary", "axis": [1, 1, 0], "angle": 0.5},
+                "axis norm 1.41421 differs from 1 beyond tol 1e-09",
+            ),
+            (
+                {"kind": "raw_kraus", "operators": [matrix_to_wire(np.diag([1.0, 0.0]))]},
+                "completeness residual 1 exceeds tol 1e-09",
+            ),
+        ],
+        ids=["bit_flip", "pin", "unitary", "raw_kraus"],
+    )
+    def test_channel_rule_errors_name_the_json_path(self, channel, message):
+        doc = json.dumps({"format_version": "1", "channel": channel})
+        result = run_cli(["analyze", "-", "--output", "machine"], stdin_text=doc)
+        assert result.returncode == 2
+        assert result.stderr == f"error: document.channel: {message}\n"
+
     def test_parse_error_exits_two(self):
         result = run_cli(["analyze", "-"], stdin_text="{not json")
         assert result.returncode == 2
@@ -134,7 +156,7 @@ class TestAnalyzeOutput:
         payload = json.loads(result.stdout)
         report = payload["report"]
         assert report["verdict"]["classification"] == "completely_positive"
-        assert len(report["kraus"]["operators"]) == 2
+        assert report["kraus"] == {"rank": 2}
         assert report["coefficient_spectrum"][0] == pytest.approx(1.5)
 
     def test_machine_output_byte_identical(self):

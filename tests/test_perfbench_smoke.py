@@ -70,8 +70,14 @@ def test_traced_replay_runs_every_stage(monkeypatch, tmp_path):
     inputs = [wl.replay_input("qubit_sweep", qubit), wl.replay_input("dense_documents", dense)]
     assert [rin.n for rin in inputs] == [2, 4]
     tracer, counter = tracing.Tracer(), tracing.EigensolveCounter()
+    calls = []
     for rin in inputs:
         stages = tracing.replay(tracer, rin, counter)
         assert set(PIPELINE_STAGES) <= set(stages)
         assert ("kraus" in stages) == rin.cp
-        assert stages["eigensolve_calls"] == 2
+        calls.append(stages["eigensolve_calls"])
+    # The qubit input is in the Pauli basis, where ``analyze`` solves B as a
+    # second route; the dense one is in the unit basis, where the
+    # coefficient matrix is B and one solve gives both spectra.
+    assert qubit.basis.value == "pauli"
+    assert calls == [2, 1]

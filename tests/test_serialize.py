@@ -15,15 +15,21 @@ from chanforms import (
     ChannelKind,
     ChannelSpec,
     DocumentSyntaxError,
+    IncompleteKrausError,
     MissingFieldError,
     NonFiniteEntryError,
     NotTracePreservingError,
     UnknownFieldError,
+    KrausSet,
     analyze,
     build_bit_flip_a,
+    channel_a,
+    kraus_to_a,
     random_cp_channel,
+    random_ncp_a,
 )
 from chanforms.cli import report_wire
+from chanforms.forms import _kraus_tol
 from chanforms.serialize import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -137,6 +143,30 @@ class TestParseChannelDocument:
             parse_channel_document(
                 '{"format_version":"1","channel":{"kind":"bit_flip","p":true}}'
             )
+
+    @pytest.mark.parametrize(
+        "channel, error, message",
+        [
+            ({"kind": "bit_flip", "p": 7}, ProbabilityRangeError, "probability 7.0 outside [0, 1]"),
+            ({"kind": "pin", "p0": [2, 0, 0]}, OutsideBallError, "Bloch vector norm 2 exceeds 1 (tol 1e-09)"),
+            (
+                {"kind": "unitary", "axis": [1, 1, 0], "angle": 0.5},
+                NotUnitAxisError,
+                "axis norm 1.41421 differs from 1 beyond tol 1e-09",
+            ),
+            (
+                {"kind": "raw_kraus", "operators": [matrix_to_wire(np.diag([1.0, 0.0]))]},
+                IncompleteKrausError,
+                "completeness residual 1 exceeds tol 1e-09",
+            ),
+        ],
+        ids=["bit_flip", "pin", "unitary", "raw_kraus"],
+    )
+    def test_channel_rule_errors_name_the_json_path(self, channel, error, message):
+        with pytest.raises(error) as info:
+            parse_channel_document(json.dumps({"format_version": "1", "channel": channel}))
+        assert type(info.value) is error
+        assert str(info.value) == f"document.channel: {message}"
 
     def test_raw_a_must_satisfy_map_constraints(self):
         bad = np.eye(4, dtype=complex) * 0.5
@@ -378,6 +408,23 @@ class TestReportDocuments:
             parse_report_document(json.dumps(doc))
 
     @pytest.mark.parametrize(
+        "golden, field, value, error, message",
+        [
+            ("bit_flip", "p", 7, ProbabilityRangeError, "probability 7.0 outside [0, 1]"),
+            ("pin", "p0", [2, 0, 0], OutsideBallError, "Bloch vector norm 2 exceeds 1 (tol 1e-09)"),
+            ("unitary", "axis", [1, 1, 0], NotUnitAxisError, "axis norm 1.41421 differs from 1 beyond tol 1e-09"),
+        ],
+        ids=["bit_flip", "pin", "unitary"],
+    )
+    def test_channel_rule_errors_name_the_channel_block(self, golden, field, value, error, message):
+        doc = json.loads((GOLDEN / f"{golden}.out.json").read_text())
+        doc["report"]["channel"][field] = value
+        with pytest.raises(error) as info:
+            parse_report_document(json.dumps(doc))
+        assert type(info.value) is error
+        assert str(info.value) == f"report.report.channel: {message}"
+
+    @pytest.mark.parametrize(
         "channel",
         [{"kind": "bit_flip", "dim": 3, "p": 0.75}, {"kind": "raw_a", "dim": 3}],
         ids=["bit_flip", "raw_a"],
@@ -387,8 +434,7 @@ class TestReportDocuments:
         report = doc["report"]
         report["channel"] = channel
         op = matrix_to_wire(np.eye(3) / np.sqrt(3))
-        report["canonical"]["operators"] = [op] * 4
-        report["kraus"]["operators"] = [op]
+        report["canonical"]["operators"] = [op] * len(report["canonical"]["operators"])
         with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.channel\.dim: "):
             parse_report_document(json.dumps(doc))
 
@@ -402,15 +448,67 @@ class TestReportDocuments:
     def test_canonical_needs_dim_squared_entries(self):
         doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
         doc["report"]["canonical"]["eigenvalues"].pop()
-        doc["report"]["canonical"]["operators"].pop()
         with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.canonical\.eigenvalues: "):
             parse_report_document(json.dumps(doc))
 
-    def test_kraus_set_has_at_most_dim_squared_operators(self):
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_operators_cover_the_support(self, change):
+        # bit_flip(0.75) has eigenvalues [1.5, 0.5, 0, 0]: a support of two.
         doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
-        ops = doc["report"]["kraus"]["operators"]
-        doc["report"]["kraus"]["operators"] = (ops * 80)[:80]
-        with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.kraus\.operators: "):
+        canonical = doc["report"]["canonical"]
+        assert len(canonical["operators"]) == 2 and canonical["null_dimension"] == 2
+        if change == "drop":
+            canonical["operators"].pop()
+            canonical["null_dimension"] += 1
+        else:
+            canonical["operators"].append(canonical["operators"][0])
+            canonical["null_dimension"] -= 1
+        with pytest.raises(
+            BadMatrixShapeError,
+            match=r"^report\.report\.canonical\.operators: a support of \|eigenvalue\| > 1e-09 needs 2 entries, got ",
+        ):
+            parse_report_document(json.dumps(doc))
+
+    def test_support_follows_options_tol(self):
+        doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
+        doc["report"]["options"]["tol"] = 1.0  # only 1.5 stays above it
+        with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.canonical\.operators: .* needs 1 entries, got 2$"):
+            parse_report_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("tol", [0, -1e-9])
+    def test_options_tol_must_be_positive(self, tol):
+        # The count rules read options.tol; at 0 the bit_flip golden's counts would still fit.
+        doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
+        doc["report"]["options"]["tol"] = tol
+        with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.options\.tol: tolerance must be positive$"):
+            parse_report_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_null_dimension_completes_dim_squared(self, delta):
+        doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
+        doc["report"]["canonical"]["null_dimension"] += delta
+        with pytest.raises(
+            BadMatrixShapeError,
+            match=rf"^report\.report\.canonical\.null_dimension: dim 2 with 2 operators needs 2, got {2 + delta}$",
+        ):
+            parse_report_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("rank", [1, 3, 4])
+    def test_kraus_rank_counts_eigenvalues_above_tol(self, rank):
+        doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
+        doc["report"]["kraus"]["rank"] = rank
+        with pytest.raises(
+            BadMatrixShapeError,
+            match=rf"^report\.report\.kraus\.rank: 2 eigenvalues exceed tol 1e-09, got rank {rank}$",
+        ):
+            parse_report_document(json.dumps(doc))
+
+    def test_kraus_block_on_ncp_verdict_rejected(self):
+        # transpose has eigenvalues [1, 1, 1, -1]: three above tol, so the rank itself fits.
+        doc = json.loads((GOLDEN / "transpose.out.json").read_text())
+        doc["report"]["kraus"] = {"rank": 3}
+        doc["report"]["kraus_absent_reason"] = None
+        with pytest.raises(MissingFieldError, match=r"^report\.report\.kraus: .* got a Kraus set for not_completely_positive$"):
             parse_report_document(json.dumps(doc))
 
     @pytest.mark.parametrize(
@@ -428,3 +526,48 @@ class TestReportDocuments:
         text = '{"format_version":"1","channels":[{"kind":["pin"],"summary":"x"}]}'
         with pytest.raises(UnknownFieldError):
             parse_zoo_document(text)
+
+
+def _report_cases():
+    """The six goldens, and CP maps of Kraus rank 1, n and n^2 and one NCP map as raw_a at n = 3..6."""
+    for golden in sorted(GOLDEN.glob("*.out.json")):
+        yield pytest.param(golden.name, id=golden.name.split(".")[0])
+    for n in range(3, 7):
+        for rank in sorted({1, n, n * n}):
+            yield pytest.param((n, rank), id=f"cp-n{n}-rank{rank}")
+        yield pytest.param((n, None), id=f"ncp-n{n}")
+
+
+def _spec_and_report(case) -> tuple[ChannelSpec, str]:
+    if isinstance(case, str):
+        doc = parse_channel_document((GOLDEN / case.replace(".out.", ".doc.")).read_text())
+        return doc.channel, (GOLDEN / case).read_text()
+    n, rank = case
+    a = random_ncp_a(n, seed=n) if rank is None else kraus_to_a(random_cp_channel(n, rank, seed=10 * n + rank))
+    spec = ChannelSpec.raw_a(a.matrix)
+    return spec, dumps(report_wire(analyze(spec), DEFAULT_SEED, DEFAULT_SAMPLES))
+
+
+class TestTrimmedReport:
+    """A report lists only the canonical operators of its support and names the
+    Kraus set by rank; the parsed report alone still gives the map back."""
+
+    @pytest.mark.parametrize("case", list(_report_cases()))
+    def test_parsed_report_reconstructs_the_map(self, case):
+        spec, text = _spec_and_report(case)
+        rep = parse_report_document(text)
+        n, tol = rep["channel"]["dim"], rep["options"]["tol"]
+        a = channel_a(spec, tol).matrix
+        lam = np.array(rep["canonical"]["eigenvalues"])
+        ops = np.array(rep["canonical"]["operators"])
+        support = lam[np.abs(lam) > tol]
+        assert len(ops) == len(support) and rep["canonical"]["null_dimension"] == n * n - len(ops)
+        rebuilt = sum(w * np.kron(c, c.conj()) for w, c in zip(support, ops))
+        assert np.abs(rebuilt - a).max() <= tol * n * n
+
+        if rep["kraus"] is None:
+            assert rep["verdict"]["classification"] == "not_completely_positive"
+            return
+        r = rep["kraus"]["rank"]
+        kraus = KrausSet(np.sqrt(lam[:r])[:, None, None] * ops[:r], tol=_kraus_tol(tol, n))
+        assert np.abs(kraus_to_a(kraus, _kraus_tol(tol, n)).matrix - a).max() <= tol * n * n
