@@ -10,7 +10,6 @@ from .analysis import (
     analyze,
     choi_consistency,
     choi_state,
-    maximally_entangled_state,
 )
 from .errors import (
     BadMatrixShapeError,
@@ -66,24 +65,17 @@ from .forms import (
 from .linalg import (
     DEFAULT_TOL,
     PAULIS,
-    SIGMA_0,
-    SIGMA_1,
-    SIGMA_2,
-    SIGMA_3,
     BlochVector,
     DensityMatrix,
     EigenDecomposition,
     bloch_to_density,
     density_to_bloch,
     hermitian_eigendecompose,
-    row_unvectorize,
-    row_vectorize,
 )
 from .zoo import (
     CHANNEL_CATALOG,
     ChannelKind,
     ChannelSpec,
-    bit_flip_kraus,
     build_bit_flip_a,
     build_equatorial_projection_a,
     build_phase_flip_a,
@@ -91,7 +83,6 @@ from .zoo import (
     build_transpose_a,
     build_unitary_a,
     channel_a,
-    phase_flip_kraus,
     random_cp_channel,
     random_ncp_a,
     rotation_unitary,

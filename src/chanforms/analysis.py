@@ -23,9 +23,9 @@ from .forms import (
     CpVerdict,
     KrausSet,
     OperatorBasis,
-    _canonical_decompose,
     _classify,
     _is_unit_basis,
+    canonical_decompose,
     default_basis,
     extract_kraus,
     realign_a_to_b,
@@ -74,11 +74,10 @@ def analyze(
     if basis is None:
         basis = default_basis(a.dim)
     n = a.dim
-    unit = _is_unit_basis(basis)
 
     b = realign_a_to_b(a, tol)
-    decomp = _canonical_decompose(a, basis, tol, unit)
-    if unit:
+    decomp = canonical_decompose(a, basis, tol)
+    if _is_unit_basis(basis):
         b_spectrum, spectral_match = decomp.eigenvalues, 0.0
     else:
         b_spectrum = hermitian_eigendecompose(b, tol * n * n).eigenvalues
@@ -115,17 +114,13 @@ def analyze(
     )
 
 
-def maximally_entangled_state(n: int) -> np.ndarray:
-    """Density matrix of sum_k |kk> / sqrt(n) on the doubled space."""
-    omega = np.zeros(n * n, dtype=complex)
-    omega[:: n + 1] = 1.0 / np.sqrt(n)
-    return np.outer(omega, omega.conj())
-
-
 @functools.cache
 def _omega4(n: int) -> np.ndarray:
-    """``maximally_entangled_state(n)`` as a read-only (n, n, n, n) array, built once per n."""
-    return _freeze(maximally_entangled_state(n).reshape(n, n, n, n))
+    """Density matrix of sum_k |kk> / sqrt(n) on the doubled space as a
+    read-only (n, n, n, n) array, built once per n."""
+    omega = np.zeros(n * n, dtype=complex)
+    omega[:: n + 1] = 1.0 / np.sqrt(n)
+    return _freeze(np.outer(omega, omega.conj()).reshape(n, n, n, n))
 
 
 def choi_state(a: AForm) -> np.ndarray:

@@ -128,7 +128,7 @@ def _canonical_wire(decomp: CanonicalDecomposition, support_tol: float | None = 
     return wire
 
 
-def report_wire(report: AnalysisReport, seed: int, samples: int) -> dict:
+def report_document(report: AnalysisReport) -> dict:
     """Stable machine layout of an analysis report.
 
     The canonical block holds the operators of the support only, and the
@@ -142,8 +142,8 @@ def report_wire(report: AnalysisReport, seed: int, samples: int) -> dict:
             "options": {
                 "basis": report.basis.value,
                 "tol": report.tol,
-                "seed": seed,
-                "samples": samples,
+                "seed": DEFAULT_SEED,
+                "samples": DEFAULT_SAMPLES,
             },
             "a_form": {
                 "hermiticity_residual": report.a_hermiticity_residual,
@@ -167,6 +167,13 @@ def report_wire(report: AnalysisReport, seed: int, samples: int) -> dict:
             "kraus_absent_reason": report.kraus_absent_reason,
         },
     }
+
+
+def report_wire(report: AnalysisReport, seed: int, samples: int) -> dict:
+    """``report_document`` with the given ``options.seed`` and ``options.samples``."""
+    wire = report_document(report)
+    wire["report"]["options"].update(seed=seed, samples=samples)
+    return wire
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +237,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze(doc.channel, basis, tol)
 
     if args.output == "machine":
-        sys.stdout.write(dumps(report_wire(report, DEFAULT_SEED, DEFAULT_SAMPLES)))
+        sys.stdout.write(dumps(report_document(report)))
     else:
         _print_human_report(report, tol)
     return 0 if report.verdict.is_cp else 3
@@ -437,7 +444,7 @@ def _run(args: argparse.Namespace) -> int:
     with np.errstate(over="raise"):
         try:
             return args.func(args)
-        except FloatingPointError as exc:  # numpy's "overflow encountered in add", ...
+        except (FloatingPointError, OverflowError) as exc:  # "overflow encountered in add", ...
             raise InvalidMatrixError(f"numeric {exc}; the input's entries are too large") from None
 
 

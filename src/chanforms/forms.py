@@ -407,15 +407,10 @@ def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL)
     returns ``_reshuffle(A)`` (bit for bit what the contraction gives)
     with A's hermiticity residual, which is B's (see ``realign_a_to_b``).
     """
-    return _coefficient_matrix(a, basis, tol, _is_unit_basis(basis))
-
-
-def _coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float, unit: bool) -> CoefficientMatrix:
-    """``coefficient_matrix`` with ``unit``, the answer of ``_is_unit_basis(basis)``, in hand."""
     _check_dims(a.dim, basis.dim)
     n = a.dim
     # Residual hermiticity noise scales with the n^2 terms summed per entry.
-    if unit:
+    if _is_unit_basis(basis):
         cm = _new(CoefficientMatrix, basis=basis)
         return cm._keep(_freeze(_reshuffle(a.matrix, n)), a.hermiticity_residual, tol * n * n)
     a4 = a.matrix.reshape(n, n, n, n)
@@ -457,24 +452,18 @@ def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL
     only up to unitary remixing; eigenvalues, the reconstructed A, and
     the channel action are invariant under that freedom.
     """
-    return _canonical_decompose(a, basis, tol, _is_unit_basis(basis))
-
-
-def _canonical_decompose(a: AForm, basis: OperatorBasis, tol: float, unit: bool) -> CanonicalDecomposition:
-    """``canonical_decompose`` with ``unit``, the answer of ``_is_unit_basis(basis)``, in hand."""
-    cm = _coefficient_matrix(a, basis, tol, unit)
+    cm = coefficient_matrix(a, basis, tol)
     n = a.dim
     eig = hermitian_eigendecompose(cm, tol * n * n)
-    if unit:
+    if _is_unit_basis(basis):
         # C_k[i, j] = v_k[i*n + j]; + 0.0 turns -0.0 into +0.0 as the sum did.
         ops = eig.eigenvectors.reshape(n * n, n, n) + 0.0
     else:
         ops = np.einsum("km,mij->kij", eig.eigenvectors, basis.elements)
-    pivots = np.abs(ops).reshape(len(ops), -1).argmax(axis=1)
-    for op, at in zip(ops, pivots):
-        pivot = op.flat[at]
-        if abs(pivot) > 0.0:
-            op *= pivot.conjugate() / abs(pivot)
+    # Each C_k has unit norm, so its largest-magnitude entry is never 0.
+    flat = ops.reshape(len(ops), -1)
+    pivots = flat[np.arange(len(flat)), np.abs(flat).argmax(1)]
+    ops *= (pivots.conj() / np.hypot(pivots.real, pivots.imag))[:, None, None]
     return _new(CanonicalDecomposition, basis=basis, eigenvalues=eig.eigenvalues, canonical_ops=_freeze(ops))
 
 

@@ -6,9 +6,9 @@ Conventions used throughout the package:
 * A density matrix on an n-dimensional Hilbert space is Hermitian, has
   unit trace, and is positive semidefinite (all within a tolerance,
   default ``DEFAULT_TOL``).
-* Row vectorization stacks matrix rows: component ``r*n + s`` of
-  ``row_vectorize(rho)`` is ``rho[r, s]``.  This ordering is fixed and
-  not configurable; every superoperator in the package assumes it.
+* Row vectorization stacks matrix rows: the vector of ``rho`` is
+  ``rho.reshape(-1)``, with ``rho[r, s]`` at ``r*n + s``.  This ordering
+  is fixed; every superoperator in the package assumes it.
 * Eigendecompositions of Hermitian matrices are returned with
   eigenvalues sorted descending and eigenvectors stored as the *rows*
   of a matrix, row k paired with eigenvalue k.
@@ -32,11 +32,10 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 
-SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3)
+PAULIS = (np.eye(2, dtype=complex), SIGMA_1, SIGMA_2, SIGMA_3)
 
 
 def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -74,12 +73,14 @@ def _min_eigenvalue(m: np.ndarray) -> float:
     At n = 2 it is the closed form (a+d)/2 - hypot((a-d)/2, |b|), with a, d
     the real parts of the diagonal and b = (m01 + conj m10)/2; it agrees
     with LAPACK to a few ulps of max|m| without LAPACK's per-call cost.
+    Each term is halved before it is added, so a, d and b stay finite; an
+    |b| beyond the double range raises ``OverflowError``.
     """
     if m.shape == (2, 2):
         (m00, m01), (m10, m11) = m.tolist()
-        a, d = m00.real, m11.real
-        b = (m01 + m10.conjugate()) / 2
-        return (a + d) / 2 - math.hypot((a - d) / 2, abs(b))
+        a, d = m00.real / 2, m11.real / 2
+        b = m01 / 2 + m10.conjugate() / 2
+        return a + d - math.hypot(a - d, abs(b))
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])  # ascending order
 
 
@@ -186,11 +187,6 @@ class EigenDecomposition:
         object.__setattr__(self, "eigenvalues", _freeze(np.array(self.eigenvalues, dtype=float)))
         object.__setattr__(self, "eigenvectors", _freeze(np.array(self.eigenvectors, dtype=complex)))
 
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the source matrix as sum_k lambda_k v_k v_k^dagger."""
-        w, v = self.eigenvalues, self.eigenvectors
-        return (v.T * w) @ v.conj()
-
 
 def hermitian_eigendecompose(
     m: np.ndarray | _MeasuredHermitian, tol: float = DEFAULT_TOL
@@ -243,18 +239,3 @@ def density_to_bloch(rho: DensityMatrix) -> BlochVector:
         p2=float(np.trace(m @ SIGMA_2).real),
         p3=float(np.trace(m @ SIGMA_3).real),
     )
-
-
-def row_vectorize(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Row-stack a square matrix into a length-n^2 vector (index r*n + s)."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return m.reshape(-1).copy()
-
-
-def row_unvectorize(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`row_vectorize`; the length must be a perfect square."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    n = math.isqrt(v.size)
-    if n * n != v.size:
-        raise InvalidMatrixError(f"vector length {v.size} is not a perfect square")
-    return v.reshape(n, n).copy()

@@ -454,7 +454,7 @@ _REPORT = {
         "verdict": {
             "classification": _member(CpClassification, "classification"),
             "min_eigenvalue": _real,
-            "tol": _real,
+            "tol": _tol,
         },
         "canonical": {**_CANONICAL, "null_dimension": _int_at_least(0)},
         "kraus": _or_null({"rank": _int_at_least(1)}),
@@ -525,6 +525,7 @@ def parse_report_document(text: str | bytes) -> dict:
     ``options.tol`` in magnitude and counts the rest as ``null_dimension``.
     ``kraus`` is null exactly when the verdict is not completely positive;
     otherwise its ``rank`` counts the eigenvalues above ``options.tol``.
+    ``verdict.tol`` is a tolerance equal to ``options.tol``.
     """
     out = _walk(_REPORT, _load_json(text, "report"), "report")["report"]
     channel = out["channel"]
@@ -559,6 +560,10 @@ def parse_report_document(text: str | bytes) -> dict:
             raise BadMatrixShapeError(
                 f"report.report.kraus.rank: {rank} eigenvalues exceed tol {tol:g}, got rank {out['kraus']['rank']}"
             )
+    if out["verdict"]["tol"] != tol:
+        raise BadMatrixShapeError(
+            f"report.report.verdict.tol: must equal options.tol {tol!r}, got {out['verdict']['tol']!r}"
+        )
     return out
 
 

@@ -144,19 +144,13 @@ def build_unitary_a(axis, angle: float) -> AForm:
 
 
 def build_pin_a(p0: BlochVector) -> AForm:
-    """Process matrix of the map pinning every input to the state with Bloch vector ``p0``."""
-    col = row_major_pin_column(p0)
+    """Process matrix of the map pinning every input to the state with Bloch vector ``p0``;
+    columns 0 and 3 hold that state's vector (1+p3, p1-ip2, p1+ip2, 1-p3)/2."""
+    col = 0.5 * np.array([1 + p0.p3, p0.p1 - 1j * p0.p2, p0.p1 + 1j * p0.p2, 1 - p0.p3], dtype=complex)
     a = np.zeros((4, 4), dtype=complex)
     a[:, 0] = col
     a[:, 3] = col
     return AForm(a)
-
-
-def row_major_pin_column(p0: BlochVector) -> np.ndarray:
-    """Vectorized fixed state (1+p3, p1-ip2, p1+ip2, 1-p3)/2."""
-    return 0.5 * np.array(
-        [1 + p0.p3, p0.p1 - 1j * p0.p2, p0.p1 + 1j * p0.p2, 1 - p0.p3], dtype=complex
-    )
 
 
 def build_transpose_a() -> AForm:
@@ -178,12 +172,6 @@ def build_equatorial_projection_a() -> AForm:
     )
 
 
-def bit_flip_kraus(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Operator pair {sqrt(p) I, sqrt(1-p) sigma_1}."""
-    p = _require_probability(p)
-    return (np.sqrt(p) * np.eye(2, dtype=complex), np.sqrt(1 - p) * SIGMA_1.copy())
-
-
 def build_bit_flip_a(p: float) -> AForm:
     """Bit-flip process matrix, closed form."""
     p = _require_probability(p)
@@ -193,12 +181,6 @@ def build_bit_flip_a(p: float) -> AForm:
             [[p, 0, 0, q], [0, p, q, 0], [0, q, p, 0], [q, 0, 0, p]], dtype=complex
         )
     )
-
-
-def phase_flip_kraus(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Operator pair {sqrt(p) I, sqrt(1-p) sigma_3}."""
-    p = _require_probability(p)
-    return (np.sqrt(p) * np.eye(2, dtype=complex), np.sqrt(1 - p) * SIGMA_3.copy())
 
 
 def build_phase_flip_a(p: float) -> AForm:
@@ -369,10 +351,7 @@ __all__ = [
     "build_equatorial_projection_a",
     "build_bit_flip_a",
     "build_phase_flip_a",
-    "bit_flip_kraus",
-    "phase_flip_kraus",
     "random_cp_channel",
     "random_ncp_a",
     "channel_a",
-    "row_major_pin_column",
 ]

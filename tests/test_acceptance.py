@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from chanforms import (
+    PAULIS,
     AForm,
     BasisLabel,
     BlochVector,
@@ -22,7 +23,6 @@ from chanforms import (
     apply_a,
     apply_canonical,
     apply_kraus,
-    bit_flip_kraus,
     bloch_to_density,
     build_bit_flip_a,
     build_equatorial_projection_a,
@@ -37,7 +37,6 @@ from chanforms import (
     extract_kraus,
     hermitian_eigendecompose,
     kraus_to_a,
-    phase_flip_kraus,
     random_cp_channel,
     random_ncp_a,
     realign_a_to_b,
@@ -63,6 +62,11 @@ def criterion(label: str):
 
 def sorted_desc(values) -> np.ndarray:
     return np.sort(np.asarray(values, dtype=float))[::-1]
+
+
+def flip_kraus(p: float, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flip channel's operator pair {sqrt(p) I, sqrt(1-p) sigma}."""
+    return (np.sqrt(p) * PAULIS[0], np.sqrt(1 - p) * sigma)
 
 
 @lru_cache(maxsize=1)
@@ -143,8 +147,8 @@ def test_criterion_5_flip_channel_spectra_and_kraus():
         for p in (0.0, 0.25, 0.5, 0.75, 1.0):
             expected_spec = sorted_desc([2 * p, 2 * (1 - p), 0.0, 0.0])
             for build, pair in (
-                (build_bit_flip_a, bit_flip_kraus),
-                (build_phase_flip_a, phase_flip_kraus),
+                (build_bit_flip_a, PAULIS[1]),
+                (build_phase_flip_a, PAULIS[3]),
             ):
                 a = build(p)
                 decomp = canonical_decompose(a, PAULI)
@@ -154,7 +158,7 @@ def test_criterion_5_flip_channel_spectra_and_kraus():
                 assert np.abs(total - np.eye(2)).max() < 1e-10
                 if 0.0 < p < 1.0:
                     assert len(kraus) == 2
-                    for expected in pair(p):
+                    for expected in flip_kraus(p, pair):
                         norm = np.linalg.norm(expected)
                         best = max(
                             abs(np.trace(expected.conj().T @ got))
@@ -251,7 +255,7 @@ def test_criterion_11_phase_flip_prefactor_discrepancy():
         # trace preserving) and it is inconsistent with the coefficient
         # spectrum {2p, 2(1-p)} of trace 2.  The Kraus route is binding.
         for p in (0.0, 0.3, 0.5, 0.8, 1.0):
-            a = kraus_to_a(phase_flip_kraus(p))
+            a = kraus_to_a(flip_kraus(p, PAULIS[3]))
             expected = np.diag([1.0, 2 * p - 1.0, 2 * p - 1.0, 1.0])
             assert np.abs(a.matrix - expected).max() < 1e-12
             b = realign_a_to_b(a)

@@ -15,16 +15,21 @@ from chanforms import (
     choi_state,
     hermitian_eigendecompose,
     kraus_to_a,
-    maximally_entangled_state,
     random_cp_channel,
     random_ncp_a,
     realign_a_to_b,
     standard_basis,
 )
-from chanforms.cli import report_wire
+from chanforms.cli import report_document
 from chanforms.serialize import dumps
 
 PAULI = standard_basis(2, BasisLabel.PAULI_OVER_SQRT2)
+
+
+def maximally_entangled_state(n: int) -> np.ndarray:
+    """Density matrix of sum_k |kk> / sqrt(n) on the doubled space."""
+    omega = np.eye(n).reshape(-1) / np.sqrt(n)
+    return np.outer(omega, omega)
 
 
 class TestAnalyze:
@@ -52,8 +57,8 @@ class TestAnalyze:
 
     def test_deterministic_byte_identical(self):
         spec = ChannelSpec.unitary((0.6, 0.0, 0.8), 0.9)
-        first = dumps(report_wire(analyze(spec), seed=0, samples=100))
-        second = dumps(report_wire(analyze(spec), seed=0, samples=100))
+        first = dumps(report_document(analyze(spec)))
+        second = dumps(report_document(analyze(spec)))
         assert first == second
 
     def test_report_fields_consistent(self):

@@ -533,6 +533,14 @@ class TestInProcess:
         assert (code, out) == (2, "")
         assert err.startswith("error: numeric overflow encountered in ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("output", ["human", "machine"])
+    def test_state_beyond_the_double_range_exits_two(self, capsys, bit_flip_path, output):
+        # The Hermitian part's off-diagonal entry has modulus 1.5e308 * sqrt(2), beyond range.
+        state = json.dumps({"density": [[[1, 0], [1.5e308, 1.5e308]], [[1.5e308, -1.5e308], [0, 0]]]})
+        code, out, err = main_in_process(capsys, ["apply", bit_flip_path, "--state", state, "--output", output])
+        assert (code, out) == (2, "")
+        assert err == "error: numeric absolute value too large; the input's entries are too large\n"
+
     def test_overflow_free_conversion_still_succeeds(self, capsys, huge_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from chanforms import (
     PAULIS,
-    SIGMA_1,
-    SIGMA_3,
     AForm,
     BasisLabel,
     BForm,
@@ -46,14 +44,11 @@ from chanforms import (
     expand_coefficients,
     extract_kraus,
     kraus_to_a,
-    maximally_entangled_state,
     random_cp_channel,
     random_ncp_a,
     realign_a_to_b,
     realign_b_to_a,
     rotation_unitary,
-    row_unvectorize,
-    row_vectorize,
     standard_basis,
 )
 from chanforms import analysis, forms
@@ -61,6 +56,7 @@ from chanforms.forms import _is_unit_basis, _reshuffle, _standard_basis
 from chanforms.linalg import as_complex_matrix, hermitian_eigendecompose, hermiticity_residual, max_abs
 from conftest import random_density
 
+_, SIGMA_1, _, SIGMA_3 = PAULIS
 PAULI = standard_basis(2, BasisLabel.PAULI_OVER_SQRT2)
 UNITS2 = standard_basis(2, BasisLabel.MATRIX_UNITS)
 
@@ -708,13 +704,18 @@ def coefficient_reference(a: AForm, t: np.ndarray) -> np.ndarray:
 def canonical_reference(a: AForm, t: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     n = a.dim
     eig = hermitian_eigendecompose(coefficient_reference(a, t), tol * n * n)
-    ops = np.einsum("km,mij->kij", eig.eigenvectors, t)
+    return eig.eigenvalues, phase_rule_reference(np.einsum("km,mij->kij", eig.eigenvectors, t))
+
+
+def phase_rule_reference(ops: np.ndarray) -> np.ndarray:
+    """The per-operator loop that fixed each operator's phase before the rule
+    became one array step: the largest-magnitude entry made real and positive."""
     pivots = np.abs(ops).reshape(len(ops), -1).argmax(axis=1)
     for op, at in zip(ops, pivots):
         pivot = op.flat[at]
         if abs(pivot) > 0.0:
             op *= pivot.conjugate() / abs(pivot)
-    return eig.eigenvalues, ops
+    return ops
 
 
 def bit_equal(x: np.ndarray, y: np.ndarray) -> bool:
@@ -780,6 +781,40 @@ class TestUnitBasisShortcut:
         assert cm.basis is PAULI
 
 
+class TestPhaseRule:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 5), st.booleans(), st.integers(0, 2**31 - 1), st.data())
+    def test_equals_the_per_operator_loop_bit_for_bit(self, n, cp, seed, data):
+        # The array step and the loop agree to the bit, signed zeros included,
+        # in both bases, for CP maps of every Kraus rank and for NCP maps.
+        if cp:
+            a = kraus_to_a(random_cp_channel(n, data.draw(st.integers(1, n * n)), seed))
+        else:
+            a = random_ncp_a(n, seed)
+        for basis in (standard_basis(n), PAULI) if n == 2 else (standard_basis(n),):
+            w, ops = canonical_reference(a, basis.elements)
+            decomp = canonical_decompose(a, basis)
+            assert np.array_equal(decomp.eigenvalues, w)
+            assert bit_equal(decomp.canonical_ops, ops)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ChannelSpec.unitary((0.6, 0.0, 0.8), 0.9),
+            ChannelSpec.pin(BlochVector(0.3, -0.2, 0.5)),
+            ChannelSpec.transpose(),
+            ChannelSpec.equatorial_projection(),
+            ChannelSpec.bit_flip(0.75),
+            ChannelSpec.phase_flip(0.25),
+        ],
+        ids=lambda spec: spec.kind.value,
+    )
+    def test_named_channels(self, spec):
+        a = channel_a(spec)
+        for basis in (standard_basis(2), PAULI):
+            assert bit_equal(canonical_decompose(a, basis).canonical_ops, canonical_reference(a, basis.elements)[1])
+
+
 # The Kraus set as a tuple of separately checked operators, and the
 # application routes, as they were before the Kraus set became one stacked
 # array; the new code must give the same operators, errors and bits.
@@ -805,7 +840,7 @@ def extract_kraus_reference(c: CanonicalDecomposition, tol: float = 1e-9) -> lis
 
 
 def apply_a_reference(a: AForm, rho: DensityMatrix) -> np.ndarray:
-    return row_unvectorize(a.matrix @ row_vectorize(rho))
+    return (a.matrix @ rho.matrix.reshape(-1)).reshape(rho.matrix.shape).copy()
 
 
 def apply_canonical_reference(c: CanonicalDecomposition, rho: DensityMatrix) -> np.ndarray:
@@ -964,7 +999,8 @@ class TestStackedKrausSet:
         eye, omega = forms._identity(n), analysis._omega4(n)
         assert eye is forms._identity(n) and omega is analysis._omega4(n)
         assert np.array_equal(eye, np.eye(n))
-        assert np.array_equal(omega, maximally_entangled_state(n).reshape(n, n, n, n))
+        state = np.eye(n).reshape(-1) / np.sqrt(n)  # sum_k |kk> / sqrt(n)
+        assert np.array_equal(omega, np.outer(state, state).reshape(n, n, n, n))
         for const in (eye, omega):
             with pytest.raises(ValueError):
                 const[(0,) * const.ndim] = 2.0

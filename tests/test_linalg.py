@@ -8,21 +8,31 @@ from hypothesis import strategies as st
 from chanforms import (
     BlochVector,
     ChanformsError,
+    ChannelSpec,
     DensityMatrix,
     InvalidMatrixError,
     InvalidStateError,
     NotHermitianError,
     OutsideBallError,
     WrongDimensionError,
+    apply_a,
     bloch_to_density,
+    build_pin_a,
+    channel_a,
     density_to_bloch,
     hermitian_eigendecompose,
-    row_unvectorize,
-    row_vectorize,
+    kraus_to_a,
+    random_cp_channel,
 )
 from chanforms.forms import BForm, CoefficientMatrix, standard_basis
 from chanforms.linalg import _min_eigenvalue, as_complex_matrix, hermiticity_residual
-from conftest import random_hermitian
+from conftest import random_density, random_hermitian
+
+
+def reconstruct(eig) -> np.ndarray:
+    """The source matrix rebuilt as sum_k lambda_k v_k v_k^dagger."""
+    w, v = eig.eigenvalues, eig.eigenvectors
+    return (v.T * w) @ v.conj()
 
 
 def char_poly_roots(m: np.ndarray) -> np.ndarray:
@@ -120,6 +130,18 @@ class TestMinEigenvalue:
         assert _min_eigenvalue(np.eye(2, dtype=complex) / 2) == 0.5
         assert _min_eigenvalue(np.array([[0, 2], [0, 0]], dtype=complex)) == -1.0
 
+    def test_finite_output_near_the_double_limit(self):
+        # The identity map with A[1,0] = A[2,0] = 1e308 sends |0><0| to
+        # [[1, 1e308], [1e308, 0]], whose minimum eigenvalue is about -1e308.
+        a = np.eye(4, dtype=complex)
+        a[1, 0] = a[2, 0] = 1e308
+        out = apply_a(channel_a(ChannelSpec.raw_a(a)), bloch_to_density(BlochVector(0, 0, 1)))
+        assert np.array_equal(out.matrix, [[1, 1e308], [1e308, 0]])
+        assert out.min_eigenvalue == pytest.approx(-1e308) and not out.positive
+        for m in (out.matrix, np.array([[1e308, 1e308], [-1e308, -1e308]], dtype=complex)):
+            got = _min_eigenvalue(m)
+            assert abs(Decimal(got) - exact_min_eigenvalue(m)) <= 4 * Decimal(self.EPS * np.abs(m).max())
+
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_other_sizes_use_lapack(self, rng, n):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -164,7 +186,7 @@ class TestHermitianEigendecompose:
         m = random_hermitian(rng, 4)
         eig = hermitian_eigendecompose(m)
         bound = 10 * 1e-9 * np.abs(m).max()
-        assert np.abs(eig.reconstruct() - m).max() <= bound
+        assert np.abs(reconstruct(eig) - m).max() <= bound
 
     def test_trace_preserved(self, rng):
         for n in (2, 3, 4, 7):
@@ -175,7 +197,7 @@ class TestHermitianEigendecompose:
     def test_idempotent_on_spectrum(self, rng):
         m = random_hermitian(rng, 4)
         first = hermitian_eigendecompose(m)
-        second = hermitian_eigendecompose(first.reconstruct())
+        second = hermitian_eigendecompose(reconstruct(first))
         assert np.abs(first.eigenvalues - second.eigenvalues).max() < 1e-10
 
     def test_rejects_non_hermitian(self):
@@ -278,45 +300,32 @@ class TestDensityMatrixValidation:
 
 
 class TestRowVectorize:
+    """The vector of a matrix rho is rho.reshape(-1), component r*n + s being
+    rho[r, s]: the pin map's A-form holds its fixed state's vector in columns
+    0 and 3, and an A-form maps the vector of a state to that of its image."""
+
+    @staticmethod
+    def pinned_column(p0: BlochVector) -> np.ndarray:
+        a = build_pin_a(p0).matrix
+        assert np.array_equal(a[:, 0], a[:, 3])
+        assert np.allclose(a[:, 0], bloch_to_density(p0).matrix.reshape(-1), atol=1e-15)
+        return a[:, 0]
+
     def test_maximally_mixed(self):
-        v = row_vectorize(DensityMatrix(np.eye(2, dtype=complex) / 2))
-        assert np.allclose(v, [0.5, 0, 0, 0.5])
+        assert np.allclose(self.pinned_column(BlochVector(0, 0, 0)), [0.5, 0, 0, 0.5])
 
     def test_pure_up_column(self):
-        v = row_vectorize(bloch_to_density(BlochVector(0, 0, 1)))
-        assert np.allclose(v, [1, 0, 0, 0])
+        assert np.allclose(self.pinned_column(BlochVector(0, 0, 1)), [1, 0, 0, 0])
 
     def test_pure_plus_column(self):
-        v = row_vectorize(bloch_to_density(BlochVector(1, 0, 0)))
-        assert np.allclose(v, [0.5, 0.5, 0.5, 0.5])
+        assert np.allclose(self.pinned_column(BlochVector(1, 0, 0)), [0.5, 0.5, 0.5, 0.5])
 
     def test_index_layout(self, rng):
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        v = row_vectorize(m)
+        kraus = random_cp_channel(3, 2, seed=11)
+        rho = DensityMatrix(random_density(rng, 3))
+        out = apply_a(kraus_to_a(kraus), rho).matrix
+        vec = kraus_to_a(kraus).matrix @ rho.matrix.reshape(-1)
         for r in range(3):
             for s in range(3):
-                assert v[r * 3 + s] == m[r, s]
-
-    def test_unvectorize_inverts_exactly(self, rng):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.array_equal(row_unvectorize(row_vectorize(m)), m)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.floats(-5, 5, allow_nan=False),
-        st.floats(-5, 5, allow_nan=False),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_linearity(self, alpha, beta, seed):
-        r = np.random.default_rng(seed)
-        x = r.standard_normal((2, 2)) + 1j * r.standard_normal((2, 2))
-        y = r.standard_normal((2, 2)) + 1j * r.standard_normal((2, 2))
-        lhs = row_vectorize(alpha * x + beta * y)
-        rhs = alpha * row_vectorize(x) + beta * row_vectorize(y)
-        assert np.abs(lhs - rhs).max() < 1e-9
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            row_unvectorize(np.zeros(5, dtype=complex))
-        with pytest.raises(InvalidMatrixError, match="^vector length 5 is not a perfect square$"):
-            row_unvectorize(np.zeros(5, dtype=complex))
+                assert vec[r * 3 + s] == out[r, s]
+        assert np.abs(out - sum(e @ rho.matrix @ e.conj().T for e in kraus.operators)).max() < 1e-12

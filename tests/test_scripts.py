@@ -47,9 +47,10 @@ def test_cli_matrix_is_reproducible():
     assert runs[1].stdout == runs[0].stdout
 
 
-def test_op_calls_repeats_exactly():
+@pytest.mark.parametrize("workload", ["qubit_sweep", "dense_documents"])
+def test_op_calls_repeats_exactly(workload):
     """The call count is a noise-free figure: two runs print the same number."""
-    argv = [sys.executable, str(SCRIPTS / "op_calls.py"), "--workload", "qubit_sweep", "--seed", "1"]
+    argv = [sys.executable, str(SCRIPTS / "op_calls.py"), "--workload", workload, "--seed", "1"]
     runs = [subprocess.run(argv, capture_output=True, text=True, timeout=120) for _ in range(2)]
     for result in runs:
         assert result.returncode == 0, result.stderr

@@ -28,7 +28,7 @@ from chanforms import (
     random_cp_channel,
     random_ncp_a,
 )
-from chanforms.cli import report_wire
+from chanforms.cli import report_document, report_wire
 from chanforms.forms import _kraus_tol
 from chanforms.serialize import (
     DEFAULT_SAMPLES,
@@ -223,13 +223,21 @@ class TestDumps:
     @pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.out.json")))
     def test_golden_reports_equal_the_reference(self, golden):
         doc = parse_channel_document((GOLDEN / golden.replace(".out.", ".doc.")).read_text())
-        wire = report_wire(analyze(doc.channel, tol=doc.tol), DEFAULT_SEED, DEFAULT_SAMPLES)
+        wire = report_document(analyze(doc.channel, tol=doc.tol))
         assert dumps(wire) == dumps_reference(wire) == (GOLDEN / golden).read_text()
 
     def test_large_raw_kraus_report_equals_the_reference(self):
         spec = ChannelSpec.raw_kraus(random_cp_channel(8, 8, seed=3).operators)
-        wire = report_wire(analyze(spec), DEFAULT_SEED, DEFAULT_SAMPLES)
+        wire = report_document(analyze(spec))
         assert dumps(wire) == dumps_reference(wire)
+
+    def test_report_wire_is_the_report_document_with_its_seed_and_samples(self):
+        report = analyze(ChannelSpec.bit_flip(0.75))
+        assert report_wire(report, DEFAULT_SEED, DEFAULT_SAMPLES) == report_document(report)
+        wire = report_wire(report, 7, 9)
+        assert list(wire["report"]["options"].items())[2:] == [("seed", 7), ("samples", 9)]
+        wire["report"]["options"].update(seed=DEFAULT_SEED, samples=DEFAULT_SAMPLES)
+        assert dumps(wire) == dumps(report_document(report))
 
     def test_nan_is_rejected(self):
         with pytest.raises(ValueError):
@@ -483,6 +491,20 @@ class TestReportDocuments:
         with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.options\.tol: tolerance must be positive$"):
             parse_report_document(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "tol, message",
+        [(-5.0, "tolerance must be positive"), (2e-9, "must equal options.tol 1e-09, got 2e-09")],
+        ids=["negative", "differs_from_options"],
+    )
+    def test_verdict_tol_is_the_options_tol(self, tol, message):
+        doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
+        assert doc["report"]["options"]["tol"] == doc["report"]["verdict"]["tol"] == 1e-9
+        doc["report"]["verdict"]["tol"] = tol
+        with pytest.raises(BadMatrixShapeError) as info:
+            parse_report_document(json.dumps(doc))
+        assert type(info.value) is BadMatrixShapeError
+        assert str(info.value) == f"report.report.verdict.tol: {message}"
+
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_null_dimension_completes_dim_squared(self, delta):
         doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
@@ -545,7 +567,7 @@ def _spec_and_report(case) -> tuple[ChannelSpec, str]:
     n, rank = case
     a = random_ncp_a(n, seed=n) if rank is None else kraus_to_a(random_cp_channel(n, rank, seed=10 * n + rank))
     spec = ChannelSpec.raw_a(a.matrix)
-    return spec, dumps(report_wire(analyze(spec), DEFAULT_SEED, DEFAULT_SAMPLES))
+    return spec, dumps(report_document(analyze(spec)))
 
 
 class TestTrimmedReport:

@@ -14,7 +14,6 @@ from chanforms import (
     ProbabilityRangeError,
     RankRangeError,
     apply_a,
-    bit_flip_kraus,
     bloch_to_density,
     build_bit_flip_a,
     build_equatorial_projection_a,
@@ -28,7 +27,6 @@ from chanforms import (
     density_to_bloch,
     hermitian_eigendecompose,
     kraus_to_a,
-    phase_flip_kraus,
     random_cp_channel,
     random_ncp_a,
     realign_a_to_b,
@@ -38,6 +36,11 @@ from chanforms import (
 from conftest import random_density
 
 PAULI = standard_basis(2, BasisLabel.PAULI_OVER_SQRT2)
+
+
+def flip_kraus(p: float, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flip channel's operator pair {sqrt(p) I, sqrt(1-p) sigma}."""
+    return (np.sqrt(p) * PAULIS[0], np.sqrt(1 - p) * sigma)
 
 
 def sorted_desc(values) -> np.ndarray:
@@ -185,13 +188,13 @@ class TestFlipChannels:
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_bit_flip_closed_form_matches_kraus_route(self, p):
         analytic = build_bit_flip_a(p).matrix
-        from_kraus = kraus_to_a(bit_flip_kraus(p)).matrix
+        from_kraus = kraus_to_a(flip_kraus(p, PAULIS[1])).matrix
         assert np.abs(analytic - from_kraus).max() < 1e-14
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_phase_flip_closed_form_matches_kraus_route(self, p):
         analytic = build_phase_flip_a(p).matrix
-        from_kraus = kraus_to_a(phase_flip_kraus(p)).matrix
+        from_kraus = kraus_to_a(flip_kraus(p, PAULIS[3])).matrix
         assert np.abs(analytic - from_kraus).max() < 1e-14
 
     def test_bit_flip_probability_one_is_identity(self):
@@ -226,7 +229,7 @@ class TestFlipChannels:
         with pytest.raises(ProbabilityRangeError):
             build_bit_flip_a(p)
         with pytest.raises(ProbabilityRangeError):
-            phase_flip_kraus(p)
+            build_phase_flip_a(p)
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     def test_ranks(self, p):
