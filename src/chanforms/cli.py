@@ -7,6 +7,10 @@ Subcommands:
 * ``convert``  emits another representation of the channel.
 * ``zoo``      lists the built-in named channels.
 
+Each subcommand computes first and returns its exit code with the
+builders of its machine document and its human text; ``_run`` writes the
+one ``--output`` names and is the only writer of stdout.
+
 Exit codes (total: every path maps to exactly one):
 
 * 0: success (for ``analyze``: the map is completely positive)
@@ -26,6 +30,7 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -41,7 +46,6 @@ from .forms import (
     BasisLabel,
     CanonicalDecomposition,
     OperatorBasis,
-    _kraus_tol,
     apply_a,
     canonical_decompose,
     coefficient_matrix,
@@ -50,7 +54,7 @@ from .forms import (
     realign_a_to_b,
     standard_basis,
 )
-from .linalg import DEFAULT_TOL, SIGMA_1, SIGMA_2, SIGMA_3
+from .linalg import DEFAULT_TOL, bloch_components
 from .serialize import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -63,10 +67,13 @@ from .serialize import (
     parse_state_document,
     representation_wire,
 )
-from .zoo import CHANNEL_CATALOG, ChannelSpec, channel_a
+from .zoo import CHANNEL_CATALOG, ChannelKind, ChannelSpec, channel_a
 
 TOL_ENV_VAR = "CHANFORMS_TOL"
 CONVERT_TARGETS = ("a_form", "b_form", "coefficient", "kraus", "canonical")
+
+# A subcommand's exit code and the builders of its machine document and human text.
+Command = tuple[int, Callable[[], dict], Callable[[], str]]
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +187,19 @@ def report_wire(report: AnalysisReport, seed: int, samples: int) -> dict:
 # option resolution and IO
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read_text(path: str, what: str) -> str:
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DocumentError(f"cannot read {what}: {exc}") from exc
 
 
 def _read_state_arg(arg: str) -> str:
     # Inline JSON object or a file path.
-    return arg if arg.lstrip().startswith("{") else _read_text(arg)
+    return arg if arg.lstrip().startswith("{") else _read_text(arg, "state")
 
 
 def _env_default_tol() -> float:
@@ -216,10 +226,7 @@ def _resolve_basis(flag: str | None, doc: ChannelDocument, dim: int) -> Operator
 
 
 def _load_document(args: argparse.Namespace) -> ChannelDocument:
-    try:
-        text = _read_text(args.document)
-    except OSError as exc:
-        raise DocumentError(f"cannot read document: {exc}") from exc
+    text = _read_text(args.document, "document")
     # The environment is checked even when --tol or options.tol wins.
     return parse_channel_document(
         text, tol_override=args.tol, default_tol=_env_default_tol()
@@ -230,103 +237,77 @@ def _load_document(args: argparse.Namespace) -> ChannelDocument:
 # subcommands
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> Command:
     doc = _load_document(args)
     tol = doc.tol
     basis = _resolve_basis(args.basis, doc, doc.channel.dim)
     report = analyze(doc.channel, basis, tol)
+    return (
+        0 if report.verdict.is_cp else 3,
+        lambda: report_document(report),
+        lambda: _human_report(report, tol),
+    )
 
-    if args.output == "machine":
-        sys.stdout.write(dumps(report_document(report)))
-    else:
-        _print_human_report(report, tol)
-    return 0 if report.verdict.is_cp else 3
 
-
-def _print_human_report(report: AnalysisReport, tol: float) -> None:
+def _human_report(report: AnalysisReport, tol: float) -> str:
     ch = report.channel
     params = ", ".join(f"{k}={v}" for k, v in ch.items() if k not in ("kind", "dim"))
     line = f"channel: {ch['kind']} (dim {ch['dim']})"
     if params:
         line += f"  [{params}]"
-    print(line)
-    print(f"basis: {report.basis.value}   tol: {report.tol:g}")
-    print(
+    cp = "completely positive" if report.verdict.is_cp else "NOT completely positive"
+    if report.kraus is not None:
+        kraus = f"kraus operators ({len(report.kraus)}):\n{_render_operators(report.kraus.operators, tol)}"
+    else:
+        kraus = f"kraus operators: absent ({report.kraus_absent_reason})"
+    return "\n".join([
+        line,
+        f"basis: {report.basis.value}   tol: {report.tol:g}",
         f"A-form valid: {'yes' if report.a_form_valid else 'NO'}"
         f"  (hermiticity residual {_fmt_real(report.a_hermiticity_residual, tol)},"
-        f" trace residual {_fmt_real(report.a_trace_residual, tol)})"
-    )
-    print(
+        f" trace residual {_fmt_real(report.a_trace_residual, tol)})",
         f"B-form: trace {_fmt_real(report.b_trace, tol)},"
-        f" hermiticity residual {_fmt_real(report.b_hermiticity_residual, tol)}"
-    )
-    print(f"coefficient spectrum: {_render_spectrum(report.coefficient_spectrum, tol)}")
-    print(f"B spectrum:           {_render_spectrum(report.b_spectrum, tol)}")
-    print(f"spectral match (max deviation): {_fmt_real(report.spectral_match, tol)}")
-    if report.verdict.is_cp:
-        print(
-            "verdict: completely positive"
-            f" (min eigenvalue {_fmt_real(report.verdict.min_eigenvalue, tol)})"
-        )
-    else:
-        print(
-            "verdict: NOT completely positive"
-            f" (min eigenvalue {_fmt_real(report.verdict.min_eigenvalue, tol)})"
-        )
-    print("canonical decomposition:")
-    print(_render_canonical(report.canonical, tol))
-    if report.kraus is not None:
-        print(f"kraus operators ({len(report.kraus)}):")
-        print(_render_operators(report.kraus.operators, tol))
-    else:
-        print(f"kraus operators: absent ({report.kraus_absent_reason})")
+        f" hermiticity residual {_fmt_real(report.b_hermiticity_residual, tol)}",
+        f"coefficient spectrum: {_render_spectrum(report.coefficient_spectrum, tol)}",
+        f"B spectrum:           {_render_spectrum(report.b_spectrum, tol)}",
+        f"spectral match (max deviation): {_fmt_real(report.spectral_match, tol)}",
+        f"verdict: {cp} (min eigenvalue {_fmt_real(report.verdict.min_eigenvalue, tol)})",
+        "canonical decomposition:",
+        _render_canonical(report.canonical, tol),
+        kraus,
+    ])
 
 
-def _bloch_of(matrix: np.ndarray) -> list[float] | None:
-    if matrix.shape != (2, 2):
-        return None
-    return [float(np.trace(matrix @ s).real) for s in (SIGMA_1, SIGMA_2, SIGMA_3)]
-
-
-def _cmd_apply(args: argparse.Namespace) -> int:
+def _cmd_apply(args: argparse.Namespace) -> Command:
     doc = _load_document(args)
     tol = doc.tol
-    try:
-        state_text = _read_state_arg(args.state)
-    except OSError as exc:
-        raise DocumentError(f"cannot read state: {exc}") from exc
-    rho = parse_state_document(state_text, tol)
+    rho = parse_state_document(_read_state_arg(args.state), tol)
     a = channel_a(doc.channel, tol)
     out = apply_a(a, rho, tol)
-    bloch = _bloch_of(out.matrix)
+    bloch = bloch_components(out.matrix) if out.matrix.shape == (2, 2) else None
 
-    if args.output == "machine":
-        wire = {
-            "format_version": "1",
-            "output": {
-                "density": matrix_to_wire(out.matrix),
-                "bloch": bloch,
-                "positive": out.positive,
-                "min_eigenvalue": out.min_eigenvalue,
-            },
-        }
-        sys.stdout.write(dumps(wire))
-    else:
-        print("output state:")
-        print(_render_matrix(out.matrix, tol))
+    machine = lambda: {
+        "format_version": "1",
+        "output": {
+            "density": matrix_to_wire(out.matrix),
+            "bloch": bloch,
+            "positive": out.positive,
+            "min_eigenvalue": out.min_eigenvalue,
+        },
+    }
+
+    def human() -> str:
+        lines = ["output state:", _render_matrix(out.matrix, tol)]
         if bloch is not None:
-            print(f"bloch: ({', '.join(_fmt_real(v, tol) for v in bloch)})")
-        if out.positive:
-            print(f"positive: yes (min eigenvalue {_fmt_real(out.min_eigenvalue, tol)})")
-        else:
-            print(
-                "positive: NO, output is not a physical state"
-                f" (min eigenvalue {_fmt_real(out.min_eigenvalue, tol)})"
-            )
-    return 0
+            lines.append(f"bloch: ({', '.join(_fmt_real(v, tol) for v in bloch)})")
+        positive = "yes" if out.positive else "NO, output is not a physical state"
+        lines.append(f"positive: {positive} (min eigenvalue {_fmt_real(out.min_eigenvalue, tol)})")
+        return "\n".join(lines)
+
+    return 0, machine, human
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+def _cmd_convert(args: argparse.Namespace) -> Command:
     doc = _load_document(args)
     tol = doc.tol
     a = channel_a(doc.channel, tol)
@@ -334,57 +315,51 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     basis = _resolve_basis(args.basis, doc, n)
     label = basis.label.value
 
-    # Each target gives its machine document and its human text, built
-    # only for the output mode asked for.
     if args.to == "a_form":
-        # Validated before the output mode is looked at, so both modes exit alike.
+        # Validated before any output is built, so both modes exit alike.
         spec = ChannelSpec.raw_a(a.matrix, tol=tol)
-        wire = lambda: channel_document_wire(spec)
+        machine = lambda: channel_document_wire(spec)
         human = lambda: f"A-form (dim {n}):\n{_render_matrix(a.matrix, tol)}"
     elif args.to == "b_form":
         b = realign_a_to_b(a, tol)
-        wire = lambda: representation_wire("b_form", n, matrix=matrix_to_wire(b.matrix))
+        machine = lambda: representation_wire("b_form", n, matrix=matrix_to_wire(b.matrix))
         human = lambda: f"B-form (dim {n}):\n{_render_matrix(b.matrix, tol)}"
     elif args.to == "coefficient":
         cm = coefficient_matrix(a, basis, tol)
-        wire = lambda: representation_wire("coefficient", n, basis=label, matrix=matrix_to_wire(cm.matrix))
+        machine = lambda: representation_wire("coefficient", n, basis=label, matrix=matrix_to_wire(cm.matrix))
         human = lambda: f"coefficient matrix (dim {n}, basis {label}):\n{_render_matrix(cm.matrix, tol)}"
     elif args.to == "canonical":
         decomp = canonical_decompose(a, basis, tol)
-        wire = lambda: representation_wire("canonical", n, **_canonical_wire(decomp))
+        machine = lambda: representation_wire("canonical", n, **_canonical_wire(decomp))
         human = lambda: (
             f"canonical decomposition (dim {n}, basis {label}):\n"
             + _render_canonical(decomp, tol)
         )
     else:  # kraus
         kraus = extract_kraus(canonical_decompose(a, basis, tol), tol)  # NCP -> exit 3
-        wire = lambda: channel_document_wire(ChannelSpec.raw_kraus(kraus.operators, tol=_kraus_tol(tol, n)))
+        # Validated by extract_kraus; the plain constructor does not check it again.
+        spec = ChannelSpec(kind=ChannelKind.RAW_KRAUS, operators=kraus.operators)
+        machine = lambda: channel_document_wire(spec)
         human = lambda: (
             f"kraus operators ({len(kraus)}):\n"
             + _render_operators(kraus.operators, tol)
         )
-    if args.output == "machine":
-        sys.stdout.write(dumps(wire()))
-    else:
-        print(human())
-    return 0
+    return 0, machine, human
 
 
-def _cmd_zoo(args: argparse.Namespace) -> int:
-    if args.output == "machine":
-        wire = {
-            "format_version": "1",
-            "channels": [
-                {"kind": kind.value, "summary": summary}
-                for kind, summary in CHANNEL_CATALOG.items()
-            ],
-        }
-        sys.stdout.write(dumps(wire))
-    else:
-        print("named channels:")
-        for kind, summary in CHANNEL_CATALOG.items():
-            print(f"  {kind.value}: {summary}")
-    return 0
+def _cmd_zoo(args: argparse.Namespace) -> Command:
+    machine = lambda: {
+        "format_version": "1",
+        "channels": [
+            {"kind": kind.value, "summary": summary}
+            for kind, summary in CHANNEL_CATALOG.items()
+        ],
+    }
+    human = lambda: "\n".join(
+        ["named channels:"]
+        + [f"  {kind.value}: {summary}" for kind, summary in CHANNEL_CATALOG.items()]
+    )
+    return 0, machine, human
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Run a subcommand; an overflow in its arithmetic is an input error.
+    """Run a subcommand and write its output; an overflow in either is an input error.
 
     A valid map may have entries near the double-precision limit, and
     its B-form or its output can then overflow.  numpy would warn and go
@@ -443,7 +418,12 @@ def _run(args: argparse.Namespace) -> int:
     """
     with np.errstate(over="raise"):
         try:
-            return args.func(args)
+            code, machine, human = args.func(args)
+            if args.output == "machine":
+                sys.stdout.write(dumps(machine()))
+            else:
+                print(human())
+            return code
         except (FloatingPointError, OverflowError) as exc:  # "overflow encountered in add", ...
             raise InvalidMatrixError(f"numeric {exc}; the input's entries are too large") from None
 

@@ -145,10 +145,7 @@ def _standard_basis(n: int, label: BasisLabel) -> OperatorBasis:
             raise UnsupportedCombinationError("the Pauli basis is only available for n = 2")
         elements = np.stack(PAULIS) / np.sqrt(2)
     else:
-        elements = np.zeros((n * n, n, n), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                elements[j * n + k, j, k] = 1.0
+        elements = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     return OperatorBasis(dim=n, label=label, elements=elements)
 
 

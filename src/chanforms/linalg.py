@@ -159,7 +159,10 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > tol:
             raise InvalidStateError(f"trace {tr:.6g} differs from 1 beyond tol {tol:g}")
-        min_eig = _min_eigenvalue(m)
+        try:
+            min_eig = _min_eigenvalue(m)
+        except OverflowError as exc:  # an off-diagonal modulus beyond the double range
+            raise InvalidStateError(f"entries too large for the eigenvalue check: {exc}") from None
         if min_eig < -tol:
             raise InvalidStateError(
                 f"not positive semidefinite: min eigenvalue {min_eig:.3g} < -{tol:g}"
@@ -229,13 +232,13 @@ def bloch_to_density(p: BlochVector, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(m, tol=max(tol, DEFAULT_TOL))
 
 
+def bloch_components(m: np.ndarray) -> list[float]:
+    """The real parts of Tr[m sigma_k], k = 1, 2, 3, of a 2x2 matrix."""
+    return [float(np.trace(m @ s).real) for s in (SIGMA_1, SIGMA_2, SIGMA_3)]
+
+
 def density_to_bloch(rho: DensityMatrix) -> BlochVector:
     """Bloch components p_k = Tr[rho sigma_k] of a qubit state."""
     if rho.dim != 2:
         raise WrongDimensionError(f"Bloch vector requires dim 2, got {rho.dim}")
-    m = rho.matrix
-    return BlochVector(
-        p1=float(np.trace(m @ SIGMA_1).real),
-        p2=float(np.trace(m @ SIGMA_2).real),
-        p3=float(np.trace(m @ SIGMA_3).real),
-    )
+    return BlochVector(*bloch_components(rho.matrix))

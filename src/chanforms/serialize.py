@@ -372,7 +372,7 @@ def parse_channel_document(
     text: str | bytes,
     *,
     tol_override: float | None = None,
-    default_tol: float = 1e-9,
+    default_tol: float = DEFAULT_TOL,
 ) -> ChannelDocument:
     """Parse and validate a channel document (strict).
 

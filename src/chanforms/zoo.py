@@ -122,11 +122,11 @@ def _require_probability(p: float) -> float:
     return p
 
 
-def _require_unit_axis(axis, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _require_unit_axis(axis) -> np.ndarray:
     ax = np.asarray(axis, dtype=float)
     norm = math.hypot(*ax)
-    if not abs(norm - 1.0) <= tol:  # also rejects a NaN component
-        raise NotUnitAxisError(f"axis norm {norm:.6g} differs from 1 beyond tol {tol:g}")
+    if not abs(norm - 1.0) <= DEFAULT_TOL:  # also rejects a NaN component
+        raise NotUnitAxisError(f"axis norm {norm:.6g} differs from 1 beyond tol {DEFAULT_TOL:g}")
     return ax
 
 

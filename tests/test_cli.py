@@ -539,7 +539,7 @@ class TestInProcess:
         state = json.dumps({"density": [[[1, 0], [1.5e308, 1.5e308]], [[1.5e308, -1.5e308], [0, 0]]]})
         code, out, err = main_in_process(capsys, ["apply", bit_flip_path, "--state", state, "--output", output])
         assert (code, out) == (2, "")
-        assert err == "error: numeric absolute value too large; the input's entries are too large\n"
+        assert err == "error: entries too large for the eigenvalue check: absolute value too large\n"
 
     def test_overflow_free_conversion_still_succeeds(self, capsys, huge_path):
         with warnings.catch_warnings():
@@ -549,6 +549,17 @@ class TestInProcess:
             )
         assert (code, err) == (0, "")
         assert max(parse_representation_document(out)["eigenvalues"]) == pytest.approx(1e308)
+
+    @pytest.mark.parametrize("options", [[], ["--tol", "1e-7"], ["--tol", "1e-20"]], ids=["default", "1e-7", "1e-20"])
+    @pytest.mark.parametrize("doc", sorted(GOLDEN.glob("*.doc.json")), ids=lambda p: p.name.split(".")[0])
+    def test_output_mode_changes_no_exit_code_or_stderr(self, capsys, doc, options):
+        commands = [["analyze"], ["apply", "--state", '{"bloch":[0,0,1]}']]
+        commands += [["convert", "--to", target] for target in cli.CONVERT_TARGETS]
+        for command in commands:
+            argv = [command[0], str(doc), *command[1:], *options]
+            human = main_in_process(capsys, [*argv, "--output", "human"])
+            machine = main_in_process(capsys, [*argv, "--output", "machine"])
+            assert (human[0], human[2]) == (machine[0], machine[2]), argv
 
     def test_parser_is_built_once_and_reused(self, capsys, bit_flip_path):
         assert cli.build_parser() is cli.build_parser()

@@ -25,7 +25,7 @@ from chanforms import (
     random_cp_channel,
 )
 from chanforms.forms import BForm, CoefficientMatrix, standard_basis
-from chanforms.linalg import _min_eigenvalue, as_complex_matrix, hermiticity_residual
+from chanforms.linalg import _min_eigenvalue, as_complex_matrix, bloch_components, hermiticity_residual
 from conftest import random_density, random_hermitian
 
 
@@ -269,6 +269,9 @@ class TestBlochConversions:
         with pytest.raises(OutsideBallError):
             BlochVector(1.0, 1.0, 0.0)
 
+    def test_components_of_a_matrix_that_is_not_a_state(self):
+        assert bloch_components(np.array([[1, 1], [1, 0]], dtype=complex)) == [2.0, 0.0, 1.0]
+
     def test_wrong_dimension_rejected(self):
         rho3 = DensityMatrix(np.eye(3, dtype=complex) / 3)
         with pytest.raises(WrongDimensionError):
@@ -291,6 +294,12 @@ class TestDensityMatrixValidation:
     def test_negative_rejected_through_the_closed_form(self):
         m = np.array([[0.5, 1.0], [1.0, 0.5]], dtype=complex)  # eigenvalues 1.5, -0.5
         with pytest.raises(InvalidStateError, match=r"^not positive semidefinite: min eigenvalue -0.5 < -1e-09$"):
+            DensityMatrix(m)
+
+    def test_entries_beyond_the_double_range_rejected(self):
+        # The Hermitian part's off-diagonal entry has modulus 1.5e308 * sqrt(2), beyond range.
+        m = [[1, 1.5e308 * (1 + 1j)], [1.5e308 * (1 - 1j), 0]]
+        with pytest.raises(InvalidStateError, match=r"^entries too large for the eigenvalue check: absolute"):
             DensityMatrix(m)
 
     def test_matrix_is_read_only(self):
