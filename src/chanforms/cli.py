@@ -316,8 +316,7 @@ def _cmd_convert(args: argparse.Namespace) -> Command:
     label = basis.label.value
 
     if args.to == "a_form":
-        # Validated before any output is built, so both modes exit alike.
-        spec = ChannelSpec.raw_a(a.matrix, tol=tol)
+        spec = ChannelSpec(kind=ChannelKind.RAW_A, matrix=a.matrix)  # checked at tol by channel_a
         machine = lambda: channel_document_wire(spec)
         human = lambda: f"A-form (dim {n}):\n{_render_matrix(a.matrix, tol)}"
     elif args.to == "b_form":
@@ -337,8 +336,7 @@ def _cmd_convert(args: argparse.Namespace) -> Command:
         )
     else:  # kraus
         kraus = extract_kraus(canonical_decompose(a, basis, tol), tol)  # NCP -> exit 3
-        # Validated by extract_kraus; the plain constructor does not check it again.
-        spec = ChannelSpec(kind=ChannelKind.RAW_KRAUS, operators=kraus.operators)
+        spec = ChannelSpec(kind=ChannelKind.RAW_KRAUS, operators=kraus.operators)  # checked by extract_kraus
         machine = lambda: channel_document_wire(spec)
         human = lambda: (
             f"kraus operators ({len(kraus)}):\n"

@@ -29,7 +29,7 @@ import functools
 import math
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -389,11 +389,6 @@ class MapOutput:
         return DensityMatrix(self.matrix, tol=tol)
 
 
-def _check_dims(a_dim: int, other_dim: int) -> None:
-    if a_dim != other_dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a_dim} vs {other_dim}")
-
-
 def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CoefficientMatrix:
     """Expansion coefficients a[mu, nu] = Tr[A (T_mu^dag (x) T_nu^T)].
 
@@ -404,8 +399,9 @@ def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL)
     returns ``_reshuffle(A)`` (bit for bit what the contraction gives)
     with A's hermiticity residual, which is B's (see ``realign_a_to_b``).
     """
-    _check_dims(a.dim, basis.dim)
     n = a.dim
+    if basis.dim != n:
+        raise DimensionMismatchError(f"dimension mismatch: {n} vs {basis.dim}")
     # Residual hermiticity noise scales with the n^2 terms summed per entry.
     if _is_unit_basis(basis):
         cm = _new(CoefficientMatrix, basis=basis)
@@ -492,31 +488,42 @@ def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausS
     return KrausSet(kept, tol=_kraus_tol(tol, c.dim))
 
 
-def _map_output(matrix: np.ndarray, tol: float) -> MapOutput:
-    min_eig = _min_eigenvalue(matrix)
-    return MapOutput(matrix=matrix, min_eigenvalue=min_eig, positive=min_eig >= -tol)
+def _map_output(n: int, rho: DensityMatrix, tol: float, act: Callable[..., np.ndarray], *operands) -> MapOutput:
+    """The step all three application routes share: check that ``rho`` is n x n, apply ``act`` and
+    flag positivity; a minimum eigenvalue that is not a finite double raises ``InvalidMatrixError``."""
+    m = rho.matrix
+    if m.shape[0] != n:
+        raise DimensionMismatchError(f"dimension mismatch: {n} vs {m.shape[0]}")
+    out = act(m, *operands)
+    try:
+        min_eig = _min_eigenvalue(out)
+    except OverflowError:  # an off-diagonal modulus beyond the double range
+        min_eig = math.nan
+    if not math.isfinite(min_eig):
+        raise InvalidMatrixError("map output beyond the double range; the input's entries are too large")
+    return MapOutput(matrix=out, min_eigenvalue=min_eig, positive=min_eig >= -tol)
+
+
+def _operator_action(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_k L_k m R_k^dag for (k, n, n) stacks L and R, as one batched product."""
+    return np.add.reduce(left @ m @ right.conj().transpose(0, 2, 1))
 
 
 def apply_a(a: AForm, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
     """Apply the map through its A-form: unvectorize(A @ vectorize(rho))."""
-    _check_dims(a.dim, rho.dim)
-    return _map_output((a.matrix @ rho.matrix.reshape(-1)).reshape(rho.matrix.shape), tol)
+    return _map_output(a.dim, rho, tol, lambda m: (a.matrix @ m.reshape(-1)).reshape(m.shape))
 
 
 def apply_canonical(c: CanonicalDecomposition, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
-    """Apply the map as sum_k lam_k C_k rho C_k^dag."""
-    _check_dims(c.dim, rho.dim)
-    out = np.einsum(
-        "k,kij,jl,kml->im", c.eigenvalues, c.canonical_ops, rho.matrix, c.canonical_ops.conj()
-    )
-    return _map_output(out, tol)
+    """Apply the map as sum_k lam_k C_k rho C_k^dag: the Kraus product, weighted by lam_k."""
+    ops = c.canonical_ops
+    return _map_output(ops.shape[1], rho, tol, _operator_action, c.eigenvalues[:, None, None] * ops, ops)
 
 
 def apply_kraus(kraus: KrausSet, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
     """Apply the operator sum rho -> sum_k E_k rho E_k^dag."""
-    _check_dims(kraus.dim, rho.dim)
     ops = kraus.operators
-    return _map_output((ops @ rho.matrix @ ops.conj().transpose(0, 2, 1)).sum(axis=0), tol)
+    return _map_output(ops.shape[1], rho, tol, _operator_action, ops, ops)
 
 
 def kraus_to_a(ops: KrausSet | Iterable[np.ndarray], tol: float = DEFAULT_TOL) -> AForm:

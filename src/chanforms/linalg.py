@@ -197,9 +197,9 @@ def hermitian_eigendecompose(
     """Eigendecompose a Hermitian matrix.
 
     Rejects input whose deviation from Hermiticity exceeds ``tol``
-    (``NotHermitianError``).  Solver failure raises
-    ``NoConvergenceError``.  Eigenvalues come out descending; ties keep
-    the solver's relative order, so output is deterministic.
+    (``NotHermitianError``) and a spectrum beyond the double range
+    (``InvalidMatrixError``); solver failure raises ``NoConvergenceError``.
+    Eigenvalues come out descending; ties keep the solver's order.
 
     ``m`` may also be a validated form (``CoefficientMatrix``, ``BForm``):
     its stored residual is compared with ``tol`` and its read-only
@@ -214,12 +214,16 @@ def hermitian_eigendecompose(
         residual = hermiticity_residual(m)
     if residual > tol:
         raise NotHermitianError(f"asymmetry {residual:.3g} exceeds tol {tol:g}")
+    h = m / 2  # halved before adding, so the Hermitian part of a finite m is finite
     try:
-        w, v = np.linalg.eigh((m + m.conj().T) / 2)
+        w, v = np.linalg.eigh(h + h.conj().T)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     order = np.argsort(-w, kind="stable")
-    return _new(EigenDecomposition, eigenvalues=_freeze(w[order]), eigenvectors=_freeze(v[:, order].T))
+    w = w[order]  # descending with NaN last, so an inf or a NaN shows at an end
+    if w.size and not (w[0] < math.inf and w[-1] > -math.inf):
+        raise InvalidMatrixError("eigenvalues beyond the double range; the input's entries are too large")
+    return _new(EigenDecomposition, eigenvalues=_freeze(w), eigenvectors=_freeze(v[:, order].T))
 
 
 def bloch_to_density(p: BlochVector, tol: float = DEFAULT_TOL) -> DensityMatrix:

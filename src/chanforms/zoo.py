@@ -155,21 +155,12 @@ def build_pin_a(p0: BlochVector) -> AForm:
 
 def build_transpose_a() -> AForm:
     """Process matrix of rho -> rho^T (swaps the two middle vector components)."""
-    return AForm(
-        np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-        )
-    )
+    return AForm(np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex))
 
 
 def build_equatorial_projection_a() -> AForm:
     """Process matrix of the Bloch-equator projection; idempotent."""
-    return AForm(
-        0.5
-        * np.array(
-            [[1, 0, 0, 1], [0, 2, 0, 0], [0, 0, 2, 0], [1, 0, 0, 1]], dtype=complex
-        )
-    )
+    return AForm(0.5 * np.array([[1, 0, 0, 1], [0, 2, 0, 0], [0, 0, 2, 0], [1, 0, 0, 1]], dtype=complex))
 
 
 def build_bit_flip_a(p: float) -> AForm:
@@ -320,7 +311,7 @@ _KINDS: dict[ChannelKind, _KindRule] = {
     ChannelKind.RAW_A: _KindRule(
         (("matrix", "a_matrix"),),
         lambda tol, matrix: ChannelSpec.raw_a(matrix, tol=tol),
-        lambda spec, tol: AForm(spec.matrix, tol=tol) if spec._form is None else spec._form._check(tol),
+        lambda spec, tol: AForm(spec.matrix, tol=tol) if spec._form is None else spec._form,
     ),
     ChannelKind.RAW_KRAUS: _KindRule(
         (("operators", "operators"),),
@@ -335,8 +326,8 @@ NAMED_KINDS = tuple(CHANNEL_CATALOG)
 
 
 def channel_a(spec: ChannelSpec, tol: float = DEFAULT_TOL) -> AForm:
-    """Process matrix of any channel description."""
-    return _KINDS[spec.kind].build_a(spec, tol)
+    """Process matrix of any channel description, checked at ``tol`` whatever its kind."""
+    return _KINDS[spec.kind].build_a(spec, tol)._check(tol)
 
 
 __all__ = [

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanforms import build_bit_flip_a, cli
+from chanforms import build_bit_flip_a, build_unitary_a, cli
 from chanforms.serialize import (
     dumps,
     matrix_to_wire,
@@ -512,7 +512,7 @@ class TestInProcess:
     @pytest.fixture
     def huge_path(self, tmp_path):
         """A valid raw_a map, the identity with A[1,0] = A[2,0] = 1e308: Hermitian
-        and trace preserving, but its B-form's Hermitian part and its outputs overflow."""
+        and trace preserving, but the Bloch vectors of its outputs overflow."""
         a = np.eye(4)
         a[1, 0] = a[2, 0] = 1e308
         matrix = np.stack((a, np.zeros_like(a)), -1).tolist()
@@ -527,11 +527,22 @@ class TestInProcess:
         ids=["analyze", "apply"],
     )
     def test_overflow_exits_two(self, capsys, huge_path, command, output):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
-            code, out, err = main_in_process(capsys, [command[0], huge_path, *command[1:], "--output", output])
-        assert (code, out) == (2, "")
-        assert err.startswith("error: numeric overflow encountered in ") and err.count("\n") == 1
+        """``apply``'s output overflows and exits 2.  ``analyze`` halves before adding
+        in its eigensolves, so in both bases it reports the map as not CP and exits 3."""
+        for basis in ("pauli", "units") if command[0] == "analyze" else (None,):
+            argv = [command[0], huge_path, *command[1:], "--output", output]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+                code, out, err = main_in_process(capsys, argv + (["--basis", basis] if basis else []))
+            if command[0] == "apply":
+                assert (code, out) == (2, "")
+                assert err.startswith("error: numeric overflow encountered in ") and err.count("\n") == 1
+            else:
+                assert (code, err) == (3, "")
+                if output == "machine":
+                    assert parse_report_document(out)["options"]["basis"] == basis
+                else:
+                    assert out.startswith("channel: raw_a (dim 2)") and "verdict: NOT completely positive" in out
 
     @pytest.mark.parametrize("output", ["human", "machine"])
     def test_state_beyond_the_double_range_exits_two(self, capsys, bit_flip_path, output):
@@ -560,6 +571,30 @@ class TestInProcess:
             human = main_in_process(capsys, [*argv, "--output", "human"])
             machine = main_in_process(capsys, [*argv, "--output", "machine"])
             assert (human[0], human[2]) == (machine[0], machine[2]), argv
+
+    def test_named_and_raw_a_forms_fail_alike_at_a_tiny_tol(self, capsys, tmp_path):
+        """Every kind's A-form is checked at the effective tolerance: at 1e-20 the
+        named unitary and the raw_a document of its matrix both exit 1 in every
+        subcommand, with one message (the raw one names its JSON path)."""
+        a = build_unitary_a([0.6, 0, 0.8], 1.0).matrix
+        channels = {
+            "named": {"kind": "unitary", "axis": [0.6, 0, 0.8], "angle": 1.0},
+            "raw_a": {"kind": "raw_a", "matrix": np.stack((a.real, a.imag), -1).tolist()},
+        }
+        paths = {name: tmp_path / f"{name}.json" for name in channels}
+        for name, channel in channels.items():
+            paths[name].write_text(json.dumps({"format_version": "1", "channel": channel}))
+        commands = [["analyze"], ["apply", "--state", '{"bloch":[0,0,1]}']]
+        commands += [["convert", "--to", target] for target in cli.CONVERT_TARGETS]
+        for command in commands:
+            named, raw = (
+                main_in_process(capsys, [command[0], str(paths[name]), *command[1:], "--tol", "1e-20"])
+                for name in channels
+            )
+            assert named[:2] == raw[:2] == (1, ""), command
+            assert named[2] == raw[2].replace("document.channel: ", ""), command
+            assert named[2].startswith("invalid map: hermiticity-preservation residual ")
+            assert named[2].endswith(" exceeds tol 1e-20\n") and named[2].count("\n") == 1
 
     def test_parser_is_built_once_and_reused(self, capsys, bit_flip_path):
         assert cli.build_parser() is cli.build_parser()

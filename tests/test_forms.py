@@ -396,8 +396,40 @@ class TestApply:
 
     def test_dimension_mismatch(self, rng):
         rho3 = DensityMatrix(random_density(rng, 3))
-        with pytest.raises(DimensionMismatchError):
-            apply_a(build_transpose_a(), rho3)
+        a = build_transpose_a()
+        decomp = canonical_decompose(a, PAULI)
+        kraus = random_cp_channel(2, 3, seed=7)
+        for route, form in ((apply_a, a), (apply_canonical, decomp), (apply_kraus, kraus)):
+            with pytest.raises(DimensionMismatchError, match="^dimension mismatch: 2 vs 3$"):
+                route(form, rho3)
+
+    def test_output_beyond_the_double_range_raises_a_typed_error(self):
+        # The identity map with A[1,0] = z, A[2,0] = conj(z), z = 1.5e308(1+i), is a valid
+        # A-form; it sends |0><0| to [[1, z], [conj z, 0]], whose minimum eigenvalue is
+        # beyond the double range.  Its trace-orthonormal canonical eigenvalues lie beyond it too
+        # (+-|z|), so the canonical route takes the same action written with finite
+        # weights: rho + |z|/2 [C_+ rho C_+^dag - C_- rho C_-^dag], C_+- = |0><0| +- w |1><0|,
+        # w = conj(z)/|z|.  No Kraus form exists; the Kraus route gets E = c (|0><0| + |0><1|)
+        # with c^2 = 1e308, which sends |+><+| to 2 c^2 |0><0|: numpy's product overflows
+        # (its warnings are silenced here) and the output step raises.
+        z = 1.5e308 * (1 + 1j)
+        a = np.eye(4, dtype=complex)
+        a[1, 0], a[2, 0] = z, z.conjugate()
+        rho = bloch_to_density(BlochVector(0, 0, 1))
+        w = (1 - 1j) / np.sqrt(2)
+        ops = np.array([np.eye(2), [[1, 0], [w, 0]], [[1, 0], [-w, 0]]], dtype=complex)
+        half = abs(z / 2)  # |z| itself is beyond the double range
+        decomp = CanonicalDecomposition(PAULI, [1.0, half, -half], ops)
+        message = "^map output beyond the double range; the input's entries are too large$"
+        with pytest.raises(InvalidMatrixError, match=message):
+            apply_a(AForm(a), rho)
+        with pytest.raises(InvalidMatrixError, match=message):
+            apply_canonical(decomp, rho)
+        with np.errstate(all="ignore"), pytest.raises(InvalidMatrixError, match=message):
+            apply_kraus(KrausSet([[[1e154, 1e154], [0, 0]]], tol=np.inf), bloch_to_density(BlochVector(1, 0, 0)))
+        for basis in (PAULI, UNITS2):  # the spectrum itself is beyond the double range
+            with pytest.raises(InvalidMatrixError, match="^eigenvalues beyond the double range"):
+                canonical_decompose(AForm(a), basis)
 
     def test_non_positive_output_flagged(self):
         # Bloch map (p1,p2,p3) -> (0,0,1.5*p3): trace- and hermiticity-
@@ -989,7 +1021,13 @@ class TestStackedKrausSet:
         decomp = canonical_decompose(a, default_basis(n))
         rho = DensityMatrix(random_density(rng, n))
         assert bit_equal(apply_a(a, rho).matrix, apply_a_reference(a, rho))
-        assert bit_equal(apply_canonical(decomp, rho).matrix, apply_canonical_reference(decomp, rho))
+        # The canonical route is the Kraus product weighted by lam_k: within tol*n^2 of the
+        # old einsum, and bit for bit that product.
+        via_canonical = apply_canonical(decomp, rho).matrix
+        assert max_abs(via_canonical - apply_canonical_reference(decomp, rho)) <= 1e-9 * n * n
+        ops = decomp.canonical_ops
+        weighted = np.stack([(lam * op) @ rho.matrix @ op.conj().T for lam, op in zip(decomp.eigenvalues, ops)])
+        assert bit_equal(via_canonical, weighted.sum(axis=0))
         if cp:
             kraus = extract_kraus(decomp)
             assert bit_equal(apply_kraus(kraus, rho).matrix, apply_kraus_reference(kraus.operators, rho))
