@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidMatrixError
 from .forms import (
     AForm,
     BasisLabel,
@@ -43,7 +44,6 @@ class AnalysisReport:
     tol: float
     a_hermiticity_residual: float
     a_trace_residual: float
-    a_form_valid: bool
     b_hermiticity_residual: float
     b_trace: float
     coefficient_spectrum: np.ndarray
@@ -68,7 +68,8 @@ def analyze(
     is B bit for bit, so ``b_spectrum`` is the canonical spectrum and
     ``spectral_match`` is 0.0 by construction.  In any other basis B is
     eigendecomposed on its own and compared with the coefficient spectrum
-    of the trace formula, an independent route.
+    of the trace formula, an independent route; a deviation beyond
+    ``tol * n^2`` raises ``InvalidMatrixError``.
     """
     a = channel_a(spec, tol)
     if basis is None:
@@ -82,6 +83,11 @@ def analyze(
     else:
         b_spectrum = hermitian_eigendecompose(b, tol * n * n).eigenvalues
         spectral_match = float(np.abs(decomp.eigenvalues - b_spectrum).max())
+        if spectral_match > tol * n * n:
+            raise InvalidMatrixError(
+                f"coefficient and B spectra differ by {spectral_match:.3g},"
+                f" beyond tol*n^2 = {tol * n * n:.3g}"
+            )
 
     verdict = _classify(decomp.eigenvalues, tol)
 
@@ -101,7 +107,6 @@ def analyze(
         tol=tol,
         a_hermiticity_residual=a.hermiticity_residual,
         a_trace_residual=a.trace_residual,
-        a_form_valid=(a.hermiticity_residual <= tol and a.trace_residual <= tol),
         b_hermiticity_residual=b.hermiticity_residual,
         b_trace=b.trace,
         coefficient_spectrum=decomp.eigenvalues,

@@ -58,6 +58,7 @@ from .linalg import DEFAULT_TOL, bloch_components
 from .serialize import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    FORMAT_VERSION,
     ChannelDocument,
     _check_tol,
     channel_document_wire,
@@ -143,7 +144,7 @@ def report_document(report: AnalysisReport) -> dict:
     r canonical pairs, so no float is written twice.
     """
     return {
-        "format_version": "1",
+        "format_version": FORMAT_VERSION,
         "report": {
             "channel": report.channel,
             "options": {
@@ -155,19 +156,13 @@ def report_document(report: AnalysisReport) -> dict:
             "a_form": {
                 "hermiticity_residual": report.a_hermiticity_residual,
                 "trace_residual": report.a_trace_residual,
-                "valid": report.a_form_valid,
             },
-            "b_form": {
-                "hermiticity_residual": report.b_hermiticity_residual,
-                "trace": report.b_trace,
-            },
-            "coefficient_spectrum": report.coefficient_spectrum.tolist(),
+            "b_form": {"trace": report.b_trace},
             "b_spectrum": report.b_spectrum.tolist(),
             "spectral_match": report.spectral_match,
             "verdict": {
                 "classification": report.verdict.classification.value,
                 "min_eigenvalue": report.verdict.min_eigenvalue,
-                "tol": report.verdict.tol,
             },
             "canonical": _canonical_wire(report.canonical, report.tol),
             "kraus": {"rank": len(report.kraus)} if report.kraus is not None else None,
@@ -263,9 +258,8 @@ def _human_report(report: AnalysisReport, tol: float) -> str:
     return "\n".join([
         line,
         f"basis: {report.basis.value}   tol: {report.tol:g}",
-        f"A-form valid: {'yes' if report.a_form_valid else 'NO'}"
-        f"  (hermiticity residual {_fmt_real(report.a_hermiticity_residual, tol)},"
-        f" trace residual {_fmt_real(report.a_trace_residual, tol)})",
+        f"A-form: hermiticity residual {_fmt_real(report.a_hermiticity_residual, tol)},"
+        f" trace residual {_fmt_real(report.a_trace_residual, tol)}",
         f"B-form: trace {_fmt_real(report.b_trace, tol)},"
         f" hermiticity residual {_fmt_real(report.b_hermiticity_residual, tol)}",
         f"coefficient spectrum: {_render_spectrum(report.coefficient_spectrum, tol)}",
@@ -287,7 +281,7 @@ def _cmd_apply(args: argparse.Namespace) -> Command:
     bloch = bloch_components(out.matrix) if out.matrix.shape == (2, 2) else None
 
     machine = lambda: {
-        "format_version": "1",
+        "format_version": FORMAT_VERSION,
         "output": {
             "density": matrix_to_wire(out.matrix),
             "bloch": bloch,
@@ -347,7 +341,7 @@ def _cmd_convert(args: argparse.Namespace) -> Command:
 
 def _cmd_zoo(args: argparse.Namespace) -> Command:
     machine = lambda: {
-        "format_version": "1",
+        "format_version": FORMAT_VERSION,
         "channels": [
             {"kind": kind.value, "summary": summary}
             for kind, summary in CHANNEL_CATALOG.items()

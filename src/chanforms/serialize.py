@@ -446,15 +446,13 @@ _REPORT = {
     "report": {
         "channel": _SUMMARY,
         "options": {"basis": _basis, "tol": _tol, "seed": _seed, "samples": _samples},
-        "a_form": {"hermiticity_residual": _real, "trace_residual": _real, "valid": _boolean},
-        "b_form": {"hermiticity_residual": _real, "trace": _real},
-        "coefficient_spectrum": _reals,
+        "a_form": {"hermiticity_residual": _real, "trace_residual": _real},
+        "b_form": {"trace": _real},
         "b_spectrum": _reals,
         "spectral_match": _real,
         "verdict": {
             "classification": _member(CpClassification, "classification"),
             "min_eigenvalue": _real,
-            "tol": _tol,
         },
         "canonical": {**_CANONICAL, "null_dimension": _int_at_least(0)},
         "kraus": _or_null({"rank": _int_at_least(1)}),
@@ -520,12 +518,11 @@ def parse_report_document(text: str | bytes) -> dict:
 
     The channel block follows the same per-kind rules as a channel
     document's payload, less the matrix fields a report does not echo.
-    Its ``dim`` is 2 for a named kind, and both spectra have dim^2 entries.
+    Its ``dim`` is 2 for a named kind, and ``b_spectrum`` has dim^2 entries.
     The canonical block lists the operators of the eigenvalues above
     ``options.tol`` in magnitude and counts the rest as ``null_dimension``.
     ``kraus`` is null exactly when the verdict is not completely positive;
     otherwise its ``rank`` counts the eigenvalues above ``options.tol``.
-    ``verdict.tol`` is a tolerance equal to ``options.tol``.
     """
     out = _walk(_REPORT, _load_json(text, "report"), "report")["report"]
     channel = out["channel"]
@@ -537,12 +534,11 @@ def parse_report_document(text: str | bytes) -> dict:
             raise BadMatrixShapeError(
                 f"report.report.channel.dim: a {channel['kind']} channel has dim {expected}, got {dim}"
             )
-    for name in ("coefficient_spectrum", "b_spectrum"):
-        if len(out[name]) != dim * dim:
-            raise BadMatrixShapeError(
-                f"report.report.channel.dim: dim {dim} needs {dim * dim} {name} entries,"
-                f" got {len(out[name])}"
-            )
+    if len(out["b_spectrum"]) != dim * dim:
+        raise BadMatrixShapeError(
+            f"report.report.channel.dim: dim {dim} needs {dim * dim} b_spectrum entries,"
+            f" got {len(out['b_spectrum'])}"
+        )
     tol = out["options"]["tol"]
     _check_canonical(out["canonical"], dim, "report.report.canonical", tol)
     if (out["kraus"] is None) == (out["kraus_absent_reason"] is None):
@@ -560,10 +556,6 @@ def parse_report_document(text: str | bytes) -> dict:
             raise BadMatrixShapeError(
                 f"report.report.kraus.rank: {rank} eigenvalues exceed tol {tol:g}, got rank {out['kraus']['rank']}"
             )
-    if out["verdict"]["tol"] != tol:
-        raise BadMatrixShapeError(
-            f"report.report.verdict.tol: must equal options.tol {tol!r}, got {out['verdict']['tol']!r}"
-        )
     return out
 
 

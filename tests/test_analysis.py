@@ -8,6 +8,7 @@ from chanforms import (
     BasisLabel,
     BlochVector,
     ChannelSpec,
+    InvalidMatrixError,
     analyze,
     bloch_to_density,
     build_pin_a,
@@ -41,7 +42,7 @@ class TestAnalyze:
         assert report.spectral_match < 1e-12
         assert report.kraus is None
         assert report.kraus_absent_reason
-        assert report.a_form_valid
+        assert report.a_hermiticity_residual == report.a_trace_residual == 0.0
 
     def test_bit_flip_report(self):
         report = analyze(ChannelSpec.bit_flip(0.75))
@@ -118,6 +119,18 @@ class TestEigensolves:
         report = analyze(ChannelSpec.raw_a(a.matrix), copy)
         assert len(eigensolve_calls) == 2
         assert report.spectral_match <= report.tol * 9
+
+    def test_spectral_mismatch_beyond_tol_n_squared_raises(self):
+        """The valid identity with A[1,0] = A[2,0] = 1e308: the trace formula loses the
+        eigenvalue 1 to rounding, so in Pauli the two spectra differ by about 2e292.
+        In matrix units there is one spectrum and nothing to compare."""
+        a = np.eye(4)
+        a[1, 0] = a[2, 0] = 1e308
+        spec = ChannelSpec.raw_a(a)
+        with pytest.raises(InvalidMatrixError, match=r"^coefficient and B spectra differ by 2e\+292, beyond tol\*n\^2 = 4e-09$"):
+            analyze(spec, PAULI)
+        report = analyze(spec, standard_basis(2))
+        assert report.spectral_match == 0.0 and not report.verdict.is_cp
 
 
 class TestChoiConsistency:

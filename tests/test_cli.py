@@ -1,10 +1,17 @@
+import copy
+import io
 import json
 import os
+import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanforms import build_bit_flip_a, build_unitary_a, cli
 from chanforms.serialize import (
@@ -157,7 +164,7 @@ class TestAnalyzeOutput:
         report = payload["report"]
         assert report["verdict"]["classification"] == "completely_positive"
         assert report["kraus"] == {"rank": 2}
-        assert report["coefficient_spectrum"][0] == pytest.approx(1.5)
+        assert report["canonical"]["eigenvalues"][0] == pytest.approx(1.5)
 
     def test_machine_output_byte_identical(self):
         args = ["analyze", "-", "--output", "machine"]
@@ -173,7 +180,7 @@ class TestAnalyzeOutput:
         payload = json.loads(result.stdout)
         assert payload["report"]["options"]["basis"] == "units"
         # the spectrum is basis independent
-        assert payload["report"]["coefficient_spectrum"][0] == pytest.approx(1.5)
+        assert payload["report"]["canonical"]["eigenvalues"][0] == pytest.approx(1.5)
 
 
 class TestApply:
@@ -255,7 +262,7 @@ class TestConvert:
         assert doc.channel.kind.value == "raw_a"
         reanalyzed = run_cli(["analyze", "-", "--output", "machine"], stdin_text=converted.stdout)
         assert reanalyzed.returncode == 0
-        spectrum = json.loads(reanalyzed.stdout)["report"]["coefficient_spectrum"]
+        spectrum = json.loads(reanalyzed.stdout)["report"]["canonical"]["eigenvalues"]
         assert spectrum[0] == pytest.approx(1.5)
 
     def test_kraus_output_feeds_back_into_analyze(self):
@@ -528,7 +535,9 @@ class TestInProcess:
     )
     def test_overflow_exits_two(self, capsys, huge_path, command, output):
         """``apply``'s output overflows and exits 2.  ``analyze`` halves before adding
-        in its eigensolves, so in both bases it reports the map as not CP and exits 3."""
+        in its eigensolves, so in ``units`` it reports the map as not CP and exits 3;
+        in ``pauli`` the trace-formula spectrum loses the eigenvalue 1, and the failed
+        spectral check exits 2."""
         for basis in ("pauli", "units") if command[0] == "analyze" else (None,):
             argv = [command[0], huge_path, *command[1:], "--output", output]
             with warnings.catch_warnings():
@@ -537,6 +546,9 @@ class TestInProcess:
             if command[0] == "apply":
                 assert (code, out) == (2, "")
                 assert err.startswith("error: numeric overflow encountered in ") and err.count("\n") == 1
+            elif basis == "pauli":
+                assert (code, out) == (2, "")
+                assert err.startswith("error: coefficient and B spectra differ by 2e+292") and err.count("\n") == 1
             else:
                 assert (code, err) == (3, "")
                 if output == "machine":
@@ -607,3 +619,92 @@ class TestInProcess:
         assert code == 0
         assert json.loads(units)["report"]["options"]["basis"] == "units"
         assert json.loads(default)["report"]["options"]["basis"] == "pauli"
+
+
+def _raw_documents() -> list[dict]:
+    """Raw documents: a qubit A-form and Kraus set, and qutrit A-forms of
+    the identity (CP) and the transpose (not CP)."""
+    flip = np.array([[0, 1], [1, 0]])
+    bit_flip = 0.75 * np.eye(4) + 0.25 * np.kron(flip, flip)
+    damping = [np.array([[1, 0], [0, np.sqrt(0.5)]]), np.array([[0, np.sqrt(0.5)], [0, 0]])]
+    transpose = np.zeros((9, 9))
+    for r in range(3):
+        for s in range(3):
+            transpose[s * 3 + r, r * 3 + s] = 1.0
+    return [
+        {"format_version": "1", "channel": {"kind": "raw_a", "matrix": matrix_to_wire(bit_flip)}},
+        {"format_version": "1", "channel": {"kind": "raw_kraus", "operators": [matrix_to_wire(k) for k in damping]}},
+        {"format_version": "1", "channel": {"kind": "raw_a", "matrix": matrix_to_wire(np.eye(9))}},
+        {"format_version": "1", "channel": {"kind": "raw_a", "matrix": matrix_to_wire(transpose)}},
+    ]
+
+
+FUZZ_DOCUMENTS = [json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.doc.json"))] + _raw_documents()
+LEAF_POOL = [0, -0.0, 1e308, -1e308, 5e-324, 123456789012345678901234567890, True, None, "x", [], {}]
+FUZZ_STATES = ['{"bloch":[0.2,-0.3,0.9]}', json.dumps({"density": matrix_to_wire(np.eye(3) / 3)})]
+REPARSERS = {
+    "analyze": parse_report_document,
+    "apply": parse_output_document,
+    "b_form": parse_representation_document,
+    "coefficient": parse_representation_document,
+    "canonical": parse_representation_document,
+}
+
+
+def _leaf_paths(obj, path=()):
+    """The path of every leaf of a JSON value; an empty container counts as a leaf."""
+    if isinstance(obj, dict) and obj:
+        for key, value in obj.items():
+            yield from _leaf_paths(value, (*path, key))
+    elif isinstance(obj, list) and obj:
+        for i, value in enumerate(obj):
+            yield from _leaf_paths(value, (*path, i))
+    else:
+        yield path
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A golden or raw document with one or two leaves replaced from ``LEAF_POOL``,
+    a random ``options.tol``, and a random subcommand with random flags."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCUMENTS)))
+    tol = draw(st.sampled_from([None, 1e-12, 1e-9, 1e-6, 1e-3, 0.5]))
+    if tol is not None:
+        doc["options"] = {"tol": tol}
+    paths = list(_leaf_paths(doc))
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(st.sampled_from(LEAF_POOL))
+    command = draw(st.sampled_from(["analyze", "apply", "convert"]))
+    argv = [command, "-"]
+    if command == "apply":
+        argv += ["--state", draw(st.sampled_from(FUZZ_STATES))]
+    else:
+        if command == "convert":
+            argv += ["--to", draw(st.sampled_from(cli.CONVERT_TARGETS))]
+        basis = draw(st.sampled_from([None, "pauli", "units"]))
+        argv += ["--basis", basis] if basis else []
+    argv += ["--output", draw(st.sampled_from(["human", "machine"]))]
+    return json.dumps(doc), argv
+
+
+class TestExitCodeTable:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(fuzz_runs())
+    def test_every_mutated_document_lands_on_one_documented_exit_code(self, run):
+        """Exit 0-3, at most one stderr line and never the catch-all, no stdout
+        on exits 1 and 2, and machine output that re-parses strictly."""
+        text, argv = run
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3)
+        assert err.count("\n") <= 1 and "internal error" not in err
+        if code in (1, 2):
+            assert out == ""
+        target = argv[argv.index("--to") + 1] if "--to" in argv else argv[0]
+        if out and argv[-1] == "machine" and target in REPARSERS:
+            REPARSERS[target](out)

@@ -83,6 +83,28 @@ def test_regen_golden_reproduces_the_committed_goldens(tmp_path, monkeypatch):
         assert (tmp_path / out).read_bytes() == (GOLDEN / out).read_bytes(), out
 
 
+def test_regen_golden_prints_the_paths_it_changes(tmp_path, monkeypatch, capsys):
+    """Against an older output, the script names each removed, added and changed path."""
+    regen = load_script("regen_golden")
+    shutil.copy(GOLDEN / "bit_flip.doc.json", tmp_path)
+    old = json.loads((GOLDEN / "bit_flip.out.json").read_text())
+    old["report"]["a_form"]["valid"] = True
+    del old["report"]["b_form"]["trace"]
+    old["report"]["canonical"]["eigenvalues"][2] = -0.0  # equal to 0.0, but not the same bytes
+    old["report"]["b_spectrum"].append(0.0)
+    (tmp_path / "bit_flip.out.json").write_text(json.dumps(old))
+    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
+    assert regen.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("wrote bit_flip.out.json (")
+    assert lines[1:] == [
+        "  removed report.a_form.valid",
+        "  added report.b_form.trace",
+        "  changed report.b_spectrum",
+        "  changed report.canonical.eigenvalues[2]",
+    ]
+
+
 class TestBenchPairsSummary:
     BETTER = {"ops_per_s": "higher", "op_p50_ms": "lower"}
     BOUNDS = {"ops_per_s": 0.1, "op_p50_ms": 0.1}
