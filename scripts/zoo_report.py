@@ -45,7 +45,7 @@ def main() -> int:
         print("process matrix:")
         for row in a.matrix:
             print("   " + "  ".join(fmt(z) for z in row))
-        spectrum = ", ".join(f"{v:.4g}" for v in report.coefficient_spectrum)
+        spectrum = ", ".join(f"{v:.4g}" for v in report.canonical.eigenvalues)
         print(f"coefficient spectrum: [{spectrum}]")
         print(f"spectral match with B-form: {report.spectral_match:.2e}")
         verdict = "CP" if report.verdict.is_cp else "NCP"

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import InvalidMatrixError
 from .forms import (
     AForm,
-    BasisLabel,
     CanonicalDecomposition,
     CpVerdict,
     KrausSet,
@@ -40,13 +39,10 @@ class AnalysisReport:
     """Everything the pipeline establishes about one channel."""
 
     channel: dict
-    basis: BasisLabel
     tol: float
     a_hermiticity_residual: float
     a_trace_residual: float
-    b_hermiticity_residual: float
     b_trace: float
-    coefficient_spectrum: np.ndarray
     b_spectrum: np.ndarray
     spectral_match: float
     verdict: CpVerdict
@@ -103,13 +99,10 @@ def analyze(
 
     return AnalysisReport(
         channel=spec.describe(),
-        basis=basis.label,
         tol=tol,
         a_hermiticity_residual=a.hermiticity_residual,
         a_trace_residual=a.trace_residual,
-        b_hermiticity_residual=b.hermiticity_residual,
         b_trace=b.trace,
-        coefficient_spectrum=decomp.eigenvalues,
         b_spectrum=b_spectrum,
         spectral_match=spectral_match,
         verdict=verdict,

@@ -294,10 +294,6 @@ class CanonicalDecomposition:
     def dim(self) -> int:
         return self.basis.dim
 
-    def rank(self, tol: float = DEFAULT_TOL) -> int:
-        """Number of eigenvalues with magnitude above ``tol``."""
-        return int(np.sum(np.abs(self.eigenvalues) > tol))
-
 
 def _operator_stack(operators) -> np.ndarray:
     """One finite (k, n, n) complex copy of a sequence of n x n matrices; any other
@@ -363,9 +359,7 @@ class CpVerdict:
     """Outcome of the complete-positivity eigenvalue test."""
 
     classification: CpClassification
-    eigenvalues: np.ndarray
     min_eigenvalue: float
-    tol: float
 
     @property
     def is_cp(self) -> bool:
@@ -384,9 +378,6 @@ class MapOutput:
     matrix: np.ndarray
     min_eigenvalue: float
     positive: bool
-
-    def to_density(self, tol: float = DEFAULT_TOL) -> DensityMatrix:
-        return DensityMatrix(self.matrix, tol=tol)
 
 
 def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CoefficientMatrix:
@@ -478,10 +469,10 @@ def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausS
     and raises ``NotCompletelyPositiveError``.
     """
     w = c.eigenvalues
-    min_eig = float(w.min()) if w.size else 0.0
-    if min_eig < -tol:
+    verdict = _classify(w, tol)
+    if not verdict.is_cp:
         raise NotCompletelyPositiveError(
-            f"map is not completely positive: min eigenvalue {min_eig:.6g} < -{tol:g}"
+            f"map is not completely positive: min eigenvalue {verdict.min_eigenvalue:.6g} < -{tol:g}"
         )
     keep = w > tol
     kept = np.sqrt(w[keep])[:, None, None] * c.canonical_ops[keep]
@@ -541,14 +532,14 @@ def kraus_to_a(ops: KrausSet | Iterable[np.ndarray], tol: float = DEFAULT_TOL) -
 
 
 def _classify(eigenvalues: np.ndarray, tol: float) -> CpVerdict:
-    """CP exactly when no canonical eigenvalue lies below ``-tol``."""
-    min_eig = float(eigenvalues.min())
+    """CP exactly when no canonical eigenvalue lies below ``-tol``; an empty spectrum has none."""
+    min_eig = float(eigenvalues.min()) if eigenvalues.size else 0.0
     cls = (
         CpClassification.COMPLETELY_POSITIVE
         if min_eig >= -tol
         else CpClassification.NOT_COMPLETELY_POSITIVE
     )
-    return CpVerdict(classification=cls, eigenvalues=eigenvalues, min_eigenvalue=min_eig, tol=tol)
+    return CpVerdict(classification=cls, min_eigenvalue=min_eig)
 
 
 def cp_verdict(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CpVerdict:

@@ -131,9 +131,6 @@ class BlochVector:
     def norm(self) -> float:
         return math.hypot(self.p1, self.p2, self.p3)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.p2, self.p3])
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:

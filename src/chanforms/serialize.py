@@ -44,7 +44,6 @@ DEFAULT_SAMPLES = 100
 
 @dataclass(frozen=True, eq=False)
 class ChannelDocument:
-    format_version: str
     channel: ChannelSpec
     basis: BasisLabel | None  # the document's ``options.basis``
     tol: float  # the effective tolerance the channel was validated at
@@ -389,7 +388,6 @@ def parse_channel_document(
         tol = options.get("tol", default_tol)
     doc = _walk({"format_version": _version, "channel": _PAYLOAD}, d, "document")
     return ChannelDocument(
-        format_version=doc["format_version"],
         channel=_make_channel(doc["channel"], tol, "document.channel"),
         basis=options.get("basis"),
         tol=tol,

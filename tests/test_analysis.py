@@ -37,7 +37,7 @@ class TestAnalyze:
     def test_transpose_report(self):
         report = analyze(ChannelSpec.transpose())
         assert not report.verdict.is_cp
-        assert np.allclose(np.sort(report.coefficient_spectrum), [-1, 1, 1, 1], atol=1e-12)
+        assert np.allclose(np.sort(report.canonical.eigenvalues), [-1, 1, 1, 1], atol=1e-12)
         assert np.allclose(np.sort(report.b_spectrum), [-1, 1, 1, 1], atol=1e-12)
         assert report.spectral_match < 1e-12
         assert report.kraus is None
@@ -47,13 +47,13 @@ class TestAnalyze:
     def test_bit_flip_report(self):
         report = analyze(ChannelSpec.bit_flip(0.75))
         assert report.verdict.is_cp
-        assert np.allclose(report.coefficient_spectrum, [1.5, 0.5, 0, 0], atol=1e-12)
+        assert np.allclose(report.canonical.eigenvalues, [1.5, 0.5, 0, 0], atol=1e-12)
         assert report.kraus is not None and len(report.kraus) == 2
 
     def test_pin_report_spectrum(self):
         report = analyze(ChannelSpec.pin(BlochVector(0, 0, 0.5)))
         assert np.allclose(
-            np.sort(report.coefficient_spectrum)[::-1], [0.75, 0.75, 0.25, 0.25], atol=1e-12
+            np.sort(report.canonical.eigenvalues)[::-1], [0.75, 0.75, 0.25, 0.25], atol=1e-12
         )
 
     def test_deterministic_byte_identical(self):
@@ -66,7 +66,7 @@ class TestAnalyze:
         report = analyze(ChannelSpec.phase_flip(0.25))
         assert (report.kraus is not None) == report.verdict.is_cp
         assert report.b_trace == pytest.approx(2.0, abs=1e-12)
-        assert report.basis is BasisLabel.PAULI_OVER_SQRT2
+        assert report.canonical.basis.label is BasisLabel.PAULI_OVER_SQRT2
 
 
 def _sample_maps(n: int) -> list[AForm]:
@@ -99,7 +99,7 @@ class TestEigensolves:
             del eigensolve_calls[:]
             report = analyze(ChannelSpec.raw_a(a.matrix), basis)
             assert len(eigensolve_calls) == 1
-            assert report.b_spectrum.tobytes() == report.coefficient_spectrum.tobytes()
+            assert report.b_spectrum.tobytes() == report.canonical.eigenvalues.tobytes()
             assert report.spectral_match == 0.0
             # What the dropped second solve of B gave, bit for bit.
             b_alone = hermitian_eigendecompose(realign_a_to_b(a), 1e-9 * n * n).eigenvalues

@@ -155,7 +155,8 @@ class TestExitCodes:
 class TestAnalyzeOutput:
     def test_human_report_mentions_spectrum_and_verdict(self):
         result = run_cli(["analyze", "-"], stdin_text=TRANSPOSE_DOC)
-        assert "coefficient spectrum: [1, 1, 1, -1]" in result.stdout
+        assert "B spectrum: [1, 1, 1, -1]" in result.stdout
+        assert "coefficient spectrum:" not in result.stdout
         assert "NOT completely positive" in result.stdout
 
     def test_machine_report_is_json(self):
@@ -398,6 +399,12 @@ class TestToleranceResolution:
         result = run_cli(["analyze", "-", "--tol", "1e-9"], stdin_text=TRANSPOSE_DOC, env=env)
         assert result.returncode == 2
         assert "CHANFORMS_TOL: not a number" in result.stderr
+
+    def test_non_numeric_tol_flag_exits_two(self):
+        result = run_cli(["analyze", "-", "--tol", "x"], stdin_text=TRANSPOSE_DOC)
+        assert result.returncode == 2
+        assert "argument --tol: not a number: 'x'" in result.stderr
+        assert "_tol_flag" not in result.stderr
 
     def test_nonpositive_tol_flag_exits_two(self):
         result = run_cli(["analyze", "-", "--tol", "-1e-9"], stdin_text=TRANSPOSE_DOC)

@@ -331,6 +331,17 @@ class TestExtractKraus:
         assert len(kraus) == 1
         assert np.abs(kraus.operators[0] - np.eye(2)).max() < 1e-12
 
+    def test_transpose_message_names_min_eigenvalue_and_tol(self):
+        decomp = canonical_decompose(build_transpose_a(), PAULI)
+        message = r"^map is not completely positive: min eigenvalue -1 < -1e-09$"
+        with pytest.raises(NotCompletelyPositiveError, match=message):
+            extract_kraus(decomp)
+
+    def test_empty_spectrum_is_an_incomplete_kraus_set(self):
+        decomp = CanonicalDecomposition(basis=PAULI, eigenvalues=[], canonical_ops=np.empty((0, 2, 2)))
+        with pytest.raises(IncompleteKrausError, match="at least one operator"):
+            extract_kraus(decomp)
+
 
 class TestApply:
     def test_pin_sends_everything_to_fixed_state(self, rng):
@@ -345,7 +356,8 @@ class TestApply:
 
     def test_transpose_negates_sigma2(self):
         out = apply_a(build_transpose_a(), bloch_to_density(BlochVector(0, 1, 0)))
-        assert np.allclose(density_to_bloch(out.to_density()).as_array(), [0, -1, 0])
+        got = density_to_bloch(DensityMatrix(out.matrix))
+        assert np.allclose([got.p1, got.p2, got.p3], [0, -1, 0])
 
     def test_projection_zeroes_third_component(self, rng):
         a = projection_a()
@@ -353,8 +365,8 @@ class TestApply:
             p = rng.uniform(-1, 1, size=3)
             p *= rng.uniform(0, 1) / max(np.linalg.norm(p), 1e-12)
             out = apply_a(a, bloch_to_density(BlochVector(*p)))
-            got = density_to_bloch(out.to_density()).as_array()
-            assert np.abs(got - [p[0], p[1], 0.0]).max() < 1e-12
+            got = density_to_bloch(DensityMatrix(out.matrix))
+            assert np.abs(np.array([got.p1, got.p2, got.p3]) - [p[0], p[1], 0.0]).max() < 1e-12
 
     def test_canonical_route_identity(self, rng):
         decomp = canonical_decompose(AForm(np.eye(4, dtype=complex)), PAULI)
@@ -371,9 +383,8 @@ class TestApply:
         expected = p * rho.matrix + (1 - p) * SIGMA_3 @ rho.matrix @ SIGMA_3
         out = apply_canonical(decomp, rho)
         assert np.abs(out.matrix - expected).max() < 1e-12
-        assert np.allclose(
-            density_to_bloch(out.to_density()).as_array(), [-0.4, 0, 0], atol=1e-12
-        )
+        got = density_to_bloch(DensityMatrix(out.matrix))
+        assert np.allclose([got.p1, got.p2, got.p3], [-0.4, 0, 0], atol=1e-12)
 
     def test_canonical_route_bit_flip_half(self):
         ops = (np.sqrt(0.5) * np.eye(2, dtype=complex), np.sqrt(0.5) * SIGMA_1)
@@ -518,7 +529,8 @@ class TestCpVerdict:
         verdict = cp_verdict(build_pin_a(p0), PAULI)
         assert verdict.is_cp
         expected = np.sort([(1 + radius) / 2] * 2 + [(1 - radius) / 2] * 2)[::-1]
-        assert np.abs(np.sort(verdict.eigenvalues)[::-1] - expected).max() < 1e-10
+        spectrum = canonical_decompose(build_pin_a(p0), PAULI).eigenvalues
+        assert np.abs(np.sort(spectrum)[::-1] - expected).max() < 1e-10
 
 
 class TestSpectralIdentity:
@@ -682,7 +694,7 @@ class TestStoredResiduals:
         assert (b.hermiticity_residual, b.trace) == b_measurements_reference(b.matrix)
         report = analyze(ChannelSpec.raw_a(a.matrix))
         assert (report.a_hermiticity_residual, report.a_trace_residual) == a_residuals_reference(a.matrix, n)
-        assert (report.b_hermiticity_residual, report.b_trace) == b_measurements_reference(b.matrix)
+        assert (report.a_hermiticity_residual, report.b_trace) == b_measurements_reference(b.matrix)
         assert report.verdict.is_cp == cp
 
 

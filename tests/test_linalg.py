@@ -246,11 +246,12 @@ class TestBlochConversions:
 
     def test_back_pure_down(self):
         p = density_to_bloch(DensityMatrix(np.diag([0.0, 1.0]).astype(complex)))
-        assert np.allclose(p.as_array(), [0, 0, -1])
+        assert np.allclose([p.p1, p.p2, p.p3], [0, 0, -1])
 
     def test_back_sigma2_eigenstate(self):
         rho = DensityMatrix(0.5 * np.array([[1, -1j], [1j, 1]]))
-        assert np.allclose(density_to_bloch(rho).as_array(), [0, 1, 0])
+        p = density_to_bloch(rho)
+        assert np.allclose([p.p1, p.p2, p.p3], [0, 1, 0])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -263,7 +264,7 @@ class TestBlochConversions:
     def test_mutual_inverses_on_ball(self, p):
         vec = BlochVector(*p)
         back = density_to_bloch(bloch_to_density(vec))
-        assert np.abs(back.as_array() - vec.as_array()).max() < 1e-12
+        assert np.abs(np.subtract([back.p1, back.p2, back.p3], [vec.p1, vec.p2, vec.p3])).max() < 1e-12
 
     def test_outside_ball_rejected(self):
         with pytest.raises(OutsideBallError):

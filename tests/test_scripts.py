@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -45,6 +47,14 @@ def test_cli_matrix_is_reproducible():
     # six goldens and nine seeded documents, 40 runs each, and zoo in both output modes
     assert len(lines) == 15 * 40 + 2
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_readme_library_example_runs():
+    """README.md's one Python block runs as written."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    result = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("workload", ["qubit_sweep", "dense_documents"])
