@@ -38,6 +38,7 @@ from .analysis import AnalysisReport, analyze
 from .errors import (
     ChanformsError,
     DocumentError,
+    DocumentSyntaxError,
     InvalidMapError,
     InvalidMatrixError,
     NotCompletelyPositiveError,
@@ -56,8 +57,6 @@ from .forms import (
 )
 from .linalg import DEFAULT_TOL, bloch_components
 from .serialize import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     FORMAT_VERSION,
     ChannelDocument,
     _check_tol,
@@ -147,12 +146,7 @@ def report_document(report: AnalysisReport) -> dict:
         "format_version": FORMAT_VERSION,
         "report": {
             "channel": report.channel,
-            "options": {
-                "basis": report.canonical.basis.label.value,
-                "tol": report.tol,
-                "seed": DEFAULT_SEED,
-                "samples": DEFAULT_SAMPLES,
-            },
+            "options": {"tol": report.tol},
             "a_form": {
                 "hermiticity_residual": report.a_hermiticity_residual,
                 "trace_residual": report.a_trace_residual,
@@ -166,16 +160,16 @@ def report_document(report: AnalysisReport) -> dict:
             },
             "canonical": _canonical_wire(report.canonical, report.tol),
             "kraus": {"rank": len(report.kraus)} if report.kraus is not None else None,
-            "kraus_absent_reason": report.kraus_absent_reason,
         },
     }
 
 
 def report_wire(report: AnalysisReport, seed: int, samples: int) -> dict:
-    """``report_document`` with the given ``options.seed`` and ``options.samples``."""
-    wire = report_document(report)
-    wire["report"]["options"].update(seed=seed, samples=samples)
-    return wire
+    """``report_document(report)``; ``seed`` and ``samples`` are ignored.
+
+    Kept only for ``perfbench``, which still calls it by this name.
+    """
+    return report_document(report)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +184,8 @@ def _read_text(path: str, what: str) -> str:
             return fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentSyntaxError(f"{what}: input is not valid UTF-8") from exc
 
 
 def _read_state_arg(arg: str) -> str:
@@ -236,17 +232,17 @@ def _load_document(args: argparse.Namespace) -> ChannelDocument:
 
 def _cmd_analyze(args: argparse.Namespace) -> Command:
     doc = _load_document(args)
-    tol = doc.tol
     basis = _resolve_basis(args.basis, doc, doc.channel.dim)
-    report = analyze(doc.channel, basis, tol)
+    report = analyze(doc.channel, basis, doc.tol)
     return (
         0 if report.verdict.is_cp else 3,
         lambda: report_document(report),
-        lambda: _human_report(report, tol),
+        lambda: _human_report(report),
     )
 
 
-def _human_report(report: AnalysisReport, tol: float) -> str:
+def _human_report(report: AnalysisReport) -> str:
+    tol = report.tol
     ch = report.channel
     params = ", ".join(f"{k}={v}" for k, v in ch.items() if k not in ("kind", "dim"))
     line = f"channel: {ch['kind']} (dim {ch['dim']})"

@@ -179,7 +179,7 @@ class TestAnalyzeOutput:
             stdin_text=BIT_FLIP_DOC,
         )
         payload = json.loads(result.stdout)
-        assert payload["report"]["options"]["basis"] == "units"
+        assert payload["report"]["canonical"]["basis"] == "units"
         # the spectrum is basis independent
         assert payload["report"]["canonical"]["eigenvalues"][0] == pytest.approx(1.5)
 
@@ -310,7 +310,6 @@ class TestMachineOutputReparses:
         result = run_cli(["analyze", "-", "--output", "machine"], stdin_text=TRANSPOSE_DOC)
         parsed = parse_report_document(result.stdout)
         assert parsed["kraus"] is None
-        assert parsed["kraus_absent_reason"]
 
     def test_analyze_unitary_report_with_parameters(self):
         doc = '{"format_version":"1","channel":{"kind":"unitary","axis":[0,0,1],"angle":0.5}}'
@@ -442,6 +441,7 @@ def main_in_process(capsys, argv):
 
 
 BIG_INT = "1" + "0" * 400  # an integer literal beyond double range
+LONG_INT = "1" * 5000  # beyond Python's 4,300-digit limit for reading an integer literal
 DEEP = "[" * 100_000 + "]" * 100_000
 
 
@@ -484,6 +484,30 @@ class TestInProcess:
         assert code == 2
         assert "error: state.bloch[2]: non-finite value" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("what", ["document", "state"])
+    def test_invalid_utf8_file_exits_two(self, capsys, tmp_path, bit_flip_path, what):
+        file = tmp_path / "bad.json"
+        if what == "document":
+            file.write_bytes(BIT_FLIP_DOC.encode() + b"\xff")
+            argv = ["analyze", str(file)]
+        else:
+            file.write_bytes(b'{"bloch":[0,0,1]}\xff')
+            argv = ["apply", bit_flip_path, "--state", str(file)]
+        code, out, err = main_in_process(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {what}: input is not valid UTF-8\n")
+
+    @pytest.mark.parametrize("what", ["document", "state"])
+    def test_integer_past_the_digit_limit_exits_two(self, capsys, tmp_path, bit_flip_path, what):
+        if what == "document":
+            file = tmp_path / "doc.json"
+            file.write_text(f'{{"format_version":"1","channel":{{"kind":"bit_flip","p":{LONG_INT}}}}}')
+            argv = ["analyze", str(file)]
+        else:
+            argv = ["apply", bit_flip_path, "--state", f'{{"bloch":[0,0,{LONG_INT}]}}']
+        code, out, err = main_in_process(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {what}: non-finite value: an integer literal beyond the double range\n"
 
     def test_deeply_nested_document_exits_two(self, capsys, tmp_path):
         file = tmp_path / "deep.json"
@@ -559,7 +583,7 @@ class TestInProcess:
             else:
                 assert (code, err) == (3, "")
                 if output == "machine":
-                    assert parse_report_document(out)["options"]["basis"] == basis
+                    assert parse_report_document(out)["canonical"]["basis"] == basis
                 else:
                     assert out.startswith("channel: raw_a (dim 2)") and "verdict: NOT completely positive" in out
 
@@ -624,8 +648,8 @@ class TestInProcess:
         assert code == 0
         code, default, _ = main_in_process(capsys, ["analyze", bit_flip_path, "--output", "machine"])
         assert code == 0
-        assert json.loads(units)["report"]["options"]["basis"] == "units"
-        assert json.loads(default)["report"]["options"]["basis"] == "pauli"
+        assert json.loads(units)["report"]["canonical"]["basis"] == "units"
+        assert json.loads(default)["report"]["canonical"]["basis"] == "pauli"
 
 
 def _raw_documents() -> list[dict]:

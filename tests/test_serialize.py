@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,6 @@ from chanforms import (
 from chanforms.cli import report_document, report_wire
 from chanforms.forms import _kraus_tol
 from chanforms.serialize import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     channel_document_wire,
     dumps,
     matrix_to_wire,
@@ -131,6 +130,14 @@ class TestParseChannelDocument:
         )
         with pytest.raises(NonFiniteEntryError):
             parse_channel_document(text)
+
+    def test_integer_past_the_digit_limit_is_non_finite(self):
+        # json.loads raises a plain ValueError for an integer literal of more than 4,300 digits.
+        digits = "1" * 5000
+        with pytest.raises(NonFiniteEntryError, match="^document: non-finite value: "):
+            parse_channel_document(f'{{"format_version":"1","channel":{{"kind":"bit_flip","p":{digits}}}}}')
+        with pytest.raises(NonFiniteEntryError, match="^state: non-finite value: "):
+            parse_state_document(f'{{"bloch":[0,0,{digits}]}}', tol=1e-9)
 
     def test_nonfinite_probability_rejected(self):
         with pytest.raises(NonFiniteEntryError):
@@ -231,13 +238,26 @@ class TestDumps:
         wire = report_document(analyze(spec))
         assert dumps(wire) == dumps_reference(wire)
 
-    def test_report_wire_is_the_report_document_with_its_seed_and_samples(self):
+    def test_report_wire_is_the_report_document(self):
+        """``report_wire`` stays as a name and ignores its seed and samples."""
         report = analyze(ChannelSpec.bit_flip(0.75))
-        assert report_wire(report, DEFAULT_SEED, DEFAULT_SAMPLES) == report_document(report)
-        wire = report_wire(report, 7, 9)
-        assert list(wire["report"]["options"].items())[2:] == [("seed", 7), ("samples", 9)]
-        wire["report"]["options"].update(seed=DEFAULT_SEED, samples=DEFAULT_SAMPLES)
-        assert dumps(wire) == dumps(report_document(report))
+        assert report_wire(report, 7, 9) == report_document(report)
+
+    def test_format_md_lists_the_report_keys(self):
+        """FORMAT.md's ``analyze --output machine`` layout line names exactly the keys
+        ``report_document`` writes; the channel block, written ``{...}``, is opaque."""
+        text = (Path(__file__).resolve().parent.parent / "FORMAT.md").read_text()
+        (line,) = re.findall(r'^\{"format_version":"1","report":.*$', text, re.M)
+        documented = set(re.findall(r'"(\w+)":', line))
+
+        def keys(obj):
+            for key, value in obj.items():
+                yield key
+                if isinstance(value, dict) and key != "channel":
+                    yield from keys(value)
+
+        written = set(keys(report_document(analyze(ChannelSpec.bit_flip(0.75)))))
+        assert documented == written
 
     def test_nan_is_rejected(self):
         with pytest.raises(ValueError):
@@ -498,13 +518,28 @@ class TestReportDocuments:
             ("a_form", "valid", True),
             ("b_form", "hermiticity_residual", 0.0),
             ("verdict", "tol", 1e-9),
+            ("options", "seed", 0),
+            ("options", "samples", 100),
+            ("options", "basis", "pauli"),
+            (None, "kraus_absent_reason", None),
         ],
-        ids=["coefficient_spectrum", "a_form.valid", "b_form.hermiticity_residual", "verdict.tol"],
+        ids=[
+            "coefficient_spectrum",
+            "a_form.valid",
+            "b_form.hermiticity_residual",
+            "verdict.tol",
+            "options.seed",
+            "options.samples",
+            "options.basis",
+            "kraus_absent_reason",
+        ],
     )
     def test_redundant_fields_are_rejected(self, block, field, value):
         """The coefficient spectrum (the canonical eigenvalues), B's hermiticity residual
-        (A's) and the verdict's tolerance (``options.tol``) are stated once elsewhere, and
-        A's validity is always true; a report may not carry them."""
+        (A's), the verdict's tolerance (``options.tol``) and the basis (``canonical.basis``)
+        are stated once elsewhere; A's validity is always true, the seed and sample count
+        describe no computation, and ``kraus: null`` alone marks a map with no Kraus form.
+        A report may not carry them."""
         doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
         parent = doc["report"] if block is None else doc["report"][block]
         parent[field] = value
@@ -537,7 +572,6 @@ class TestReportDocuments:
         # transpose has eigenvalues [1, 1, 1, -1]: three above tol, so the rank itself fits.
         doc = json.loads((GOLDEN / "transpose.out.json").read_text())
         doc["report"]["kraus"] = {"rank": 3}
-        doc["report"]["kraus_absent_reason"] = None
         with pytest.raises(MissingFieldError, match=r"^report\.report\.kraus: .* got a Kraus set for not_completely_positive$"):
             parse_report_document(json.dumps(doc))
 
