@@ -24,7 +24,6 @@ from .forms import (
     KrausSet,
     OperatorBasis,
     _classify,
-    _is_unit_basis,
     canonical_decompose,
     default_basis,
     extract_kraus,
@@ -60,8 +59,8 @@ def analyze(
 
     Pure function: identical inputs give identical reports.
 
-    In the matrix-unit basis ``standard_basis(n)`` the coefficient matrix
-    is B bit for bit, so ``b_spectrum`` is the canonical spectrum and
+    In the matrix units (``standard_basis(n)`` or a copy) the coefficient
+    matrix is B bit for bit, so ``b_spectrum`` is the canonical spectrum and
     ``spectral_match`` is 0.0 by construction.  In any other basis B is
     eigendecomposed on its own and compared with the coefficient spectrum
     of the trace formula, an independent route; a deviation beyond
@@ -74,7 +73,7 @@ def analyze(
 
     b = realign_a_to_b(a, tol)
     decomp = canonical_decompose(a, basis, tol)
-    if _is_unit_basis(basis):
+    if basis._units:
         b_spectrum, spectral_match = decomp.eigenvalues, 0.0
     else:
         b_spectrum = hermitian_eigendecompose(b, tol * n * n).eigenvalues

@@ -104,23 +104,28 @@ def _operator_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OperatorBasis:
-    """n^2 trace-orthonormal n x n operators, Tr[T_mu^dag T_nu] = delta."""
+    """n^2 trace-orthonormal n x n operators, Tr[T_mu^dag T_nu] = delta; ``_units`` marks
+    the matrix units |j><k| in row-major order (row-vectorized, V = I) whatever the label."""
 
     dim: int
     label: BasisLabel
     elements: np.ndarray  # shape (n^2, n, n)
     tol: InitVar[float] = DEFAULT_TOL
+    _units: bool = field(init=False, repr=False)
 
     def __post_init__(self, tol: float) -> None:
         el = np.array(self.elements, dtype=complex)  # defensive copy
         n = self.dim
         if el.shape != (n * n, n, n):
             raise InvalidMatrixError(f"expected {n * n} elements of shape ({n},{n}), got {el.shape}")
+        if not np.isfinite(el).all():
+            raise InvalidMatrixError("basis elements contain non-finite entries")
         v = el.reshape(n * n, n * n)
-        gram = v.conj() @ v.T
-        if max_abs(gram - _identity(n * n)) > tol:
+        eye = _identity(n * n)
+        if max_abs(v.conj() @ v.T - eye) > tol:
             raise InvalidMatrixError("basis elements are not trace-orthonormal")
         object.__setattr__(self, "elements", _freeze(el))
+        object.__setattr__(self, "_units", np.array_equal(v, eye))
 
 
 def standard_basis(n: int, label: BasisLabel | str = BasisLabel.MATRIX_UNITS) -> OperatorBasis:
@@ -154,14 +159,6 @@ def default_basis(n: int) -> OperatorBasis:
     if n == 2:
         return _standard_basis(2, BasisLabel.PAULI_OVER_SQRT2)
     return _standard_basis(n, BasisLabel.MATRIX_UNITS)
-
-
-def _is_unit_basis(basis: OperatorBasis) -> bool:
-    """True for the shared ``standard_basis(n)`` object itself, never for
-    another basis that merely carries the ``units`` label."""
-    if basis.label is not BasisLabel.MATRIX_UNITS or basis.dim < 2:
-        return False
-    return basis is _standard_basis(basis.dim, BasisLabel.MATRIX_UNITS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,27 +380,22 @@ class MapOutput:
 def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CoefficientMatrix:
     """Expansion coefficients a[mu, nu] = Tr[A (T_mu^dag (x) T_nu^T)].
 
-    In a general basis it is computed directly from the trace formula
-    (not via realignment), a route to the spectrum independent of the
-    B-form.  In the matrix-unit basis ``standard_basis(n)`` the formula
-    reduces to the realigned A, Choi's dynamical matrix B, so that basis
-    returns ``_reshuffle(A)`` (bit for bit what the contraction gives)
-    with A's hermiticity residual, which is B's (see ``realign_a_to_b``).
+    With the row-vectorized T_mu as the rows of V, the trace formula is
+    the basis change conj(V) R(A) V^T of the realigned A, R(A) = B, so
+    the matrix is unitarily similar to B (the inverse of
+    ``expand_coefficients``).  In the matrix units V = I, and the
+    product is skipped: the result is R(A) with A's hermiticity residual,
+    which is B's (see ``realign_a_to_b``).
     """
     n = a.dim
     if basis.dim != n:
         raise DimensionMismatchError(f"dimension mismatch: {n} vs {basis.dim}")
+    r = _freeze(_reshuffle(a.matrix, n))
     # Residual hermiticity noise scales with the n^2 terms summed per entry.
-    if _is_unit_basis(basis):
-        cm = _new(CoefficientMatrix, basis=basis)
-        return cm._keep(_freeze(_reshuffle(a.matrix, n)), a.hermiticity_residual, tol * n * n)
-    a4 = a.matrix.reshape(n, n, n, n)
-    t = basis.elements
-    # a[mu,nu] = sum A[(r's'),(rs)] conj(T_mu[r',r]) T_nu[s',s], factored
-    # to keep the contraction cost at O(n^6) per basis element pair.
-    partial = np.einsum("abcd,mac->mbd", a4, t.conj())
-    coeffs = np.einsum("mbd,nbd->mn", partial, t)
-    return CoefficientMatrix(basis=basis, matrix=coeffs, tol=tol * n * n)
+    if basis._units:
+        return _new(CoefficientMatrix, basis=basis)._keep(r, a.hermiticity_residual, tol * n * n)
+    v = basis.elements.reshape(n * n, n * n)
+    return CoefficientMatrix(basis=basis, matrix=v.conj() @ r @ v.T, tol=tol * n * n)
 
 
 def expand_coefficients(cm: CoefficientMatrix) -> np.ndarray:
@@ -430,20 +422,17 @@ def realign_b_to_a(b: BForm, tol: float = DEFAULT_TOL) -> AForm:
 def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CanonicalDecomposition:
     """Diagonalize the coefficient matrix of ``a`` in ``basis``.
 
-    Row k of the eigenvector matrix weights the basis directly:
-    ``C_k = sum_mu v_k[mu] T_mu``.  Within a degenerate eigenvalue
-    cluster the operators are reported in solver order and are unique
-    only up to unitary remixing; eigenvalues, the reconstructed A, and
-    the channel action are invariant under that freedom.
+    Row k of the eigenvector matrix E weights the basis, C_k = sum_mu
+    E[k, mu] T_mu, so the row-vectorized C_k are the rows of E V (E in the
+    matrix units).  Within a degenerate eigenvalue cluster the operators
+    are in solver order, unique only up to unitary remixing; eigenvalues,
+    the reconstructed A, and the channel action are invariant under that.
     """
     cm = coefficient_matrix(a, basis, tol)
     n = a.dim
     eig = hermitian_eigendecompose(cm, tol * n * n)
-    if _is_unit_basis(basis):
-        # C_k[i, j] = v_k[i*n + j]; + 0.0 turns -0.0 into +0.0 as the sum did.
-        ops = eig.eigenvectors.reshape(n * n, n, n) + 0.0
-    else:
-        ops = np.einsum("km,mij->kij", eig.eigenvectors, basis.elements)
+    e = eig.eigenvectors if basis._units else eig.eigenvectors @ basis.elements.reshape(n * n, n * n)
+    ops = e.reshape(n * n, n, n) + 0.0  # + 0.0 turns -0.0 into +0.0
     # Each C_k has unit norm, so its largest-magnitude entry is never 0.
     flat = ops.reshape(len(ops), -1)
     pivots = flat[np.arange(len(flat)), np.abs(flat).argmax(1)]

@@ -113,12 +113,20 @@ class TestEigensolves:
             assert report.spectral_match <= report.tol * 4
 
     def test_other_basis_with_the_units_label_solves_b_again(self, eigensolve_calls):
+        # The elements choose the route, not the label: a random basis labelled
+        # units solves B again, and a copy of the matrix units does not.
         units = standard_basis(3)
+        g = np.random.default_rng(3).standard_normal((9, 9, 2)).view(complex)[..., 0]
+        other = type(units)(dim=3, label=units.label, elements=np.linalg.qr(g)[0].T.reshape(9, 3, 3))
         copy = type(units)(dim=3, label=units.label, elements=units.elements)
         a = _sample_maps(3)[1]
-        report = analyze(ChannelSpec.raw_a(a.matrix), copy)
+        report = analyze(ChannelSpec.raw_a(a.matrix), other)
         assert len(eigensolve_calls) == 2
         assert report.spectral_match <= report.tol * 9
+        del eigensolve_calls[:]
+        report = analyze(ChannelSpec.raw_a(a.matrix), copy)
+        assert len(eigensolve_calls) == 1
+        assert report.spectral_match == 0.0
 
     def test_spectral_mismatch_beyond_tol_n_squared_raises(self):
         """The valid identity with A[1,0] = A[2,0] = 1e308: the trace formula loses the

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ from chanforms import (
     standard_basis,
 )
 from chanforms import analysis, forms
-from chanforms.forms import _is_unit_basis, _reshuffle, _standard_basis
+from chanforms.forms import _reshuffle, _standard_basis
 from chanforms.linalg import as_complex_matrix, hermitian_eigendecompose, hermiticity_residual, max_abs
 from conftest import random_density
 
@@ -145,6 +146,15 @@ class TestOperatorBasisValidation:
         OperatorBasis(dim=n, label=BasisLabel.MATRIX_UNITS, elements=el, tol=residual + 1e-14)
         with pytest.raises(ValueError, match="^basis elements are not trace-orthonormal$"):
             OperatorBasis(dim=n, label=BasisLabel.MATRIX_UNITS, elements=el, tol=residual - 1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)], ids=str)
+    def test_rejects_non_finite_elements_without_a_warning(self, bad):
+        el = PAULI.elements.copy()
+        el[0, 0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidMatrixError, match="^basis elements contain non-finite entries$"):
+                OperatorBasis(dim=2, label=BasisLabel.PAULI_OVER_SQRT2, elements=el)
 
 
 class TestAFormValidation:
@@ -734,9 +744,9 @@ class TestOperatorSumKernel:
             assert np.abs(expand_coefficients(coefficient_matrix(a, basis)) - a.matrix).max() < 1e-12
 
 
-# The coefficient matrix and canonical operators as canonical_decompose
-# computed them in every basis before the matrix-unit basis skipped the
-# contractions; in standard_basis(n) the results must equal these bit for bit.
+# The coefficient matrix as the trace formula, an einsum independent of the
+# kernel; and the kernel's own products, conj(V) R(A) V^T and E V with the
+# row-vectorized basis V, with the phase rule as the per-operator loop.
 
 
 def coefficient_reference(a: AForm, t: np.ndarray) -> np.ndarray:
@@ -745,10 +755,17 @@ def coefficient_reference(a: AForm, t: np.ndarray) -> np.ndarray:
     return np.einsum("mbd,nbd->mn", partial, t)
 
 
+def product_reference(a: AForm, t: np.ndarray) -> np.ndarray:
+    n = a.dim
+    v = t.reshape(n * n, n * n)
+    return v.conj() @ _reshuffle(a.matrix, n) @ v.T
+
+
 def canonical_reference(a: AForm, t: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     n = a.dim
-    eig = hermitian_eigendecompose(coefficient_reference(a, t), tol * n * n)
-    return eig.eigenvalues, phase_rule_reference(np.einsum("km,mij->kij", eig.eigenvectors, t))
+    eig = hermitian_eigendecompose(product_reference(a, t), tol * n * n)
+    ops = (eig.eigenvectors @ t.reshape(n * n, n * n)).reshape(n * n, n, n) + 0.0
+    return eig.eigenvalues, phase_rule_reference(ops)
 
 
 def phase_rule_reference(ops: np.ndarray) -> np.ndarray:
@@ -796,31 +813,49 @@ class TestUnitBasisShortcut:
         decomp = canonical_decompose(a, standard_basis(n))
         assert bit_equal(decomp.canonical_ops, ops)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.booleans(), st.integers(0, 2**31 - 1))
+    def test_elides_the_product_with_the_identity(self, n, cp, seed):
+        # The shortcut is the kernel's own product with V = I, skipped: the
+        # same matrix units with the flag cleared take the product route.
+        rng = np.random.default_rng(seed)
+        if cp:
+            a = kraus_to_a(random_cp_channel(n, int(rng.integers(1, n * n + 1)), seed))
+        else:
+            a = random_ncp_a(n, seed)
+        units = standard_basis(n)
+        general = OperatorBasis(dim=n, label=BasisLabel.MATRIX_UNITS, elements=units.elements)
+        object.__setattr__(general, "_units", False)
+        assert bit_equal(coefficient_matrix(a, units).matrix, coefficient_matrix(a, general).matrix)
+        fast, slow = canonical_decompose(a, units), canonical_decompose(a, general)
+        assert np.array_equal(fast.eigenvalues, slow.eigenvalues)
+        assert bit_equal(fast.canonical_ops, slow.canonical_ops)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_keyed_on_the_object_not_the_label(self, n):
+    def test_keyed_on_the_elements_not_the_label(self, n):
         rng = np.random.default_rng(n)
         a = random_ncp_a(n, seed=n)
         basis = random_basis(rng, n)  # labelled units, but not the matrix units
         copy = OperatorBasis(dim=n, label=BasisLabel.MATRIX_UNITS, elements=standard_basis(n).elements)
         assert basis.label is copy.label is BasisLabel.MATRIX_UNITS
-        assert not _is_unit_basis(basis) and not _is_unit_basis(copy)
-        assert _is_unit_basis(standard_basis(n, "units"))
+        assert not basis._units and copy._units and standard_basis(n, "units")._units
         cm = coefficient_matrix(a, basis)
-        assert bit_equal(cm.matrix, coefficient_reference(a, basis.elements))
+        assert bit_equal(cm.matrix, product_reference(a, basis.elements))
+        assert np.abs(cm.matrix - coefficient_reference(a, basis.elements)).max() < 1e-12
         assert np.abs(cm.matrix - _reshuffle(a.matrix, n)).max() > 1e-3
         decomp = canonical_decompose(a, basis)
         w, ops = canonical_reference(a, basis.elements)
         assert np.array_equal(decomp.eigenvalues, w)
         assert bit_equal(decomp.canonical_ops, ops)
+        assert bit_equal(coefficient_matrix(a, copy).matrix, _reshuffle(a.matrix, n))
 
     def test_other_labels_build_no_unit_basis(self, monkeypatch):
-        # A Pauli-labelled basis is rejected on its label, without building
-        # (and caching) the matrix units of its size.
+        # A Pauli-labelled basis takes its route without building (and
+        # caching) the matrix units of its size.
         def fail(*args):
             raise AssertionError(f"_standard_basis{args} built for a non-units basis")
 
         monkeypatch.setattr(forms, "_standard_basis", fail)
-        assert not _is_unit_basis(PAULI)
         cm = coefficient_matrix(kraus_to_a(random_cp_channel(2, 2, seed=3)), PAULI)
         assert cm.basis is PAULI
 

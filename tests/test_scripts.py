@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,26 +94,78 @@ def test_regen_golden_reproduces_the_committed_goldens(tmp_path, monkeypatch):
         assert (tmp_path / out).read_bytes() == (GOLDEN / out).read_bytes(), out
 
 
+def regen_against(tmp_path, monkeypatch, name: str, edit) -> int:
+    """Run the script on a copy of one golden document, against its committed output as ``edit`` left it."""
+    regen = load_script("regen_golden")
+    shutil.copy(GOLDEN / f"{name}.doc.json", tmp_path)
+    old = json.loads((GOLDEN / f"{name}.out.json").read_text())
+    edit(old["report"])
+    (tmp_path / f"{name}.out.json").write_text(json.dumps(old))
+    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
+    return regen.main()
+
+
 def test_regen_golden_prints_the_paths_it_changes(tmp_path, monkeypatch, capsys):
     """Against an older output, the script names each removed, added and changed path."""
-    regen = load_script("regen_golden")
-    shutil.copy(GOLDEN / "bit_flip.doc.json", tmp_path)
-    old = json.loads((GOLDEN / "bit_flip.out.json").read_text())
-    old["report"]["a_form"]["valid"] = True
-    del old["report"]["b_form"]["trace"]
-    old["report"]["canonical"]["eigenvalues"][2] = -0.0  # equal to 0.0, but not the same bytes
-    old["report"]["b_spectrum"].append(0.0)
-    (tmp_path / "bit_flip.out.json").write_text(json.dumps(old))
-    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
-    assert regen.main() == 0
+
+    def edit(report):
+        report["a_form"]["valid"] = True
+        del report["b_form"]["trace"]
+        report["b_spectrum"][2] = -0.0  # equal to 0.0, but not the same bytes
+
+    assert regen_against(tmp_path, monkeypatch, "bit_flip", edit) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("wrote bit_flip.out.json (")
     assert lines[1:] == [
         "  removed report.a_form.valid",
         "  added report.b_form.trace",
-        "  changed report.b_spectrum",
-        "  changed report.canonical.eigenvalues[2]",
+        "  changed report.b_spectrum[2] [ulp]",
     ]
+    assert (tmp_path / "bit_flip.out.json").read_bytes() == (GOLDEN / "bit_flip.out.json").read_bytes()
+
+
+def test_regen_golden_writes_ulp_and_cluster_changes(tmp_path, monkeypatch, capsys):
+    """Two operators swapped inside transpose's {1, 1, 1} cluster and an eigenvalue one ulp off are not semantic."""
+
+    def edit(report):
+        ops = report["canonical"]["operators"]
+        ops[0], ops[1] = ops[1], ops[0]
+        w = report["canonical"]["eigenvalues"]
+        w[3] = float(np.nextafter(w[3], 0.0))
+
+    assert regen_against(tmp_path, monkeypatch, "transpose", edit) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("wrote transpose.out.json (")
+    ops = [line for line in lines[1:] if line.startswith("  changed report.canonical.operators[")]
+    assert ops and all(re.fullmatch(r"  changed report\.canonical\.operators\[[01]\]\S* \[cluster\]", line) for line in ops)
+    assert sorted(set(lines[1:]) - set(ops)) == ["  changed report.canonical.eigenvalues[3] [ulp]"]
+    assert (tmp_path / "transpose.out.json").read_bytes() == (GOLDEN / "transpose.out.json").read_bytes()
+
+
+def flip_classification(report):
+    report["verdict"]["classification"] = "completely_positive"
+
+
+def rotate_out_of_cluster(report):
+    """Mix operator 2 (eigenvalue 1) with operator 3 (eigenvalue -1)."""
+    ops = np.array(report["canonical"]["operators"])
+    c, s = np.cos(0.3), np.sin(0.3)
+    ops[2], ops[3] = c * ops[2] + s * ops[3], c * ops[3] - s * ops[2]
+    report["canonical"]["operators"] = ops.tolist()
+
+
+@pytest.mark.parametrize("edit", [flip_classification, rotate_out_of_cluster], ids=lambda f: f.__name__)
+def test_regen_golden_refuses_semantic_changes(tmp_path, monkeypatch, capsys, edit):
+    """A semantic change is printed with its class, exits 1 and leaves the old output unwritten over."""
+    assert regen_against(tmp_path, monkeypatch, "transpose", edit) == 1
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert lines[0].startswith("refused transpose.out.json (")
+    assert any(line.endswith(" [semantic]") for line in lines[1:])
+    assert out.err.endswith("semantic change(s): no file written\n")
+    old = json.loads((GOLDEN / "transpose.out.json").read_text())
+    edit(old["report"])
+    assert (tmp_path / "transpose.out.json").read_text() == json.dumps(old)
 
 
 class TestBenchPairsSummary:
