@@ -19,9 +19,10 @@ built with numpy alone, so they do not depend on the code under test, and
 are written to a temporary directory.
 Each document goes through ``analyze``, the five ``convert`` targets and
 ``apply``, in human and machine output, with the default options,
-``--basis units`` (not for ``apply``, which takes no basis) and
-``--tol 1e-7``.  ``zoo``, which reads no document, runs once in each
-output mode, labelled ``-``.
+``--basis units`` (not for ``apply``, which takes no basis),
+``--tol 1e-7`` and ``--tol 1e-3`` (the upper end of the range).
+``zoo``, which reads no document, runs once in each output mode,
+labelled ``-``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from chanforms import cli
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 SEED = 20261018
-OPTION_SETS = ([], ["--basis", "units"], ["--tol", "1e-7"])
+OPTION_SETS = ([], ["--basis", "units"], ["--tol", "1e-7"], ["--tol", "1e-3"])
 
 
 def wire(m: np.ndarray) -> list:

@@ -24,9 +24,10 @@ from .forms import (
     KrausSet,
     OperatorBasis,
     _classify,
+    _cut_kraus,
+    _scaled_tol,
     canonical_decompose,
     default_basis,
-    extract_kraus,
     realign_a_to_b,
 )
 from .linalg import DEFAULT_TOL, _freeze, hermitian_eigendecompose, max_abs
@@ -69,19 +70,19 @@ def analyze(
     a = channel_a(spec, tol)
     if basis is None:
         basis = default_basis(a.dim)
-    n = a.dim
 
     b = realign_a_to_b(a, tol)
     decomp = canonical_decompose(a, basis, tol)
     if basis._units:
         b_spectrum, spectral_match = decomp.eigenvalues, 0.0
     else:
-        b_spectrum = hermitian_eigendecompose(b, tol * n * n).eigenvalues
+        slack = _scaled_tol(tol, a.dim)
+        b_spectrum = hermitian_eigendecompose(b, slack).eigenvalues
         spectral_match = float(np.abs(decomp.eigenvalues - b_spectrum).max())
-        if spectral_match > tol * n * n:
+        if spectral_match > slack:
             raise InvalidMatrixError(
                 f"coefficient and B spectra differ by {spectral_match:.3g},"
-                f" beyond tol*n^2 = {tol * n * n:.3g}"
+                f" beyond tol*n^2 = {slack:.3g}"
             )
 
     verdict = _classify(decomp.eigenvalues, tol)
@@ -89,7 +90,7 @@ def analyze(
     kraus: KrausSet | None = None
     reason: str | None = None
     if verdict.is_cp:
-        kraus = extract_kraus(decomp, tol)
+        kraus = _cut_kraus(decomp, tol)
     else:
         reason = (
             f"map is not completely positive (min eigenvalue {verdict.min_eigenvalue:.6g}); "

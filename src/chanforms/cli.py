@@ -20,15 +20,14 @@ Exit codes (total: every path maps to exactly one):
      conversion requested for such a map
 
 Tolerance resolution: ``--tol`` flag, else the document's
-``options.tol``, else the ``CHANFORMS_TOL`` environment variable, else
-1e-9.
+``options.tol``, else 1e-9 (``serialize.parse_channel_document``).
+Either source must lie in (0, 1e-3].
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from collections.abc import Callable
 
@@ -55,7 +54,7 @@ from .forms import (
     realign_a_to_b,
     standard_basis,
 )
-from .linalg import DEFAULT_TOL, bloch_components
+from .linalg import bloch_components
 from .serialize import (
     FORMAT_VERSION,
     ChannelDocument,
@@ -69,7 +68,6 @@ from .serialize import (
 )
 from .zoo import CHANNEL_CATALOG, ChannelKind, ChannelSpec, channel_a
 
-TOL_ENV_VAR = "CHANFORMS_TOL"
 CONVERT_TARGETS = ("a_form", "b_form", "coefficient", "kraus", "canonical")
 
 # A subcommand's exit code and the builders of its machine document and human text.
@@ -193,17 +191,6 @@ def _read_state_arg(arg: str) -> str:
     return arg if arg.lstrip().startswith("{") else _read_text(arg, "state")
 
 
-def _env_default_tol() -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise DocumentError(f"{TOL_ENV_VAR}: not a number: {raw!r}") from None
-    return _check_tol(tol, TOL_ENV_VAR)
-
-
 def _tol_flag(raw: str) -> float:
     try:
         return _check_tol(float(raw), raw)
@@ -219,11 +206,7 @@ def _resolve_basis(flag: str | None, doc: ChannelDocument, dim: int) -> Operator
 
 
 def _load_document(args: argparse.Namespace) -> ChannelDocument:
-    text = _read_text(args.document, "document")
-    # The environment is checked even when --tol or options.tol wins.
-    return parse_channel_document(
-        text, tol_override=args.tol, default_tol=_env_default_tol()
-    )
+    return parse_channel_document(_read_text(args.document, "document"), tol_override=args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +290,7 @@ def _cmd_convert(args: argparse.Namespace) -> Command:
 
     if args.to == "a_form":
         spec = ChannelSpec(kind=ChannelKind.RAW_A, matrix=a.matrix)  # checked at tol by channel_a
-        machine = lambda: channel_document_wire(spec)
+        machine = lambda: channel_document_wire(spec, tol)
         human = lambda: f"A-form (dim {n}):\n{_render_matrix(a.matrix, tol)}"
     elif args.to == "b_form":
         b = realign_a_to_b(a, tol)
@@ -327,7 +310,7 @@ def _cmd_convert(args: argparse.Namespace) -> Command:
     else:  # kraus
         kraus = extract_kraus(canonical_decompose(a, basis, tol), tol)  # NCP -> exit 3
         spec = ChannelSpec(kind=ChannelKind.RAW_KRAUS, operators=kraus.operators)  # checked by extract_kraus
-        machine = lambda: channel_document_wire(spec)
+        machine = lambda: channel_document_wire(spec, tol)
         human = lambda: (
             f"kraus operators ({len(kraus)}):\n"
             + _render_operators(kraus.operators, tol)

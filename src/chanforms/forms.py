@@ -377,6 +377,13 @@ class MapOutput:
     positive: bool
 
 
+def _scaled_tol(tol: float, n: int, kraus: bool = False) -> float:
+    """The slack of a value summed over n^2 terms that each carry ~tol: tol * n^2 for a
+    coefficient matrix, its eigensolve and the spectral check; tol * (n^2 + 1) for the
+    completeness of a Kraus set, where each of up to n^2 dropped eigenvalues leaves ~tol."""
+    return tol * (n * n + 1) if kraus else tol * n * n
+
+
 def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CoefficientMatrix:
     """Expansion coefficients a[mu, nu] = Tr[A (T_mu^dag (x) T_nu^T)].
 
@@ -391,11 +398,10 @@ def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL)
     if basis.dim != n:
         raise DimensionMismatchError(f"dimension mismatch: {n} vs {basis.dim}")
     r = _freeze(_reshuffle(a.matrix, n))
-    # Residual hermiticity noise scales with the n^2 terms summed per entry.
     if basis._units:
-        return _new(CoefficientMatrix, basis=basis)._keep(r, a.hermiticity_residual, tol * n * n)
+        return _new(CoefficientMatrix, basis=basis)._keep(r, a.hermiticity_residual, _scaled_tol(tol, n))
     v = basis.elements.reshape(n * n, n * n)
-    return CoefficientMatrix(basis=basis, matrix=v.conj() @ r @ v.T, tol=tol * n * n)
+    return CoefficientMatrix(basis=basis, matrix=v.conj() @ r @ v.T, tol=_scaled_tol(tol, n))
 
 
 def expand_coefficients(cm: CoefficientMatrix) -> np.ndarray:
@@ -430,7 +436,7 @@ def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL
     """
     cm = coefficient_matrix(a, basis, tol)
     n = a.dim
-    eig = hermitian_eigendecompose(cm, tol * n * n)
+    eig = hermitian_eigendecompose(cm, _scaled_tol(tol, n))
     e = eig.eigenvectors if basis._units else eig.eigenvectors @ basis.elements.reshape(n * n, n * n)
     ops = e.reshape(n * n, n, n) + 0.0  # + 0.0 turns -0.0 into +0.0
     # Each C_k has unit norm, so its largest-magnitude entry is never 0.
@@ -445,11 +451,6 @@ def canonical_to_a(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> AForm
     return AForm(_operator_sum(c.canonical_ops, np.diag(c.eigenvalues)), tol=tol)
 
 
-def _kraus_tol(tol: float, n: int) -> float:
-    """Completeness slack of Kraus sets cut from n^2 eigenvalues: each dropped one leaves ~tol."""
-    return tol * (n * n + 1)
-
-
 def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausSet:
     """Kraus operators sqrt(lam_k) C_k of a completely positive map.
 
@@ -457,15 +458,20 @@ def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausS
     generic); an eigenvalue below ``-tol`` means no Kraus form exists
     and raises ``NotCompletelyPositiveError``.
     """
-    w = c.eigenvalues
-    verdict = _classify(w, tol)
+    verdict = _classify(c.eigenvalues, tol)
     if not verdict.is_cp:
         raise NotCompletelyPositiveError(
             f"map is not completely positive: min eigenvalue {verdict.min_eigenvalue:.6g} < -{tol:g}"
         )
+    return _cut_kraus(c, tol)
+
+
+def _cut_kraus(c: CanonicalDecomposition, tol: float) -> KrausSet:
+    """``extract_kraus`` for a map its caller has already classified as CP."""
+    w = c.eigenvalues
     keep = w > tol
     kept = np.sqrt(w[keep])[:, None, None] * c.canonical_ops[keep]
-    return KrausSet(kept, tol=_kraus_tol(tol, c.dim))
+    return KrausSet(kept, tol=_scaled_tol(tol, c.dim, kraus=True))
 
 
 def _map_output(n: int, rho: DensityMatrix, tol: float, act: Callable[..., np.ndarray], *operands) -> MapOutput:

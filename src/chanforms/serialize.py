@@ -113,12 +113,19 @@ def _as_finite_number(obj, path: str) -> float:
     return v
 
 
+# The largest eigenvalue of a trace-n B is at least 1/n, above this bound for n < 1000,
+# so a CP map keeps a Kraus operator; and tol * (n^2 + 1) stays below 1 up to n = 31.
+MAX_TOL = 1e-3
+
+
 def _check_tol(tol: float, path: str) -> float:
-    """The one tolerance check, for the flag, the environment and documents."""
+    """The one tolerance check, for the ``--tol`` flag and a document's ``options.tol``."""
     if not math.isfinite(tol):
         raise NonFiniteEntryError(f"{path}: tolerance must be finite")
     if tol <= 0:
         raise BadMatrixShapeError(f"{path}: tolerance must be positive")
+    if tol > MAX_TOL:
+        raise BadMatrixShapeError(f"{path}: tolerance must be at most {MAX_TOL:g}")
     return tol
 
 
@@ -176,12 +183,11 @@ def parse_complex(obj, path: str) -> complex:
     return complex(_as_finite_number(obj[0], path), _as_finite_number(obj[1], path))
 
 
-def _check_shape(m: np.ndarray, path: str, rows: int | None, cols: int | None) -> np.ndarray:
-    if rows is not None and m.shape[0] != rows:
+def _check_shape(m: np.ndarray, path: str, rows: int, cols: int) -> None:
+    if m.shape[0] != rows:
         raise BadMatrixShapeError(f"{path}: expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
+    if m.shape[1] != cols:
         raise BadMatrixShapeError(f"{path}: expected {cols} columns, got {m.shape[1]}")
-    return m
 
 
 def _pairs(obj) -> np.ndarray | None:
@@ -205,11 +211,11 @@ def _pairs(obj) -> np.ndarray | None:
     return pairs
 
 
-def parse_matrix(obj, path: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def parse_matrix(obj, path: str) -> np.ndarray:
     pairs = _pairs(obj)
     if pairs is not None:
         # A complex view keeps the sign of -0.0 parts, which re + 1j*im would not.
-        return _check_shape(pairs.view(complex)[..., 0], path, rows, cols)
+        return pairs.view(complex)[..., 0]
     # The entry-by-entry walk, which names the first bad entry.
     if not isinstance(obj, list) or not obj:
         raise BadMatrixShapeError(f"{path}: expected a non-empty array of rows")
@@ -223,7 +229,7 @@ def parse_matrix(obj, path: str, rows: int | None = None, cols: int | None = Non
         elif len(row) != width:
             raise BadMatrixShapeError(f"{path}[{i}]: ragged row ({len(row)} vs {width})")
         out.append([parse_complex(entry, f"{path}[{i}][{j}]") for j, entry in enumerate(row)])
-    return _check_shape(np.array(out, dtype=complex), path, rows, cols)
+    return np.array(out, dtype=complex)
 
 
 def _a_matrix(obj, path: str) -> np.ndarray:
@@ -368,25 +374,18 @@ def _parse_options(obj, path: str) -> dict:
     return {f: _walk(_OPTIONS[f], v, f"{path}.{f}") for f, v in d.items()}
 
 
-def parse_channel_document(
-    text: str | bytes,
-    *,
-    tol_override: float | None = None,
-    default_tol: float = DEFAULT_TOL,
-) -> ChannelDocument:
+def parse_channel_document(text: str | bytes, *, tol_override: float | None = None) -> ChannelDocument:
     """Parse and validate a channel document (strict).
 
     Raw matrix/operator payloads are validated against the map
     constraints at the effective tolerance, which the result carries as
     ``tol``: ``tol_override`` when given (the CLI flag), else the
-    document's own ``options.tol``, else ``default_tol``.
+    document's own ``options.tol``, else ``DEFAULT_TOL``.  This is the
+    only place the order is decided.
     """
     d = _as_object(_load_json(text, "document"), "document")
     options = _parse_options(d.pop("options", {}), "document.options")
-    if tol_override is not None:
-        tol = tol_override
-    else:
-        tol = options.get("tol", default_tol)
+    tol = tol_override if tol_override is not None else options.get("tol", DEFAULT_TOL)
     doc = _walk({"format_version": _version, "channel": _PAYLOAD}, d, "document")
     return ChannelDocument(
         channel=_make_channel(doc["channel"], tol, "document.channel"),
@@ -395,12 +394,16 @@ def parse_channel_document(
     )
 
 
-def channel_document_wire(spec: ChannelSpec) -> dict:
-    """Serialize a channel back into document form (inverse of parsing)."""
+def channel_document_wire(spec: ChannelSpec, tol: float | None = None) -> dict:
+    """Serialize a channel back into document form (inverse of parsing),
+    with ``options.tol`` when ``tol`` is given."""
     payload: dict = {"kind": spec.kind.value}
     for name, wire_type in _KINDS[spec.kind].fields:
         payload[name] = _ENCODERS[wire_type](getattr(spec, name))
-    return {"format_version": FORMAT_VERSION, "channel": payload}
+    doc = {"format_version": FORMAT_VERSION, "channel": payload}
+    if tol is not None:
+        doc["options"] = {"tol": tol}
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import copy
 import io
 import json
-import os
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -361,43 +360,24 @@ class TestToleranceResolution:
             }
         )
 
-    def test_env_var_sets_default_tolerance(self):
-        env = {**os.environ, "CHANFORMS_TOL": "1e-3"}
-        result = run_cli(["analyze", "-"], stdin_text=self.doc_with_small_violation(), env=env)
-        assert result.returncode == 0
-
-    def test_flag_beats_env_var(self):
-        env = {**os.environ, "CHANFORMS_TOL": "1e-3"}
-        result = run_cli(
-            ["analyze", "-", "--tol", "1e-9"],
-            stdin_text=self.doc_with_small_violation(),
-            env=env,
-        )
+    def test_flag_beats_document_tol(self):
+        doc = json.loads(self.doc_with_small_violation())
+        doc["options"] = {"tol": 1e-3}
+        result = run_cli(["analyze", "-", "--tol", "1e-9"], stdin_text=json.dumps(doc))
         assert result.returncode == 1  # strict flag tolerance rejects the map
 
-    def test_document_tol_beats_env(self):
-        env = {**os.environ, "CHANFORMS_TOL": "1e-12"}
-        doc = parse_channel_document(self.doc_with_small_violation(), tol_override=1e-3)
-        wire = dumps(
-            {
-                "format_version": "1",
-                "channel": {"kind": "raw_a", "matrix": matrix_to_wire(doc.channel.matrix)},
-                "options": {"tol": 1e-3},
-            }
-        )
-        result = run_cli(["analyze", "-"], stdin_text=wire, env=env)
-        assert result.returncode == 0
+    def test_document_tol_beats_default(self):
+        doc = json.loads(self.doc_with_small_violation())
+        assert run_cli(["analyze", "-"], stdin_text=json.dumps(doc)).returncode == 1
+        doc["options"] = {"tol": 1e-3}
+        assert run_cli(["analyze", "-"], stdin_text=json.dumps(doc)).returncode == 0
 
-    def test_bad_env_value_exits_two(self):
-        env = {**os.environ, "CHANFORMS_TOL": "not-a-number"}
-        result = run_cli(["analyze", "-"], stdin_text=TRANSPOSE_DOC, env=env)
-        assert result.returncode == 2
-
-    def test_bad_env_value_exits_two_even_with_flag(self):
-        env = {**os.environ, "CHANFORMS_TOL": "not-a-number"}
-        result = run_cli(["analyze", "-", "--tol", "1e-9"], stdin_text=TRANSPOSE_DOC, env=env)
-        assert result.returncode == 2
-        assert "CHANFORMS_TOL: not a number" in result.stderr
+    @pytest.mark.parametrize("doc", sorted(GOLDEN.glob("*.doc.json")), ids=lambda p: p.name.split(".")[0])
+    def test_environment_sets_no_tol(self, capsys, monkeypatch, doc):
+        """The former ``CHANFORMS_TOL`` variable is ignored: the goldens come out byte for byte."""
+        monkeypatch.setenv("CHANFORMS_TOL", "1e-3")
+        _, out, _ = main_in_process(capsys, ["analyze", str(doc), "--output", "machine"])
+        assert out == doc.with_name(doc.name.replace(".doc.", ".out.")).read_text()
 
     def test_non_numeric_tol_flag_exits_two(self):
         result = run_cli(["analyze", "-", "--tol", "x"], stdin_text=TRANSPOSE_DOC)
@@ -415,17 +395,27 @@ class TestToleranceResolution:
         assert result.returncode == 2
         assert "tolerance must be finite" in result.stderr
 
-    def test_nonfinite_env_tol_exits_two(self):
-        env = {**os.environ, "CHANFORMS_TOL": "inf"}
-        result = run_cli(["analyze", "-"], stdin_text=BIT_FLIP_DOC, env=env)
-        assert result.returncode == 2
-        assert "tolerance must be finite" in result.stderr
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["analyze", "--tol", "2"], TRANSPOSE_DOC),
+            (["analyze", "--tol", "5"], BIT_FLIP_DOC),
+            (["convert", "--to", "kraus", "--tol", "0.6"], BIT_FLIP_DOC),
+            (["analyze", "--tol", "1.0001e-3"], BIT_FLIP_DOC),
+            (["analyze"], BIT_FLIP_DOC[:-1] + ',"options":{"tol":2}}'),
+            (["convert", "--to", "kraus"], BIT_FLIP_DOC[:-1] + ',"options":{"tol":0.6}}'),
+        ],
+        ids=["flag_transpose", "flag_analyze", "flag_kraus", "flag_just_above", "options_analyze", "options_kraus"],
+    )
+    def test_tol_above_upper_end_exits_two(self, argv, doc):
+        result = run_cli([argv[0], "-", *argv[1:]], stdin_text=doc)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.count("error:") == 1
+        assert "tolerance must be at most 0.001" in result.stderr
 
-    def test_nonpositive_env_tol_exits_two(self):
-        env = {**os.environ, "CHANFORMS_TOL": "0"}
-        result = run_cli(["analyze", "-"], stdin_text=BIT_FLIP_DOC, env=env)
-        assert result.returncode == 2
-        assert "tolerance must be positive" in result.stderr
+    def test_tol_at_upper_end_is_accepted(self):
+        for argv, doc in [(["--tol", "1e-3"], BIT_FLIP_DOC), ([], BIT_FLIP_DOC[:-1] + ',"options":{"tol":1e-3}}')]:
+            assert run_cli(["convert", "-", "--to", "kraus", *argv], stdin_text=doc).returncode == 0
 
     def test_negative_seed_flag_exits_two(self):
         result = run_cli(["analyze", "-", "--seed", "-3"], stdin_text=TRANSPOSE_DOC)
@@ -524,7 +514,7 @@ class TestInProcess:
         # Every zero part written as -0.0; the a_form target must give it back byte for byte.
         matrix = [[[float(z.real) or -0.0, -0.0] for z in row] for row in build_bit_flip_a(0.25).matrix]
         text = json.dumps(
-            {"format_version": "1", "channel": {"kind": "raw_a", "matrix": matrix}},
+            {"format_version": "1", "channel": {"kind": "raw_a", "matrix": matrix}, "options": {"tol": 1e-9}},
             separators=(",", ":"),
         )
         assert "-0.0" in text
@@ -739,3 +729,18 @@ class TestExitCodeTable:
         target = argv[argv.index("--to") + 1] if "--to" in argv else argv[0]
         if out and argv[-1] == "machine" and target in REPARSERS:
             REPARSERS[target](out)
+
+    @pytest.mark.parametrize("target", ["a_form", "kraus"])
+    def test_conversion_at_a_loose_document_tol_analyzes_alike(self, capsys, tmp_path, target):
+        """A document valid only at its loose ``options.tol`` converts to one that carries that tol."""
+        a = build_bit_flip_a(0.75).matrix.copy()
+        a[1, 2] += 1e-5
+        doc = tmp_path / "loose.json"
+        channel = {"kind": "raw_a", "matrix": matrix_to_wire(a)}
+        doc.write_text(dumps({"format_version": "1", "channel": channel, "options": {"tol": 1e-3}}))
+        assert main_in_process(capsys, ["analyze", str(doc)])[0] == 0
+        code, out, _ = main_in_process(capsys, ["convert", str(doc), "--to", target, "--output", "machine"])
+        assert code == 0 and json.loads(out)["options"] == {"tol": 1e-3}
+        converted = tmp_path / "converted.json"
+        converted.write_text(out)
+        assert main_in_process(capsys, ["analyze", str(converted)])[0] == 0

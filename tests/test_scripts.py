@@ -45,8 +45,8 @@ def test_cli_matrix_is_reproducible():
     for result in runs:
         assert result.returncode == 0, result.stderr
     lines = runs[0].stdout.splitlines()
-    # six goldens and nine seeded documents, 40 runs each, and zoo in both output modes
-    assert len(lines) == 15 * 40 + 2
+    # six goldens and nine seeded documents, 54 runs each, and zoo in both output modes
+    assert len(lines) == 15 * 54 + 2
     assert runs[1].stdout == runs[0].stdout
 
 

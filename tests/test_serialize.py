@@ -30,7 +30,7 @@ from chanforms import (
     random_ncp_a,
 )
 from chanforms.cli import report_document, report_wire
-from chanforms.forms import _kraus_tol
+from chanforms.forms import _scaled_tol
 from chanforms.serialize import (
     channel_document_wire,
     dumps,
@@ -498,9 +498,13 @@ class TestReportDocuments:
             parse_report_document(json.dumps(doc))
 
     def test_support_follows_options_tol(self):
+        # A third eigenvalue of 1e-6 lies outside the support at tol 1e-3, inside it at 1e-9.
         doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
-        doc["report"]["options"]["tol"] = 1.0  # only 1.5 stays above it
-        with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.canonical\.operators: .* needs 1 entries, got 2$"):
+        doc["report"]["canonical"]["eigenvalues"][2] = 1e-6
+        doc["report"]["options"]["tol"] = 1e-3
+        assert len(parse_report_document(json.dumps(doc))["canonical"]["operators"]) == 2
+        doc["report"]["options"]["tol"] = 1e-9
+        with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.canonical\.operators: .* needs 3 entries, got 2$"):
             parse_report_document(json.dumps(doc))
 
     @pytest.mark.parametrize("tol", [0, -1e-9])
@@ -509,6 +513,12 @@ class TestReportDocuments:
         doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
         doc["report"]["options"]["tol"] = tol
         with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.options\.tol: tolerance must be positive$"):
+            parse_report_document(json.dumps(doc))
+
+    def test_options_tol_has_an_upper_end(self):
+        doc = json.loads((GOLDEN / "bit_flip.out.json").read_text())
+        doc["report"]["options"]["tol"] = 1.0
+        with pytest.raises(BadMatrixShapeError, match=r"^report\.report\.options\.tol: tolerance must be at most 0\.001$"):
             parse_report_document(json.dumps(doc))
 
     @pytest.mark.parametrize(
@@ -633,5 +643,5 @@ class TestTrimmedReport:
             assert rep["verdict"]["classification"] == "not_completely_positive"
             return
         r = rep["kraus"]["rank"]
-        kraus = KrausSet(np.sqrt(lam[:r])[:, None, None] * ops[:r], tol=_kraus_tol(tol, n))
-        assert np.abs(kraus_to_a(kraus, _kraus_tol(tol, n)).matrix - a).max() <= tol * n * n
+        kraus = KrausSet(np.sqrt(lam[:r])[:, None, None] * ops[:r], tol=_scaled_tol(tol, n, kraus=True))
+        assert np.abs(kraus_to_a(kraus, _scaled_tol(tol, n, kraus=True)).matrix - a).max() <= tol * n * n
