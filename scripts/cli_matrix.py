@@ -7,7 +7,7 @@ lines give byte-identical CLI output on every run, so a change that must
 not move an output byte is checked by running this script on the parent
 and on the change and comparing the two outputs with ``diff``:
 
-    PYTHONPATH=src python3 scripts/cli_matrix.py > after.txt
+    python3 scripts/cli_matrix.py > after.txt
 
 The documents are the six golden channel documents and, for each size n
 in ``--sizes``, seeded ``raw_kraus`` and ``raw_a`` documents of CP maps of
@@ -32,14 +32,17 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from chanforms import cli
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # the package of this checkout, whatever PYTHONPATH says
+from chanforms import cli  # noqa: E402
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+GOLDEN = ROOT / "tests" / "golden"
 SEED = 20261018
 OPTION_SETS = ([], ["--basis", "units"], ["--tol", "1e-7"], ["--tol", "1e-3"])
 

@@ -23,6 +23,7 @@ A semantic change exits 1 and writes no file.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -30,7 +31,8 @@ import sys
 
 import numpy as np
 
-GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "tests" / "golden"
 ULP = 1e-12  # largest move of a number, or of a cluster projector entry, that is not semantic
 _OPERATOR = re.compile(r"^report\.canonical\.operators\[(\d+)\]")
 
@@ -85,12 +87,15 @@ def main() -> int:
     if not docs:
         print(f"no documents found in {GOLDEN_DIR}", file=sys.stderr)
         return 1
+    # The CLI runs from this checkout's src/, ahead of any other tree on PYTHONPATH.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     outputs, semantic = [], 0
     for doc in docs:
         result = subprocess.run(
             [sys.executable, "-m", "chanforms", "analyze", str(doc), "--output", "machine"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         if result.returncode not in (0, 3):
             print(f"{doc.name}: unexpected exit {result.returncode}: {result.stderr}", file=sys.stderr)

@@ -15,10 +15,13 @@ Worst cases over the whole population are printed at the end.
 from __future__ import annotations
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from chanforms import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # this checkout's package
+from chanforms import (  # noqa: E402
     BasisLabel,
     canonical_decompose,
     choi_consistency,

@@ -8,9 +8,13 @@ and the Kraus rank: a quick end-to-end sanity sweep of the library.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from chanforms import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # this checkout's package
+from chanforms import (  # noqa: E402
     BasisLabel,
     BlochVector,
     ChannelSpec,

@@ -170,6 +170,8 @@ class AForm:
     residuals it measured are kept: ``hermiticity_residual`` is the
     max-norm of ``conj(A[r's'; rs]) - A[s'r'; sr]`` and
     ``trace_residual`` the max-norm of ``sum_r' A[r'r'; rs] - delta_rs``.
+    Its realignment R(A) is computed on first use and kept, read-only, so
+    the B-form and the coefficient matrix share one reshuffle.
     """
 
     matrix: np.ndarray
@@ -199,6 +201,11 @@ class AForm:
                 f"trace-preservation residual {self.trace_residual:.3g} exceeds tol {tol:g}"
             )
         return self
+
+    @functools.cached_property
+    def _realigned(self) -> np.ndarray:
+        """R(A)[(r',r),(s',s)] = A[(r',s'),(r,s)], the matrix of B, read-only."""
+        return _freeze(_reshuffle(self.matrix, self.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +404,7 @@ def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL)
     n = a.dim
     if basis.dim != n:
         raise DimensionMismatchError(f"dimension mismatch: {n} vs {basis.dim}")
-    r = _freeze(_reshuffle(a.matrix, n))
+    r = a._realigned
     if basis._units:
         return _new(CoefficientMatrix, basis=basis)._keep(r, a.hermiticity_residual, _scaled_tol(tol, n))
     v = basis.elements.reshape(n * n, n * n)
@@ -414,10 +421,10 @@ def realign_a_to_b(a: AForm, tol: float = DEFAULT_TOL) -> BForm:
 
     B - B^dag is a permutation of conj(A[r's'; rs]) - A[s'r'; sr] up to
     conjugation, which leaves every magnitude's bits alone, so A's kept
-    hermiticity residual is B's and is not measured again.
+    hermiticity residual is B's and is not measured again.  B's matrix is
+    A's kept realignment, the coefficient matrix's in the matrix units.
     """
-    n = a.dim
-    return _new(BForm)._keep(_freeze(_reshuffle(a.matrix, n)), n, a.hermiticity_residual, tol)
+    return _new(BForm)._keep(a._realigned, a.dim, a.hermiticity_residual, tol)
 
 
 def realign_b_to_a(b: BForm, tol: float = DEFAULT_TOL) -> AForm:

@@ -119,7 +119,8 @@ MAX_TOL = 1e-3
 
 
 def _check_tol(tol: float, path: str) -> float:
-    """The one tolerance check, for the ``--tol`` flag and a document's ``options.tol``."""
+    """The one tolerance check, for the ``--tol`` flag, a document's ``options.tol``
+    and ``parse_channel_document``'s ``tol_override``."""
     if not math.isfinite(tol):
         raise NonFiniteEntryError(f"{path}: tolerance must be finite")
     if tol <= 0:
@@ -191,24 +192,31 @@ def _check_shape(m: np.ndarray, path: str, rows: int, cols: int) -> None:
 
 
 def _pairs(obj) -> np.ndarray | None:
-    """The ``(r, c, 2)`` array of a well-formed matrix in one conversion, else None.
+    """The ``(r, c, 2)`` array of a well-formed matrix, else None.
 
-    An empty matrix or row gives fewer than three dimensions.  numpy would
-    also take tuples, booleans and numeric strings, so every container
-    must be a list and every leaf an int or a float.
+    numpy would also take tuples, booleans and numeric strings, so every
+    container must be a list and every leaf an int or a float.  The rows
+    and entries are flattened once, their types and lengths checked on the
+    flat lists, and the leaves converted in one 1-D pass.
     """
-    try:
-        pairs = np.array(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+    if type(obj) is not list or not obj or set(map(type, obj)) != {list}:
         return None
-    if pairs.ndim != 3 or pairs.shape[2] != 2 or not np.isfinite(pairs).all():
+    width = len(obj[0])
+    if not width or set(map(len, obj)) != {width}:
         return None
     entries = list(chain.from_iterable(obj))
-    if {type(obj), *map(type, obj), *map(type, entries)} != {list}:
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
         return None
-    if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
+    leaves = list(chain.from_iterable(entries))
+    if not set(map(type, leaves)) <= {int, float}:
         return None
-    return pairs
+    try:
+        flat = np.array(leaves, dtype=float)
+    except OverflowError:  # an integer beyond the double range
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return flat.reshape(-1, width, 2)
 
 
 def parse_matrix(obj, path: str) -> np.ndarray:
@@ -381,11 +389,13 @@ def parse_channel_document(text: str | bytes, *, tol_override: float | None = No
     constraints at the effective tolerance, which the result carries as
     ``tol``: ``tol_override`` when given (the CLI flag), else the
     document's own ``options.tol``, else ``DEFAULT_TOL``.  This is the
-    only place the order is decided.
+    only place the order is decided.  ``tol_override`` must lie in
+    (0, ``MAX_TOL``] like the document's, or raises with the path
+    ``tol_override``.
     """
     d = _as_object(_load_json(text, "document"), "document")
     options = _parse_options(d.pop("options", {}), "document.options")
-    tol = tol_override if tol_override is not None else options.get("tol", DEFAULT_TOL)
+    tol = options.get("tol", DEFAULT_TOL) if tol_override is None else _check_tol(tol_override, "tol_override")
     doc = _walk({"format_version": _version, "channel": _PAYLOAD}, d, "document")
     return ChannelDocument(
         channel=_make_channel(doc["channel"], tol, "document.channel"),

@@ -37,14 +37,17 @@ class ChannelKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
-    """Parsed description of a channel; use the classmethod constructors.
+    """Parsed description of a channel.
 
-    A raw kind keeps the form ``raw_a`` or ``raw_kraus`` validated (the
-    ``AForm`` or the ``KrausSet``), so ``channel_a`` compares the residuals
-    kept there with its own ``tol`` instead of validating ``matrix`` or
-    ``operators`` again.  A raw spec built any other way (the dataclass
-    constructor, ``dataclasses.replace``) keeps none and is validated by
-    ``channel_a``.
+    Construction measures the channel once, however the spec is built (a
+    classmethod, the dataclass constructor or ``dataclasses.replace``), and
+    keeps the form it measured: the closed-form ``AForm`` of a named kind,
+    the ``AForm`` of ``raw_a``'s ``matrix`` or the ``KrausSet`` of
+    ``raw_kraus``'s ``operators``, whose read-only copy replaces the field.
+    A malformed payload (a matrix that is not n^2 x n^2, a non-finite entry,
+    operators of mixed sizes) raises here.  The map constraints are checked
+    by ``channel_a`` at its ``tol`` against the residuals kept in the form,
+    and by the raw classmethods at theirs.
     """
 
     kind: ChannelKind
@@ -54,7 +57,10 @@ class ChannelSpec:
     p: float | None = None
     matrix: np.ndarray | None = None
     operators: np.ndarray | None = None  # shape (k, n, n)
-    _form: AForm | KrausSet | None = field(default=None, init=False, repr=False)
+    _form: AForm | KrausSet = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_form", _KINDS[self.kind].measure(self))
 
     @classmethod
     def unitary(cls, axis, angle: float) -> "ChannelSpec":
@@ -86,25 +92,19 @@ class ChannelSpec:
 
     @classmethod
     def raw_a(cls, matrix: np.ndarray, tol: float = DEFAULT_TOL) -> "ChannelSpec":
-        a = AForm(matrix, tol=tol)  # validates the map constraints
-        return cls(kind=ChannelKind.RAW_A, matrix=a.matrix)._keeping(a)
+        spec = cls(kind=ChannelKind.RAW_A, matrix=matrix)
+        spec._form._check(tol)
+        return spec
 
     @classmethod
     def raw_kraus(cls, operators, tol: float = DEFAULT_TOL) -> "ChannelSpec":
-        kraus = KrausSet(operators, tol=tol)
-        return cls(kind=ChannelKind.RAW_KRAUS, operators=kraus.operators)._keeping(kraus)
-
-    def _keeping(self, form: AForm | KrausSet) -> "ChannelSpec":
-        object.__setattr__(self, "_form", form)
-        return self
+        spec = cls(kind=ChannelKind.RAW_KRAUS, operators=operators)
+        spec._form._check(tol)
+        return spec
 
     @property
     def dim(self) -> int:
-        if self.kind is ChannelKind.RAW_A:
-            return math.isqrt(self.matrix.shape[0])
-        if self.kind is ChannelKind.RAW_KRAUS:
-            return self.operators.shape[1]
-        return 2
+        return self._form.dim
 
     def describe(self) -> dict:
         """JSON-ready summary of the channel and its parameters."""
@@ -246,15 +246,30 @@ class _KindRule:
     ``fields`` are the payload fields in wire order with their wire types:
     "real", "axis" (three reals), "bloch" (three reals, a Bloch vector),
     "a_matrix" or "operators".  ``make(tol, **fields)`` is the validating
-    constructor applied to the parsed fields; ``build_a(spec, tol)`` gives
-    the A-form of a spec of this kind.  ``summary`` is the kind's line in
-    the ``zoo`` catalog, None for the raw kinds.
+    constructor applied to the parsed fields; ``measure(spec)`` gives the
+    form a spec of this kind keeps, built once at its construction and not
+    checked against a tolerance: the closed-form ``AForm`` of a named kind,
+    or for a raw kind the ``AForm`` or ``KrausSet`` of its payload, whose
+    read-only copy it puts in the spec's field.  ``summary`` is the kind's
+    line in the ``zoo`` catalog, None for the raw kinds.
     """
 
     fields: tuple[tuple[str, str], ...]
     make: Callable[..., ChannelSpec]
-    build_a: Callable[[ChannelSpec, float], AForm]
+    measure: Callable[[ChannelSpec], AForm | KrausSet]
     summary: str | None = None
+
+
+def _measure_payload(name: str, form_type: type[AForm] | type[KrausSet]) -> Callable:
+    """``measure`` of a raw kind: the form of its field ``name``, built at an infinite
+    tol so that only a malformed payload raises; its read-only copy replaces the field."""
+
+    def measure(spec: ChannelSpec) -> AForm | KrausSet:
+        form = form_type(getattr(spec, name), tol=math.inf)
+        object.__setattr__(spec, name, getattr(form, name))
+        return form
+
+    return measure
 
 
 # How ``describe`` and the channel documents write the scalar wire types;
@@ -269,54 +284,54 @@ _KINDS: dict[ChannelKind, _KindRule] = {
     ChannelKind.UNITARY: _KindRule(
         (("axis", "axis"), ("angle", "real")),
         lambda tol, axis, angle: ChannelSpec.unitary(axis, angle),
-        lambda spec, tol: build_unitary_a(spec.axis, spec.angle),
+        lambda spec: build_unitary_a(spec.axis, spec.angle),
         "rho -> U rho U^dag with U = exp(i(theta/2) n.sigma); completely positive, "
         "canonical rank 1 with eigenvalue 2",
     ),
     ChannelKind.PIN: _KindRule(
         (("p0", "bloch"),),
         lambda tol, p0: ChannelSpec.pin(BlochVector(*p0)),
-        lambda spec, tol: build_pin_a(spec.p0),
+        lambda spec: build_pin_a(spec.p0),
         "sends every input state to a fixed state rho0; completely positive, "
         "spectrum {(1+|p0|)/2 twice, (1-|p0|)/2 twice}; B-form equals rho0 (x) I",
     ),
     ChannelKind.TRANSPOSE: _KindRule(
         (),
         lambda tol: ChannelSpec.transpose(),
-        lambda spec, tol: build_transpose_a(),
+        lambda spec: build_transpose_a(),
         "rho -> rho^T; positive but not completely positive (one canonical "
         "eigenvalue is -1); its B-form equals its A-form",
     ),
     ChannelKind.EQUATORIAL_PROJECTION: _KindRule(
         (),
         lambda tol: ChannelSpec.equatorial_projection(),
-        lambda spec, tol: build_equatorial_projection_a(),
+        lambda spec: build_equatorial_projection_a(),
         "projects the Bloch ball onto its equator, (p1,p2,p3) -> (p1,p2,0); "
         "not completely positive (spectrum {3/2, 1/2, 1/2, -1/2})",
     ),
     ChannelKind.BIT_FLIP: _KindRule(
         (("p", "real"),),
         lambda tol, p: ChannelSpec.bit_flip(p),
-        lambda spec, tol: build_bit_flip_a(spec.p),
+        lambda spec: build_bit_flip_a(spec.p),
         "keeps the state with probability p, applies sigma_1 with probability "
         "1-p; completely positive, spectrum {2p, 2(1-p), 0, 0}",
     ),
     ChannelKind.PHASE_FLIP: _KindRule(
         (("p", "real"),),
         lambda tol, p: ChannelSpec.phase_flip(p),
-        lambda spec, tol: build_phase_flip_a(spec.p),
+        lambda spec: build_phase_flip_a(spec.p),
         "keeps the state with probability p, applies sigma_3 with probability "
         "1-p; completely positive, spectrum {2p, 2(1-p), 0, 0}",
     ),
     ChannelKind.RAW_A: _KindRule(
         (("matrix", "a_matrix"),),
         lambda tol, matrix: ChannelSpec.raw_a(matrix, tol=tol),
-        lambda spec, tol: AForm(spec.matrix, tol=tol) if spec._form is None else spec._form,
+        _measure_payload("matrix", AForm),
     ),
     ChannelKind.RAW_KRAUS: _KindRule(
         (("operators", "operators"),),
         lambda tol, operators: ChannelSpec.raw_kraus(operators, tol=tol),
-        lambda spec, tol: kraus_to_a(spec.operators if spec._form is None else spec._form, tol=tol),
+        _measure_payload("operators", KrausSet),
     ),
 }
 
@@ -326,8 +341,10 @@ NAMED_KINDS = tuple(CHANNEL_CATALOG)
 
 
 def channel_a(spec: ChannelSpec, tol: float = DEFAULT_TOL) -> AForm:
-    """Process matrix of any channel description, checked at ``tol`` whatever its kind."""
-    return _KINDS[spec.kind].build_a(spec, tol)._check(tol)
+    """Process matrix of any channel description, checked at ``tol`` whatever its kind:
+    the kept A-form, or the A-form of the kept Kraus set."""
+    form = spec._form
+    return kraus_to_a(form, tol) if isinstance(form, KrausSet) else form._check(tol)
 
 
 __all__ = [

@@ -849,6 +849,19 @@ class TestUnitBasisShortcut:
         assert bit_equal(decomp.canonical_ops, ops)
         assert bit_equal(coefficient_matrix(a, copy).matrix, _reshuffle(a.matrix, n))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_an_a_form_realigns_once(self, n, monkeypatch):
+        a = random_ncp_a(n, seed=n)
+        want = _reshuffle(a.matrix, n)
+        calls = []
+        monkeypatch.setattr(forms, "_reshuffle", lambda m, k: calls.append(k) or want)
+        b = realign_a_to_b(a)
+        assert b.matrix is coefficient_matrix(a, standard_basis(n)).matrix
+        assert bit_equal(b.matrix, want) and not b.matrix.flags.writeable
+        coefficient_matrix(a, random_basis(np.random.default_rng(n), n))
+        analysis.choi_consistency(a)
+        assert calls == [n]
+
     def test_other_labels_build_no_unit_basis(self, monkeypatch):
         # A Pauli-labelled basis takes its route without building (and
         # caching) the matrix units of its size.
@@ -1223,17 +1236,51 @@ class TestCarriedMeasurements:
             assert not arr.flags.writeable
 
     def test_raw_specs_built_without_their_constructors_are_validated(self):
-        a = kraus_to_a(random_cp_channel(2, 2, seed=5))
-        ops = random_cp_channel(2, 2, seed=6).operators
-        pairs = [
-            (ChannelSpec.raw_a(a.matrix), ChannelSpec(kind=ChannelKind.RAW_A, matrix=a.matrix)),
-            (ChannelSpec.raw_kraus(ops), dataclasses.replace(ChannelSpec.raw_kraus(ops))),
-        ]
-        for kept, bare in pairs:
-            assert bare.dim == kept.dim == 2
-            assert bit_equal(channel_a(bare).matrix, channel_a(kept).matrix)
+        # Every kind built by its classmethod, by the dataclass constructor and
+        # by dataclasses.replace keeps one measured form: the same A-form and
+        # dim, and the same outcome at each residual and just below it.
+        examples = kind_examples()
+        assert [spec.kind for spec in examples] == list(ChannelKind)
+        for spec in examples:
+            bare = ChannelSpec(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec) if f.init})
+            specs = (spec, bare, dataclasses.replace(spec))
+            a = channel_a(spec)
+            for other in specs:
+                assert other.dim == spec.dim == a.dim
+                assert bit_equal(channel_a(other).matrix, a.matrix)
+            if spec.kind is ChannelKind.RAW_KRAUS:
+                residuals = [kraus_reference_residual(spec.operators)]
+            else:
+                residuals = [a.hermiticity_residual, a.trace_residual]
+            for tol in [t for r in residuals for t in (tol_just_below(r), r)]:
+                got = [outcome(lambda x: channel_a(x, tol), x) for x in specs]
+                for result in got[1:]:
+                    assert result[0] == got[0][0], (spec.kind, tol)
+                    if result[0] == "ok":
+                        assert bit_equal(result[1].matrix, got[0][1].matrix)
+                    else:
+                        assert result[1] == got[0][1]
+                if tol == tol_just_below(max(residuals)):
+                    assert issubclass(got[0][0], ChanformsError)
         with pytest.raises(NotTracePreservingError):
             channel_a(ChannelSpec(kind=ChannelKind.RAW_A, matrix=0.5 * np.eye(4)))
+
+    @pytest.mark.parametrize(
+        "field, payload",
+        [
+            ("matrix", np.eye(3)),
+            ("matrix", np.where(np.eye(4) == 1, np.nan, 0.0)),
+            ("operators", [np.eye(2), np.zeros((3, 3))]),
+        ],
+        ids=["matrix_3x3", "nan_entry", "mixed_sizes"],
+    )
+    def test_bare_raw_specs_reject_a_malformed_payload_at_construction(self, field, payload):
+        kind = ChannelKind.RAW_A if field == "matrix" else ChannelKind.RAW_KRAUS
+        make = ChannelSpec.raw_a if field == "matrix" else ChannelSpec.raw_kraus
+        got = outcome(lambda p: ChannelSpec(kind=kind, **{field: p}), payload)
+        want = outcome(make, payload)
+        assert got[0] is want[0] and issubclass(got[0], ChanformsError)
+        assert got[1] == want[1]
 
     def test_specs_do_not_follow_the_callers_input(self):
         a = kraus_to_a(random_cp_channel(3, 2, seed=8))
@@ -1244,6 +1291,22 @@ class TestCarriedMeasurements:
         ops[0][0, 0] = 7.0
         for spec, want in zip(specs, before):
             assert bit_equal(channel_a(spec).matrix, want)
+
+
+def kind_examples() -> list[ChannelSpec]:
+    """One spec of each kind by its classmethod; the raw ones carry small residuals."""
+    axis = np.array([0.3, -0.5, 0.7])
+    raw = AForm(noisy_map(3, True, 3, 1e-11).matrix * (1 + 1e-10))
+    return [
+        ChannelSpec.unitary(axis / np.linalg.norm(axis), 1.234),
+        ChannelSpec.pin(BlochVector(0.3, -0.2, 0.5)),
+        ChannelSpec.transpose(),
+        ChannelSpec.equatorial_projection(),
+        ChannelSpec.bit_flip(0.3),
+        ChannelSpec.phase_flip(0.7),
+        ChannelSpec.raw_a(raw.matrix),
+        ChannelSpec.raw_kraus(random_cp_channel(3, 2, seed=6).operators * (1 + 1e-11)),
+    ]
 
 
 def kraus_reference_residual(ops) -> float:

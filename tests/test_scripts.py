@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -21,26 +22,35 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     [["zoo_report.py"], ["spectral_experiment.py", "--count", "20"]],
     ids=["zoo_report", "spectral_experiment"],
 )
-def test_script_exits_zero(argv):
+def test_script_exits_zero(argv, tmp_path):
+    """Run from another directory with PYTHONPATH unset, a script imports its own checkout."""
     result = subprocess.run(
         [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
         capture_output=True,
         text=True,
         timeout=60,
+        cwd=tmp_path,
+        env=without_pythonpath(),
     )
     assert result.returncode == 0, result.stderr
 
 
-def test_cli_matrix_is_reproducible():
-    """Two runs print the same lines, so a diff between checkouts shows only output changes."""
+def without_pythonpath() -> dict:
+    return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+
+def test_cli_matrix_is_reproducible(tmp_path):
+    """Two runs print the same lines, so a diff between checkouts shows only output changes;
+    the second runs from another directory with PYTHONPATH unset, so each checkout runs its own code."""
     runs = [
         subprocess.run(
             [sys.executable, str(SCRIPTS / "cli_matrix.py"), "--sizes", "2"],
             capture_output=True,
             text=True,
             timeout=120,
+            **kwargs,
         )
-        for _ in range(2)
+        for kwargs in ({}, {"cwd": tmp_path, "env": without_pythonpath()})
     ]
     for result in runs:
         assert result.returncode == 0, result.stderr
@@ -81,7 +91,10 @@ def load_bench_pairs():
 
 
 def test_regen_golden_reproduces_the_committed_goldens(tmp_path, monkeypatch):
-    """Run on copies of the six golden documents, the script writes every committed output byte for byte."""
+    """Run on copies of the six golden documents, the script writes every committed output byte for byte,
+    from another directory with PYTHONPATH unset."""
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    monkeypatch.chdir(tmp_path)
     regen = load_script("regen_golden")
     docs = sorted(GOLDEN.glob("*.doc.json"))
     assert len(docs) == 6

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from chanforms import (
 from chanforms.cli import report_document, report_wire
 from chanforms.forms import _scaled_tol
 from chanforms.serialize import (
+    _pairs,
     channel_document_wire,
     dumps,
     matrix_to_wire,
@@ -74,6 +77,23 @@ class TestParseChannelDocument:
     def test_effective_tolerance(self, options, override, expected):
         text = '{"format_version":"1","channel":{"kind":"transpose"}' + options + "}"
         assert parse_channel_document(text, tol_override=override).tol == expected
+
+    @pytest.mark.parametrize(
+        "override, error, message",
+        [
+            (2.0, BadMatrixShapeError, "tol_override: tolerance must be at most 0.001"),
+            (math.inf, NonFiniteEntryError, "tol_override: tolerance must be finite"),
+            (0, BadMatrixShapeError, "tol_override: tolerance must be positive"),
+        ],
+        ids=["two", "inf", "zero"],
+    )
+    def test_tol_override_has_the_range_of_options_tol(self, override, error, message):
+        # 1e-3, the upper end, is accepted: see test_effective_tolerance.
+        text = '{"format_version":"1","channel":{"kind":"transpose"}}'
+        with pytest.raises(error) as info:
+            parse_channel_document(text, tol_override=override)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_non_square_raw_matrix_rejected(self):
         rows = [[[1.0, 0.0]] * 4] * 3
@@ -288,7 +308,62 @@ def per_entry_wire(m) -> list:
 BIG_INT = "1" + "0" * 400  # an integer literal beyond double range
 
 
+def pairs_reference(obj):
+    """The rule ``_pairs`` had before it decoded in one pass, kept as its reference:
+    numpy converts the nested lists, then the container and leaf types are checked."""
+    try:
+        pairs = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if pairs.ndim != 3 or pairs.shape[2] != 2 or not np.isfinite(pairs).all():
+        return None
+    entries = list(chain.from_iterable(obj))
+    if {type(obj), *map(type, obj), *map(type, entries)} != {list}:
+        return None
+    if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
+        return None
+    return pairs
+
+
+PAIRS_CASES = {
+    "well_formed": [[[1.0, -0.0], [0, 2**70 + 1]], [[-0.0, 0.0], [2**53 + 1, -3]]],
+    "one_entry": [[[0.5, -1]]],
+    "bool": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]],
+    "string": [[["1.5", 0], [0, 0]], [[0, 0], [1, 0]]],
+    "null": [[[1, None]]],
+    "tuple_entry": [[(1.0, 0.0), [0.0, 0.0]]],
+    "tuple_row": [([1.0, 0.0], [0.0, 0.0])],
+    "tuple_matrix": ([[1.0, 0.0]],),
+    "ragged": [[[1, 0], [0, 0]], [[0, 0]]],
+    "triple": [[[1, 0], [0, 0]], [[0, 0], [1, 0, 0]]],
+    "single": [[[1]]],
+    "empty": [],
+    "empty_row": [[]],
+    "empty_entry": [[[]]],
+    "deeper": [[[[1.0], 0.0]]],
+    "not_a_list": {"0": [[1.0, 0.0]]},
+    "huge_int": [[[10**400, 0]]],
+    "nan": [[[math.nan, 0.0], [0.0, 0.0]]],
+    "inf": [[[0.0, -math.inf]]],
+}
+
+
 class TestMatrixCodec:
+    @pytest.mark.parametrize("obj", PAIRS_CASES.values(), ids=PAIRS_CASES.keys())
+    def test_one_pass_decode_matches_the_reference(self, obj):
+        got, want = _pairs(obj), pairs_reference(obj)
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(complex_stacks())
+    def test_one_pass_decode_is_bit_exact(self, m):
+        for op in json.loads(dumps(matrix_to_wire(m))):
+            assert _pairs(op).tobytes() == pairs_reference(op).tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(complex_stacks())
     def test_round_trip_is_bit_exact(self, m):
