@@ -6,7 +6,12 @@
 Builds the workload's inputs with ``perfbench/workloads.py`` (imported, not
 changed), runs every op once to fill caches, then runs the same pass again
 under cProfile and prints its function calls divided by the number of ops.
-The package is imported from this checkout's ``src/``.
+The warm pass also fills the values a form keeps on first use: an A-form's
+realignment and a Kraus set's A-form.  Where a workload reuses its specs
+(``qubit_sweep``), the count is the steady state of a spec analyzed again;
+where each op parses a new document (``dense_documents``), nothing carries
+from one pass to the next.  The package is imported from this checkout's
+``src/``.
 """
 
 from __future__ import annotations

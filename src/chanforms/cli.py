@@ -59,14 +59,14 @@ from .serialize import (
     FORMAT_VERSION,
     ChannelDocument,
     _check_tol,
-    channel_document_wire,
+    _payload_document_wire,
     dumps,
     matrix_to_wire,
     parse_channel_document,
     parse_state_document,
     representation_wire,
 )
-from .zoo import CHANNEL_CATALOG, ChannelKind, ChannelSpec, channel_a
+from .zoo import CHANNEL_CATALOG, ChannelKind, channel_a
 
 CONVERT_TARGETS = ("a_form", "b_form", "coefficient", "kraus", "canonical")
 
@@ -289,8 +289,7 @@ def _cmd_convert(args: argparse.Namespace) -> Command:
     label = basis.label.value
 
     if args.to == "a_form":
-        spec = ChannelSpec(kind=ChannelKind.RAW_A, matrix=a.matrix)  # checked at tol by channel_a
-        machine = lambda: channel_document_wire(spec, tol)
+        machine = lambda: _payload_document_wire(ChannelKind.RAW_A, tol, matrix=a.matrix)
         human = lambda: f"A-form (dim {n}):\n{_render_matrix(a.matrix, tol)}"
     elif args.to == "b_form":
         b = realign_a_to_b(a, tol)
@@ -309,8 +308,7 @@ def _cmd_convert(args: argparse.Namespace) -> Command:
         )
     else:  # kraus
         kraus = extract_kraus(canonical_decompose(a, basis, tol), tol)  # NCP -> exit 3
-        spec = ChannelSpec(kind=ChannelKind.RAW_KRAUS, operators=kraus.operators)  # checked by extract_kraus
-        machine = lambda: channel_document_wire(spec, tol)
+        machine = lambda: _payload_document_wire(ChannelKind.RAW_KRAUS, tol, operators=kraus.operators)
         human = lambda: (
             f"kraus operators ({len(kraus)}):\n"
             + _render_operators(kraus.operators, tol)

@@ -328,7 +328,8 @@ class KrausSet:
     ``(k, n, n)`` array like ``canonical_ops``: iterating or indexing it gives
     the operators one by one, and ``len`` counts them.  Construction keeps
     what it measured: ``completeness_residual`` is the max-norm of
-    ``sum_k E_k^dag E_k - I``.
+    ``sum_k E_k^dag E_k - I``.  Its A-form is built and measured on first
+    use and kept, so ``kraus_to_a`` of one set returns one ``AForm``.
     """
 
     operators: np.ndarray  # shape (k, n, n)
@@ -356,6 +357,14 @@ class KrausSet:
 
     def __len__(self) -> int:
         return len(self.operators)
+
+    @functools.cached_property
+    def _a_form(self) -> AForm:
+        """sum_k E_k (x) conj(E_k), the realignment of V^T conj(V) with the row-vectorized E_k
+        as the rows of V, measured but unchecked; a non-finite sum raises and is not kept."""
+        k, n, _ = self.operators.shape
+        v = self.operators.reshape(k, n * n)
+        return AForm(_reshuffle(v.T @ v.conj(), n), tol=math.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -524,13 +533,15 @@ def kraus_to_a(ops: KrausSet | Iterable[np.ndarray], tol: float = DEFAULT_TOL) -
 
     Accepts a validated :class:`KrausSet`, whose kept completeness
     residual is compared with ``tol``, or a raw operator sequence, which is
-    validated here.  Either raises ``IncompleteKrausError`` when the
-    completeness sum deviates from the identity beyond ``tol``.
+    validated here as a new set on every call.  Either raises
+    ``IncompleteKrausError`` when the completeness sum deviates from the
+    identity beyond ``tol``.  A set keeps its A-form, computed on first use,
+    so one set gives one ``AForm``, whose kept residuals each call checks.
     """
     ops = ops._check(tol) if isinstance(ops, KrausSet) else KrausSet(ops, tol=tol)
     # The trace-preservation residual of the result equals the Kraus
     # completeness residual, so the same tolerance applies.
-    return AForm(_operator_sum(ops.operators, _identity(len(ops))), tol=tol)
+    return ops._a_form._check(tol)
 
 
 def _classify(eigenvalues: np.ndarray, tol: float) -> CpVerdict:

@@ -407,9 +407,16 @@ def parse_channel_document(text: str | bytes, *, tol_override: float | None = No
 def channel_document_wire(spec: ChannelSpec, tol: float | None = None) -> dict:
     """Serialize a channel back into document form (inverse of parsing),
     with ``options.tol`` when ``tol`` is given."""
-    payload: dict = {"kind": spec.kind.value}
-    for name, wire_type in _KINDS[spec.kind].fields:
-        payload[name] = _ENCODERS[wire_type](getattr(spec, name))
+    fields = {name: getattr(spec, name) for name, _ in _KINDS[spec.kind].fields}
+    return _payload_document_wire(spec.kind, tol, **fields)
+
+
+def _payload_document_wire(kind: ChannelKind, tol: float | None, **fields) -> dict:
+    """``channel_document_wire`` of a ``kind`` with its payload ``fields`` in hand,
+    written as they are: no spec is built, so nothing is measured again."""
+    payload: dict = {"kind": kind.value}
+    for name, wire_type in _KINDS[kind].fields:
+        payload[name] = _ENCODERS[wire_type](fields[name])
     doc = {"format_version": FORMAT_VERSION, "channel": payload}
     if tol is not None:
         doc["options"] = {"tol": tol}

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    InvalidMatrixError,
     NotUnitAxisError,
     ProbabilityRangeError,
     RankRangeError,
@@ -131,8 +132,11 @@ def _require_unit_axis(axis) -> np.ndarray:
 
 
 def rotation_unitary(axis, angle: float) -> np.ndarray:
-    """2x2 rotation U = cos(theta/2) I + i sin(theta/2) (n.sigma)."""
+    """2x2 rotation U = cos(theta/2) I + i sin(theta/2) (n.sigma); a NaN or infinite
+    ``angle`` raises ``InvalidMatrixError``."""
     ax = _require_unit_axis(axis)
+    if not math.isfinite(angle):
+        raise InvalidMatrixError(f"rotation angle {angle!r} is not finite")
     n_dot_sigma = ax[0] * SIGMA_1 + ax[1] * SIGMA_2 + ax[2] * SIGMA_3
     return np.cos(angle / 2) * np.eye(2, dtype=complex) + 1j * np.sin(angle / 2) * n_dot_sigma
 
@@ -342,7 +346,8 @@ NAMED_KINDS = tuple(CHANNEL_CATALOG)
 
 def channel_a(spec: ChannelSpec, tol: float = DEFAULT_TOL) -> AForm:
     """Process matrix of any channel description, checked at ``tol`` whatever its kind:
-    the kept A-form, or the A-form of the kept Kraus set."""
+    the kept A-form, or the one the kept Kraus set keeps, so every call on one spec
+    returns one ``AForm``."""
     form = spec._form
     return kraus_to_a(form, tol) if isinstance(form, KrausSet) else form._check(tol)
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import chanforms.analysis
 import chanforms.forms
 from chanforms import (
+    PAULIS,
     AForm,
     BasisLabel,
     BlochVector,
@@ -14,6 +17,7 @@ from chanforms import (
     build_pin_a,
     choi_consistency,
     choi_state,
+    channel_a,
     hermitian_eigendecompose,
     kraus_to_a,
     random_cp_channel,
@@ -139,6 +143,75 @@ class TestEigensolves:
             analyze(spec, PAULI)
         report = analyze(spec, standard_basis(2))
         assert report.spectral_match == 0.0 and not report.verdict.is_cp
+
+
+PAULI_ROWS = np.stack([sigma.reshape(-1) for sigma in PAULIS])  # row mu is vec(sigma_mu)
+
+
+def unital_qubit_a(t: np.ndarray) -> np.ndarray:
+    """A = 1/2 sum_{mu,nu} M[mu,nu] vec(sigma_mu) vec(sigma_nu)^dag with M = 1 (+) T: the
+    unital qubit map that sends the Bloch vector r to T r."""
+    m = np.zeros((4, 4))
+    m[0, 0], m[1:, 1:] = 1.0, t
+    return 0.5 * PAULI_ROWS.T @ m @ PAULI_ROWS.conj()
+
+
+def bloch_matrix(a: AForm) -> np.ndarray:
+    """M[mu,nu] = 1/2 vec(sigma_mu)^dag A vec(sigma_nu), the inverse of ``unital_qubit_a``."""
+    return 0.5 * PAULI_ROWS.conj() @ a.matrix @ PAULI_ROWS.T
+
+
+def fujiwara_algoet_margin(lam) -> float:
+    """min(|1 + l3| - |l1 + l2|, |1 - l3| - |l1 - l2|) for signed singular values l of T:
+    a unital qubit map is CP exactly when it is >= 0 (Fujiwara & Algoet 1999)."""
+    l1, l2, l3 = lam
+    return min(abs(1 + l3) - abs(l1 + l2), abs(1 - l3) - abs(l1 - l2))
+
+
+def rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """The SO(3) rotation Rz(alpha) Ry(beta) Rz(gamma)."""
+    def rz(x):
+        return np.array([[np.cos(x), -np.sin(x), 0], [np.sin(x), np.cos(x), 0], [0, 0, 1]])
+
+    ry = np.array([[np.cos(beta), 0, np.sin(beta)], [0, 1, 0], [-np.sin(beta), 0, np.cos(beta)]])
+    return rz(alpha) @ ry @ rz(gamma)
+
+
+_angles = st.tuples(*[st.floats(0, 2 * np.pi)] * 3)
+
+
+class TestBlochCondition:
+    """``analyze``'s verdict on unital qubit maps against a closed-form CP condition that
+    shares no code with the canonical spectrum."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.tuples(*[st.floats(-1, 1)] * 3), _angles, _angles)
+    def test_verdict_matches_the_fujiwara_algoet_condition(self, lam, angles1, angles2):
+        margin = fujiwara_algoet_margin(lam)
+        assume(abs(margin) > 1e-6)  # nearer the boundary the verdict rests on rounding
+        t = rotation(*angles1) @ np.diag(lam) @ rotation(*angles2)
+        report = analyze(ChannelSpec.raw_a(unital_qubit_a(t)))
+        assert report.verdict.is_cp == (margin >= 0), (lam, report.verdict.min_eigenvalue)
+
+    @pytest.mark.parametrize(
+        "spec, cp",
+        [
+            (ChannelSpec.transpose(), False),
+            (ChannelSpec.equatorial_projection(), False),
+            (ChannelSpec.bit_flip(0.3), True),
+        ],
+        ids=["transpose", "equatorial_projection", "bit_flip"],
+    )
+    def test_named_channels(self, spec, cp):
+        m = bloch_matrix(channel_a(spec))
+        assert np.abs(m.imag).max() < 1e-12
+        assert np.abs(m[0] - [1, 0, 0, 0]).max() < 1e-12 and np.abs(m[:, 0] - [1, 0, 0, 0]).max() < 1e-12
+        t = m[1:, 1:].real
+        lam = np.linalg.svd(t, compute_uv=False)
+        if np.linalg.det(t) < 0:  # two proper rotations carry T to diag(lam) only with a sign
+            lam[-1] = -lam[-1]
+        assert bool(fujiwara_algoet_margin(lam) >= 0) is cp
+        assert analyze(spec).verdict.is_cp is cp
 
 
 class TestChoiConsistency:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanforms import build_bit_flip_a, build_unitary_a, cli
+from chanforms import build_bit_flip_a, build_unitary_a, cli, forms
 from chanforms.serialize import (
     dumps,
     matrix_to_wire,
@@ -281,6 +281,19 @@ class TestConvert:
         payload = json.loads(result.stdout)
         m = np.array([[complex(re, im) for re, im in row] for row in payload["matrix"]])
         assert np.allclose(m, np.diag([1, 1, -1, 1]), atol=1e-12)
+
+
+    @pytest.mark.parametrize("target, form", [("a_form", "AForm"), ("kraus", "KrausSet")])
+    def test_writes_the_form_it_holds(self, capsys, monkeypatch, target, form):
+        # The converted form is written as it is, not measured again in a new spec.
+        cls = getattr(forms, form)
+        built = []
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, tol: built.append(1) or post_init(self, tol))
+        argv = ["convert", str(GOLDEN / "bit_flip.doc.json"), "--to", target, "--output", "machine"]
+        code, out, _ = main_in_process(capsys, argv)
+        assert code == 0 and len(built) == 1
+        assert parse_channel_document(out).channel.kind.value == ("raw_a" if target == "a_form" else "raw_kraus")
 
 
 class TestZoo:

@@ -1312,3 +1312,94 @@ def kind_examples() -> list[ChannelSpec]:
 def kraus_reference_residual(ops) -> float:
     v = np.concatenate(list(ops))
     return max_abs(v.conj().T @ v - np.eye(v.shape[1]))
+
+
+def kraus_to_a_reference(ops, tol: float = 1e-9) -> AForm:
+    """``kraus_to_a`` as it was before a Kraus set kept its A-form: the identity-weighted
+    operator sum, built, copied and measured anew on every call and checked at ``tol``."""
+    kraus = ops._check(tol) if isinstance(ops, KrausSet) else KrausSet(ops, tol=tol)
+    return AForm(forms._operator_sum(kraus.operators, np.eye(len(kraus))), tol=tol)
+
+
+def named_kraus_sets() -> list[list[np.ndarray]]:
+    """Sparse Kraus sets whose A-forms hold many signed zeros."""
+    sets = []
+    for p in (0.0, 0.3, 1.0):
+        for j, k in ((0, 1), (0, 3), (1, 2)):
+            ops = [np.sqrt(p) * PAULIS[j], np.sqrt(1 - p) * PAULIS[k]]
+            sets += [ops, [-op for op in ops], [1j * op for op in ops]]
+    for g in (0.0, 0.4):
+        e0 = np.array([[1, -0.0], [complex(-0.0, -0.0), np.sqrt(1 - g)]], dtype=complex)
+        e1 = np.array([[-0.0, np.sqrt(g)], [0, -0.0]], dtype=complex)
+        sets.append([e0, e1])
+    return sets
+
+
+class TestKeptKrausAForm:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**31 - 1))
+    def test_equals_the_identity_weighted_sum_bit_for_bit(self, n, seed):
+        kraus = random_cp_channel(n, int(np.random.default_rng(seed).integers(1, n * n + 1)), seed)
+        want = kraus_to_a_reference(kraus)
+        for got in (kraus_to_a(kraus), kraus_to_a(list(kraus.operators))):
+            assert bit_equal(got.matrix, want.matrix)
+            assert (got.hermiticity_residual, got.trace_residual) == (want.hermiticity_residual, want.trace_residual)
+
+    @pytest.mark.parametrize("ops", named_kraus_sets())
+    def test_signed_zeros_of_sparse_sets(self, ops):
+        assert bit_equal(kraus_to_a(ops).matrix, kraus_to_a_reference(ops).matrix)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_raw_kraus_spec_builds_and_realigns_once(self, n, monkeypatch):
+        spec = ChannelSpec.raw_kraus(random_cp_channel(n, n, seed=n).operators)
+        calls = []
+        reshuffle = forms._reshuffle
+        monkeypatch.setattr(forms, "_reshuffle", lambda m, k: calls.append(k) or reshuffle(m, k))
+        a = channel_a(spec)
+        for tol in (1e-9, 1e-3):
+            assert channel_a(spec, tol) is a
+            assert analyze(spec, tol=tol).a_trace_residual == a.trace_residual
+            assert realign_a_to_b(a, tol).matrix is coefficient_matrix(a, standard_basis(n), tol).matrix
+            analysis.choi_consistency(a, tol)
+        assert calls == [n, n]  # the operator sum's realignment, then A's
+
+    def test_each_call_checks_its_own_tol(self):
+        spec = ChannelSpec.raw_kraus(random_cp_channel(2, 2, seed=4).operators * (1 + 1e-11))
+        residual = kraus_reference_residual(spec.operators)
+        a = channel_a(spec, 1e-9)
+        assert residual > 1e-20
+        for tol in (1e-20, tol_just_below(residual), residual, 1e-9, 1e-20):
+            got = outcome(lambda t: channel_a(spec, t), tol)
+            want = outcome(lambda t: kraus_to_a_reference(spec.operators, t), tol)
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                assert got[1] is a
+            else:
+                assert got[1] == want[1]
+        with pytest.raises(IncompleteKrausError, match=f"^completeness residual {residual:.3g} exceeds tol 1e-20$"):
+            channel_a(spec, 1e-20)
+
+    def test_an_operator_list_is_validated_on_every_call(self):
+        good = list(random_cp_channel(2, 2, seed=5).operators)
+        first = kraus_to_a(good)
+        bad = [2 * good[0], good[1]]
+        with pytest.raises(IncompleteKrausError):
+            kraus_to_a(bad)
+        again = kraus_to_a(good)
+        assert again is not first and bit_equal(again.matrix, first.matrix)
+        with pytest.raises(IncompleteKrausError):
+            kraus_to_a(bad)
+
+    def test_an_overflowing_set_raises_on_every_call(self):
+        # Its completeness sum overflows too, so only an infinite tol lets it be built;
+        # the operator sum overflows on each use, and a build that raised keeps nothing.
+        ops = [[[1e155, 1e155], [0, 0]]]
+        with np.errstate(all="ignore"):
+            kraus = KrausSet(ops, tol=np.inf)
+            spec = ChannelSpec(kind=ChannelKind.RAW_KRAUS, operators=ops)
+            for _ in range(2):
+                with pytest.raises(InvalidMatrixError, match="^matrix contains non-finite entries$"):
+                    kraus_to_a(kraus, np.inf)
+                with pytest.raises(InvalidMatrixError, match="^matrix contains non-finite entries$"):
+                    channel_a(spec, np.inf)
+        assert "_a_form" not in vars(kraus)

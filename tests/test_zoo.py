@@ -9,6 +9,7 @@ from chanforms import (
     BlochVector,
     ChannelSpec,
     DensityMatrix,
+    InvalidMatrixError,
     NotUnitAxisError,
     OutsideBallError,
     ProbabilityRangeError,
@@ -106,6 +107,16 @@ class TestUnitaryChannel:
             rotation_unitary(axis, 1.0)
         with pytest.raises(NotUnitAxisError):
             build_unitary_a(axis, 1.0)
+
+    @pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_angle_rejected_before_any_arithmetic(self, angle):
+        # Under the suite's error::RuntimeWarning a cos(inf) warning would surface
+        # instead of the typed error.
+        message = f"^rotation angle {angle!r} is not finite$"
+        with pytest.raises(InvalidMatrixError, match=message):
+            ChannelSpec.unitary((0.0, 0.0, 1.0), angle)
+        with pytest.raises(InvalidMatrixError, match=message):
+            rotation_unitary((0.0, 0.0, 1.0), angle)
 
 
 class TestPinChannel:
