@@ -88,14 +88,14 @@ def main() -> int:
         print(f"no documents found in {GOLDEN_DIR}", file=sys.stderr)
         return 1
     # The CLI runs from this checkout's src/, ahead of any other tree on PYTHONPATH.
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     outputs, semantic = [], 0
     for doc in docs:
         result = subprocess.run(
             [sys.executable, "-m", "chanforms", "analyze", str(doc), "--output", "machine"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         if result.returncode not in (0, 3):
             print(f"{doc.name}: unexpected exit {result.returncode}: {result.stderr}", file=sys.stderr)

@@ -105,27 +105,36 @@ def _operator_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """n^2 trace-orthonormal n x n operators, Tr[T_mu^dag T_nu] = delta; ``_units`` marks
-    the matrix units |j><k| in row-major order (row-vectorized, V = I) whatever the label."""
+    the matrix units |j><k| in row-major order (row-vectorized, V = I) whatever the label.
+    The basis-change operands V (the row-vectorized elements as rows), conj(V) and V^T are
+    built once and kept, read-only."""
 
     dim: int
     label: BasisLabel
     elements: np.ndarray  # shape (n^2, n, n)
     tol: InitVar[float] = DEFAULT_TOL
     _units: bool = field(init=False, repr=False)
+    _v: np.ndarray = field(init=False, repr=False)
+    _v_conj: np.ndarray = field(init=False, repr=False)
+    _v_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, tol: float) -> None:
-        el = np.array(self.elements, dtype=complex)  # defensive copy
+        el = _freeze(np.array(self.elements, dtype=complex))  # defensive copy
         n = self.dim
         if el.shape != (n * n, n, n):
             raise InvalidMatrixError(f"expected {n * n} elements of shape ({n},{n}), got {el.shape}")
         if not np.isfinite(el).all():
             raise InvalidMatrixError("basis elements contain non-finite entries")
         v = el.reshape(n * n, n * n)
+        v_conj = _freeze(v.conj())
         eye = _identity(n * n)
-        if max_abs(v.conj() @ v.T - eye) > tol:
+        if max_abs(v_conj @ v.T - eye) > tol:
             raise InvalidMatrixError("basis elements are not trace-orthonormal")
-        object.__setattr__(self, "elements", _freeze(el))
+        object.__setattr__(self, "elements", el)
         object.__setattr__(self, "_units", np.array_equal(v, eye))
+        object.__setattr__(self, "_v", v)
+        object.__setattr__(self, "_v_conj", v_conj)
+        object.__setattr__(self, "_v_t", v.T)
 
 
 def standard_basis(n: int, label: BasisLabel | str = BasisLabel.MATRIX_UNITS) -> OperatorBasis:
@@ -170,8 +179,9 @@ class AForm:
     residuals it measured are kept: ``hermiticity_residual`` is the
     max-norm of ``conj(A[r's'; rs]) - A[s'r'; sr]`` and
     ``trace_residual`` the max-norm of ``sum_r' A[r'r'; rs] - delta_rs``.
-    Its realignment R(A) is computed on first use and kept, read-only, so
-    the B-form and the coefficient matrix share one reshuffle.
+    Its B-form, the realignment R(A) with its trace, is built and measured
+    on first use and kept, read-only, so ``realign_a_to_b`` and the
+    coefficient matrix share one reshuffle and B's trace is taken once.
     """
 
     matrix: np.ndarray
@@ -203,9 +213,10 @@ class AForm:
         return self
 
     @functools.cached_property
-    def _realigned(self) -> np.ndarray:
-        """R(A)[(r',r),(s',s)] = A[(r',s'),(r,s)], the matrix of B, read-only."""
-        return _freeze(_reshuffle(self.matrix, self.dim))
+    def _b_form(self) -> BForm:
+        """The B-form R(A)[(r',r),(s',s)] = A[(r',s'),(r,s)], measured but unchecked; its
+        hermiticity residual is A's (see ``realign_a_to_b``)."""
+        return _new(BForm)._keep(_freeze(_reshuffle(self.matrix, self.dim)), self.dim, self.hermiticity_residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,25 +232,31 @@ class BForm(_MeasuredHermitian):
     dim: int = field(init=False)
     hermiticity_residual: float = field(init=False)
     trace: float = field(init=False)
+    _complex_trace: complex = field(init=False, repr=False)
 
     def __post_init__(self, tol: float) -> None:
         m = as_complex_matrix(self.matrix)
-        self._keep(_freeze(m), _side_dim(m, "B-form"), hermiticity_residual(m), tol)
+        self._keep(_freeze(m), _side_dim(m, "B-form"), hermiticity_residual(m))._check(tol)
 
-    def _keep(self, m: np.ndarray, n: int, herm: float, tol: float) -> BForm:
-        """Check ``herm``, the residual of ``m``, and the trace of ``m`` against
-        ``tol``, then keep them with ``m``."""
-        if herm > tol:
-            raise NotHermiticityPreservingError(
-                f"B-form hermiticity residual {herm:.3g} exceeds tol {tol:g}"
-            )
+    def _keep(self, m: np.ndarray, n: int, herm: float) -> BForm:
+        """Keep ``m``, its side ``n``, ``herm``, the residual of ``m``, and the trace of ``m``."""
         tr = complex(np.trace(m))
-        if abs(tr - n) > tol * n:
-            raise NotTracePreservingError(f"B-form trace {tr:.6g} differs from n={n}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "hermiticity_residual", herm)
         object.__setattr__(self, "trace", tr.real)
+        object.__setattr__(self, "_complex_trace", tr)
+        return self
+
+    def _check(self, tol: float) -> BForm:
+        """Raise what construction at ``tol`` would raise, from the kept measurements."""
+        if self.hermiticity_residual > tol:
+            raise NotHermiticityPreservingError(
+                f"B-form hermiticity residual {self.hermiticity_residual:.3g} exceeds tol {tol:g}"
+            )
+        tr, n = self._complex_trace, self.dim
+        if abs(tr - n) > tol * n:
+            raise NotTracePreservingError(f"B-form trace {tr:.6g} differs from n={n}")
         return self
 
 
@@ -283,7 +300,9 @@ class CanonicalDecomposition:
     Reconstruction identity: ``A == sum_k eigenvalues[k] *
     kron(canonical_ops[k], conj(canonical_ops[k]))``.  Eigenvalues are
     descending; each operator's global phase is fixed by making its
-    largest-magnitude entry real and positive.
+    largest-magnitude entry real and positive.  The operands of
+    ``apply_canonical``, the stacks of lam_k C_k and of C_k^dag, are built
+    on first use and kept, read-only.
     """
 
     basis: OperatorBasis
@@ -297,6 +316,19 @@ class CanonicalDecomposition:
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+    @functools.cached_property
+    def _weighted(self) -> np.ndarray:
+        return _freeze(self.eigenvalues[:, None, None] * self.canonical_ops)
+
+    @functools.cached_property
+    def _adjoint(self) -> np.ndarray:
+        return _adjoints(self.canonical_ops)
+
+
+def _adjoints(ops: np.ndarray) -> np.ndarray:
+    """The read-only stack of O_k^dag for a (k, n, n) stack of operators O_k."""
+    return _freeze(ops.conj().transpose(0, 2, 1))
 
 
 def _operator_stack(operators) -> np.ndarray:
@@ -329,7 +361,8 @@ class KrausSet:
     the operators one by one, and ``len`` counts them.  Construction keeps
     what it measured: ``completeness_residual`` is the max-norm of
     ``sum_k E_k^dag E_k - I``.  Its A-form is built and measured on first
-    use and kept, so ``kraus_to_a`` of one set returns one ``AForm``.
+    use and kept, so ``kraus_to_a`` of one set returns one ``AForm``; the
+    stack of E_k^dag that ``apply_kraus`` needs is kept the same way.
     """
 
     operators: np.ndarray  # shape (k, n, n)
@@ -365,6 +398,10 @@ class KrausSet:
         k, n, _ = self.operators.shape
         v = self.operators.reshape(k, n * n)
         return AForm(_reshuffle(v.T @ v.conj(), n), tol=math.inf)
+
+    @functools.cached_property
+    def _adjoint(self) -> np.ndarray:
+        return _adjoints(self.operators)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,11 +450,10 @@ def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL)
     n = a.dim
     if basis.dim != n:
         raise DimensionMismatchError(f"dimension mismatch: {n} vs {basis.dim}")
-    r = a._realigned
+    r = a._b_form.matrix
     if basis._units:
         return _new(CoefficientMatrix, basis=basis)._keep(r, a.hermiticity_residual, _scaled_tol(tol, n))
-    v = basis.elements.reshape(n * n, n * n)
-    return CoefficientMatrix(basis=basis, matrix=v.conj() @ r @ v.T, tol=_scaled_tol(tol, n))
+    return CoefficientMatrix(basis=basis, matrix=basis._v_conj @ r @ basis._v_t, tol=_scaled_tol(tol, n))
 
 
 def expand_coefficients(cm: CoefficientMatrix) -> np.ndarray:
@@ -430,10 +466,13 @@ def realign_a_to_b(a: AForm, tol: float = DEFAULT_TOL) -> BForm:
 
     B - B^dag is a permutation of conj(A[r's'; rs]) - A[s'r'; sr] up to
     conjugation, which leaves every magnitude's bits alone, so A's kept
-    hermiticity residual is B's and is not measured again.  B's matrix is
-    A's kept realignment, the coefficient matrix's in the matrix units.
+    hermiticity residual is B's and is not measured again.  A keeps its
+    B-form, built and measured once, and this returns it after checking
+    the kept residual and trace at ``tol``, in the constructor's order and
+    with its messages.  B's matrix is the coefficient matrix's in the
+    matrix units.
     """
-    return _new(BForm)._keep(a._realigned, a.dim, a.hermiticity_residual, tol)
+    return a._b_form._check(tol)
 
 
 def realign_b_to_a(b: BForm, tol: float = DEFAULT_TOL) -> AForm:
@@ -453,7 +492,7 @@ def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL
     cm = coefficient_matrix(a, basis, tol)
     n = a.dim
     eig = hermitian_eigendecompose(cm, _scaled_tol(tol, n))
-    e = eig.eigenvectors if basis._units else eig.eigenvectors @ basis.elements.reshape(n * n, n * n)
+    e = eig.eigenvectors if basis._units else eig.eigenvectors @ basis._v
     ops = e.reshape(n * n, n, n) + 0.0  # + 0.0 turns -0.0 into +0.0
     # Each C_k has unit norm, so its largest-magnitude entry is never 0.
     flat = ops.reshape(len(ops), -1)
@@ -463,8 +502,11 @@ def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL
 
 
 def canonical_to_a(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> AForm:
-    """Reassemble the process matrix sum_k lam_k C_k (x) conj(C_k)."""
-    return AForm(_operator_sum(c.canonical_ops, np.diag(c.eigenvalues)), tol=tol)
+    """Reassemble the process matrix sum_k lam_k C_k (x) conj(C_k): with the row-vectorized
+    C_k as the rows of V, the realignment of (V^T lam) conj(V), lam scaling V^T's columns."""
+    k, n, _ = c.canonical_ops.shape
+    v = c.canonical_ops.reshape(k, n * n)
+    return AForm(_reshuffle((v.T * c.eigenvalues) @ v.conj(), n), tol=tol)
 
 
 def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausSet:
@@ -506,9 +548,15 @@ def _map_output(n: int, rho: DensityMatrix, tol: float, act: Callable[..., np.nd
     return MapOutput(matrix=out, min_eigenvalue=min_eig, positive=min_eig >= -tol)
 
 
-def _operator_action(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_k L_k m R_k^dag for (k, n, n) stacks L and R, as one batched product."""
-    return np.add.reduce(left @ m @ right.conj().transpose(0, 2, 1))
+def _operator_action(m: np.ndarray, left: np.ndarray, right_adjoint: np.ndarray) -> np.ndarray:
+    """sum_k L_k m R_k^dag for a (k, n, n) stack L and the stack of the R_k^dag.
+
+    The first product is one 2-D (k n, n) @ (n, n) product of the stacked
+    L_k, which gives each L_k m bit for bit as the batched product would,
+    without its per-slice cost at small n; the second is batched.
+    """
+    k, n, _ = left.shape
+    return np.add.reduce((left.reshape(k * n, n) @ m).reshape(k, n, n) @ right_adjoint)
 
 
 def apply_a(a: AForm, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
@@ -518,14 +566,12 @@ def apply_a(a: AForm, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput
 
 def apply_canonical(c: CanonicalDecomposition, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
     """Apply the map as sum_k lam_k C_k rho C_k^dag: the Kraus product, weighted by lam_k."""
-    ops = c.canonical_ops
-    return _map_output(ops.shape[1], rho, tol, _operator_action, c.eigenvalues[:, None, None] * ops, ops)
+    return _map_output(c.canonical_ops.shape[1], rho, tol, _operator_action, c._weighted, c._adjoint)
 
 
 def apply_kraus(kraus: KrausSet, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
     """Apply the operator sum rho -> sum_k E_k rho E_k^dag."""
-    ops = kraus.operators
-    return _map_output(ops.shape[1], rho, tol, _operator_action, ops, ops)
+    return _map_output(kraus.dim, rho, tol, _operator_action, kraus.operators, kraus._adjoint)
 
 
 def kraus_to_a(ops: KrausSet | Iterable[np.ndarray], tol: float = DEFAULT_TOL) -> AForm:

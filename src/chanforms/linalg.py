@@ -120,7 +120,11 @@ class BlochVector:
 
     def __post_init__(self) -> None:
         for v in (self.p1, self.p2, self.p3):
-            if not math.isfinite(v):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an int beyond the double range
+                finite = False
+            if not finite:
                 raise OutsideBallError("Bloch components must be finite")
         if self.norm > 1.0 + DEFAULT_TOL:
             raise OutsideBallError(

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    ChanformsError,
     InvalidMatrixError,
     NotUnitAxisError,
     ProbabilityRangeError,
@@ -65,11 +66,11 @@ class ChannelSpec:
 
     @classmethod
     def unitary(cls, axis, angle: float) -> "ChannelSpec":
-        ax = tuple(float(v) for v in axis)
+        ax = tuple(_real(v, NotUnitAxisError, "axis component") for v in axis)
         if len(ax) != 3:
             raise NotUnitAxisError(f"axis needs 3 components, got {len(ax)}")
         _require_unit_axis(ax)
-        return cls(kind=ChannelKind.UNITARY, axis=ax, angle=float(angle))
+        return cls(kind=ChannelKind.UNITARY, axis=ax, angle=_real(angle, InvalidMatrixError, "rotation angle"))
 
     @classmethod
     def pin(cls, p0: BlochVector) -> "ChannelSpec":
@@ -116,15 +117,23 @@ class ChannelSpec:
         return out
 
 
+def _real(x, error: type[ChanformsError], what: str) -> float:
+    """``float(x)``; a number beyond the double range, such as the int 10**400, raises ``error``."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise error(f"{what} is beyond the double range") from None
+
+
 def _require_probability(p: float) -> float:
-    p = float(p)
+    p = _real(p, ProbabilityRangeError, "probability")
     if not 0.0 <= p <= 1.0:
         raise ProbabilityRangeError(f"probability {p!r} outside [0, 1]")
     return p
 
 
 def _require_unit_axis(axis) -> np.ndarray:
-    ax = np.asarray(axis, dtype=float)
+    ax = np.array([_real(v, NotUnitAxisError, "axis component") for v in axis])
     norm = math.hypot(*ax)
     if not abs(norm - 1.0) <= DEFAULT_TOL:  # also rejects a NaN component
         raise NotUnitAxisError(f"axis norm {norm:.6g} differs from 1 beyond tol {DEFAULT_TOL:g}")
@@ -135,6 +144,7 @@ def rotation_unitary(axis, angle: float) -> np.ndarray:
     """2x2 rotation U = cos(theta/2) I + i sin(theta/2) (n.sigma); a NaN or infinite
     ``angle`` raises ``InvalidMatrixError``."""
     ax = _require_unit_axis(axis)
+    angle = _real(angle, InvalidMatrixError, "rotation angle")
     if not math.isfinite(angle):
         raise InvalidMatrixError(f"rotation angle {angle!r} is not finite")
     n_dot_sigma = ax[0] * SIGMA_1 + ax[1] * SIGMA_2 + ax[2] * SIGMA_3

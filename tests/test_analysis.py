@@ -81,20 +81,27 @@ def _sample_maps(n: int) -> list[AForm]:
 @pytest.fixture
 def eigensolve_calls(monkeypatch):
     """A list that gains one entry per ``hermitian_eigendecompose`` call made
-    through the two modules ``analyze`` reaches it by."""
+    through ``forms``, the one module ``analyze`` reaches it by (and through
+    ``analysis``, should it import the solver again)."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return hermitian_eigendecompose(*args, **kwargs)
 
-    for module in (chanforms.forms, chanforms.analysis):
-        monkeypatch.setattr(module, "hermitian_eigendecompose", counted)
+    monkeypatch.setattr(chanforms.forms, "hermitian_eigendecompose", counted)
+    monkeypatch.setattr(chanforms.analysis, "hermitian_eigendecompose", counted, raising=False)
     return calls
 
 
+def pair_residual(report, b: np.ndarray) -> float:
+    """max|B V_c - V_c diag(lam)| with the row-vectorized canonical operators as the columns of V_c."""
+    v = np.stack([op.reshape(-1) for op in report.canonical.canonical_ops], axis=1)
+    return float(np.abs(b @ v - v @ np.diag(report.canonical.eigenvalues)).max())
+
+
 class TestEigensolves:
-    """``analyze`` eigensolves B on its own only where that is a second route."""
+    """``analyze`` solves once in every basis: B is solved through the coefficient matrix only."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_unit_basis_solves_once(self, n, eigensolve_calls):
@@ -105,44 +112,84 @@ class TestEigensolves:
             assert len(eigensolve_calls) == 1
             assert report.b_spectrum.tobytes() == report.canonical.eigenvalues.tobytes()
             assert report.spectral_match == 0.0
-            # What the dropped second solve of B gave, bit for bit.
+            # What a second solve of B alone gives, bit for bit.
             b_alone = hermitian_eigendecompose(realign_a_to_b(a), 1e-9 * n * n).eigenvalues
             assert b_alone.tobytes() == report.b_spectrum.tobytes()
 
-    def test_pauli_basis_solves_b_again(self, eigensolve_calls):
+    def test_pauli_basis_solves_once(self, eigensolve_calls):
         for a in _sample_maps(2):
             del eigensolve_calls[:]
             report = analyze(ChannelSpec.raw_a(a.matrix), PAULI)
-            assert len(eigensolve_calls) == 2
+            assert len(eigensolve_calls) == 1
+            assert report.b_spectrum is report.canonical.eigenvalues
+            b = realign_a_to_b(a).matrix
+            assert report.spectral_match == pytest.approx(pair_residual(report, b), rel=0, abs=1e-15)
             assert report.spectral_match <= report.tol * 4
+            # B solved on its own, the route this check replaced, gives the same spectrum.
+            assert np.abs(hermitian_eigendecompose(b).eigenvalues - report.b_spectrum).max() <= 1e-14
 
-    def test_other_basis_with_the_units_label_solves_b_again(self, eigensolve_calls):
-        # The elements choose the route, not the label: a random basis labelled
-        # units solves B again, and a copy of the matrix units does not.
+    def test_other_basis_with_the_units_label_solves_once(self, eigensolve_calls):
+        # The elements choose the check, not the label: a random basis labelled
+        # units checks its pairs against B, and a copy of the matrix units does not.
         units = standard_basis(3)
         g = np.random.default_rng(3).standard_normal((9, 9, 2)).view(complex)[..., 0]
         other = type(units)(dim=3, label=units.label, elements=np.linalg.qr(g)[0].T.reshape(9, 3, 3))
         copy = type(units)(dim=3, label=units.label, elements=units.elements)
         a = _sample_maps(3)[1]
         report = analyze(ChannelSpec.raw_a(a.matrix), other)
-        assert len(eigensolve_calls) == 2
-        assert report.spectral_match <= report.tol * 9
+        assert len(eigensolve_calls) == 1
+        assert 0.0 < report.spectral_match <= report.tol * 9
         del eigensolve_calls[:]
         report = analyze(ChannelSpec.raw_a(a.matrix), copy)
         assert len(eigensolve_calls) == 1
         assert report.spectral_match == 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.booleans())
+    def test_pauli_pair_residual_is_at_rounding_level(self, seed, cp):
+        """At most 2 n^2 eps ||B||_F for random CP and NCP qubit maps (a probe of 3,000
+        such maps peaked at 4.7 eps ||B||_F)."""
+        rng = np.random.default_rng(seed)
+        a = kraus_to_a(random_cp_channel(2, int(rng.integers(1, 5)), seed)) if cp else random_ncp_a(2, seed)
+        report = analyze(ChannelSpec.raw_a(a.matrix), PAULI)
+        b = realign_a_to_b(a).matrix
+        assert report.spectral_match <= 2 * 4 * np.finfo(float).eps * np.linalg.norm(b)
+        assert report.verdict.is_cp == cp
+
+    def test_a_corrupted_pair_raises(self, monkeypatch):
+        """Swapping the operators of two distinct eigenvalues leaves each a pair of
+        nothing in B: for ``bit_flip(0.75)`` the residual is their gap, 1, times the
+        operators' largest entry, 1/sqrt(2)."""
+        decompose = chanforms.analysis.canonical_decompose
+
+        def swapped(*args):
+            d = decompose(*args)
+            ops = d.canonical_ops[[1, 0, 2, 3]]
+            return type(d)(basis=d.basis, eigenvalues=d.eigenvalues, canonical_ops=ops)
+
+        monkeypatch.setattr(chanforms.analysis, "canonical_decompose", swapped)
+        with pytest.raises(InvalidMatrixError, match=r"^canonical pairs are not eigenpairs of B: residual 0.707, beyond tol\*n\^2 = 4e-09$"):
+            analyze(ChannelSpec.bit_flip(0.75), PAULI)
+
     def test_spectral_mismatch_beyond_tol_n_squared_raises(self):
         """The valid identity with A[1,0] = A[2,0] = 1e308: the trace formula loses the
-        eigenvalue 1 to rounding, so in Pauli the two spectra differ by about 2e292.
-        In matrix units there is one spectrum and nothing to compare."""
+        eigenvalue 1 to rounding, so in Pauli the canonical pairs miss B by about 5e292.
+        In matrix units the coefficient matrix is B, and there is nothing to compare."""
         a = np.eye(4)
         a[1, 0] = a[2, 0] = 1e308
         spec = ChannelSpec.raw_a(a)
-        with pytest.raises(InvalidMatrixError, match=r"^coefficient and B spectra differ by 2e\+292, beyond tol\*n\^2 = 4e-09$"):
+        with pytest.raises(
+            InvalidMatrixError,
+            match=r"^canonical pairs are not eigenpairs of B: residual 4.99e\+292, beyond tol\*n\^2 = 4e-09$",
+        ):
             analyze(spec, PAULI)
         report = analyze(spec, standard_basis(2))
         assert report.spectral_match == 0.0 and not report.verdict.is_cp
+
+    def test_a_residual_that_is_not_a_number_raises(self, monkeypatch):
+        monkeypatch.setattr(chanforms.analysis, "max_abs", lambda m: float("nan"))
+        with pytest.raises(InvalidMatrixError, match=r"^canonical pairs are not eigenpairs of B: residual nan,"):
+            analyze(ChannelSpec.bit_flip(0.75), PAULI)
 
 
 PAULI_ROWS = np.stack([sigma.reshape(-1) for sigma in PAULIS])  # row mu is vec(sigma_mu)

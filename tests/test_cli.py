@@ -570,8 +570,8 @@ class TestInProcess:
     def test_overflow_exits_two(self, capsys, huge_path, command, output):
         """``apply``'s output overflows and exits 2.  ``analyze`` halves before adding
         in its eigensolves, so in ``units`` it reports the map as not CP and exits 3;
-        in ``pauli`` the trace-formula spectrum loses the eigenvalue 1, and the failed
-        spectral check exits 2."""
+        in ``pauli`` the trace-formula spectrum loses the eigenvalue 1, so the canonical
+        pairs miss B, and the failed pair check exits 2."""
         for basis in ("pauli", "units") if command[0] == "analyze" else (None,):
             argv = [command[0], huge_path, *command[1:], "--output", output]
             with warnings.catch_warnings():
@@ -582,7 +582,7 @@ class TestInProcess:
                 assert err.startswith("error: numeric overflow encountered in ") and err.count("\n") == 1
             elif basis == "pauli":
                 assert (code, out) == (2, "")
-                assert err.startswith("error: coefficient and B spectra differ by 2e+292") and err.count("\n") == 1
+                assert err.startswith("error: canonical pairs are not eigenpairs of B: residual 4.99e+292") and err.count("\n") == 1
             else:
                 assert (code, err) == (3, "")
                 if output == "machine":

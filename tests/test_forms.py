@@ -781,7 +781,7 @@ def phase_rule_reference(ops: np.ndarray) -> np.ndarray:
 
 def bit_equal(x: np.ndarray, y: np.ndarray) -> bool:
     """Equal values and equal sign bits, so -0.0 and +0.0 differ."""
-    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    x, y = np.ascontiguousarray(x, dtype=complex), np.ascontiguousarray(y, dtype=complex)
     return x.shape == y.shape and np.array_equal(x.view(float), y.view(float)) and np.array_equal(
         np.signbit(x.view(float)), np.signbit(y.view(float))
     )
@@ -1071,7 +1071,7 @@ class TestStackedKrausSet:
             assert a.trace_residual == a_residuals_reference(a.matrix, n)[1]
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(2, 6), st.integers(0, 2**31 - 1), st.booleans())
+    @given(st.integers(2, 8), st.integers(0, 2**31 - 1), st.booleans())
     def test_application_routes_match_the_old_code(self, n, seed, cp):
         rng = np.random.default_rng(seed)
         if cp:
@@ -1403,3 +1403,89 @@ class TestKeptKrausAForm:
                 with pytest.raises(InvalidMatrixError, match="^matrix contains non-finite entries$"):
                     channel_a(spec, np.inf)
         assert "_a_form" not in vars(kraus)
+
+
+def canonical_to_a_reference(c: CanonicalDecomposition, tol: float = 1e-9) -> AForm:
+    """``canonical_to_a`` as it was before it scaled V^T's columns: the operator sum
+    weighted by the full matrix diag(lam)."""
+    k, n, _ = c.canonical_ops.shape
+    v = c.canonical_ops.reshape(k, n * n)
+    return AForm(_reshuffle(v.T @ np.diag(c.eigenvalues) @ v.conj(), n), tol=tol)
+
+
+def sample_decompositions(n: int, seed: int) -> list[CanonicalDecomposition]:
+    rng = np.random.default_rng(seed)
+    cp = kraus_to_a(random_cp_channel(n, int(rng.integers(1, n * n + 1)), seed))
+    return [canonical_decompose(a, basis) for a in (cp, random_ncp_a(n, seed)) for basis in {default_basis(n), standard_basis(n)}]
+
+
+class TestKeptOperands:
+    """Each route's operands are built once per object, kept and read-only."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacks_are_built_once_and_read_only(self, n):
+        decomp = sample_decompositions(n, seed=n)[0]
+        kraus = extract_kraus(decomp)
+        ops = decomp.canonical_ops
+        assert not {"_weighted", "_adjoint"} & set(vars(decomp)) and "_adjoint" not in vars(kraus)
+        rho = DensityMatrix(np.eye(n) / n)
+        for _ in range(2):
+            apply_canonical(decomp, rho)
+            apply_kraus(kraus, rho)
+        kept = [decomp._weighted, decomp._adjoint, kraus._adjoint]
+        assert all(x is y for x, y in zip(kept, (vars(decomp)["_weighted"], vars(decomp)["_adjoint"], vars(kraus)["_adjoint"])))
+        assert bit_equal(kept[0], decomp.eigenvalues[:, None, None] * ops)
+        assert bit_equal(kept[1], np.stack([op.conj().T for op in ops]))
+        assert bit_equal(kept[2], np.stack([op.conj().T for op in kraus.operators]))
+        for stack in kept:
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("label", ["pauli", "units"])
+    def test_a_basis_keeps_its_basis_change(self, label):
+        basis = standard_basis(2, label)
+        v = basis.elements.reshape(4, 4)
+        assert bit_equal(basis._v, v) and bit_equal(basis._v_conj, v.conj()) and bit_equal(basis._v_t, v.T)
+        for kept in (basis._v, basis._v_conj, basis._v_t):
+            with pytest.raises(ValueError):
+                kept[0, 0] = 2.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_realign_returns_the_kept_b_form(self, n, monkeypatch):
+        a = kraus_to_a(random_cp_channel(n, n, seed=n))
+        trace = np.trace
+        calls = []
+        monkeypatch.setattr(forms.np, "trace", lambda m: calls.append(m.shape) or trace(m))
+        b = realign_a_to_b(a, 1e-3)
+        assert realign_a_to_b(a) is b and realign_a_to_b(a, 1e-12) is b
+        assert b.matrix is coefficient_matrix(a, standard_basis(n)).matrix
+        assert calls == [(n * n, n * n)]  # B's trace, taken once
+        fresh = BForm(_reshuffle(a.matrix, n))
+        assert (b.dim, b.hermiticity_residual, b.trace) == (fresh.dim, fresh.hermiticity_residual, fresh.trace)
+        assert bit_equal(b.matrix, fresh.matrix)
+
+    @pytest.mark.parametrize("fault", ["hermiticity", "trace"])
+    def test_a_tight_tol_after_a_loose_one_raises_what_the_constructor_raises(self, fault):
+        m = build_pin_a(BlochVector(0.3, -0.2, 0.5)).matrix.copy()
+        if fault == "hermiticity":
+            m[1, 0] += 1e-5  # A's and B's hermiticity residual
+        else:
+            m[0, 0] += 1e-5  # B's trace, and A's trace residual
+        a = AForm(m, tol=1e-3)
+        for tol in (1e-3, 1e-6, 1e-3, 1e-9):
+            got = outcome(lambda t: realign_a_to_b(a, t), tol)
+            want = outcome(lambda t: BForm(_reshuffle(m, 2), tol=t), tol)
+            assert got[0] == want[0]
+            if got[0] != "ok":
+                assert got[1] == want[1]
+        error = NotHermiticityPreservingError if fault == "hermiticity" else NotTracePreservingError
+        message = "B-form hermiticity residual 1e-05 exceeds tol 1e-06" if fault == "hermiticity" else r"B-form trace 2\.00001\+0j differs from n=2"
+        with pytest.raises(error, match=f"^{message}$"):
+            realign_a_to_b(a, 1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**31 - 1))
+    def test_canonical_to_a_is_within_ulps_of_the_diag_rule(self, n, seed):
+        for decomp in sample_decompositions(n, seed):
+            got, want = canonical_to_a(decomp, 1.0).matrix, canonical_to_a_reference(decomp, 1.0).matrix
+            assert max_abs(got - want) <= 4 * np.finfo(float).eps * max_abs(want)

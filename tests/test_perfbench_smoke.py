@@ -12,6 +12,7 @@ import pytest
 
 import chanforms.analysis
 import chanforms.forms
+import chanforms.linalg
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
@@ -52,11 +53,12 @@ PIPELINE_STAGES = (
 
 def test_traced_replay_runs_every_stage(monkeypatch, tmp_path):
     # The traced run imports ``workloads`` by name from perfbench/ and
-    # rebinds the eigensolver in the two modules that look it up; the
-    # monkeypatch undoes both.
+    # rebinds the eigensolver in ``forms`` and ``analysis``; the monkeypatch
+    # undoes both, and deletes the name from ``analysis``, which no longer
+    # imports it.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     for module in (chanforms.forms, chanforms.analysis):
-        monkeypatch.setattr(module, "hermitian_eigendecompose", module.hermitian_eigendecompose)
+        monkeypatch.setattr(module, "hermitian_eigendecompose", chanforms.linalg.hermitian_eigendecompose, raising=False)
     modules = {}
     for name in ("workloads", "tracing"):
         spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
@@ -76,8 +78,8 @@ def test_traced_replay_runs_every_stage(monkeypatch, tmp_path):
         assert set(PIPELINE_STAGES) <= set(stages)
         assert ("kraus" in stages) == rin.cp
         calls.append(stages["eigensolve_calls"])
-    # The qubit input is in the Pauli basis, where ``analyze`` solves B as a
-    # second route; the dense one is in the unit basis, where the
-    # coefficient matrix is B and one solve gives both spectra.
+    # ``analyze`` solves once in either basis: in the Pauli basis of the
+    # qubit input it checks the canonical pairs against B with one product,
+    # and in the unit basis of the dense one the coefficient matrix is B.
     assert qubit.basis.value == "pauli"
-    assert calls == [2, 1]
+    assert calls == [1, 1]

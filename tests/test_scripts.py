@@ -107,6 +107,32 @@ def test_regen_golden_reproduces_the_committed_goldens(tmp_path, monkeypatch):
         assert (tmp_path / out).read_bytes() == (GOLDEN / out).read_bytes(), out
 
 
+def test_regen_golden_rewrites_every_changed_output(tmp_path, monkeypatch, capsys):
+    """With the first and the last output edited, both are rewritten: a changed output
+    leaves the CLI runs of the documents after it their import path."""
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    regen = load_script("regen_golden")
+    docs = sorted(GOLDEN.glob("*.doc.json"))
+    for doc in docs:
+        shutil.copy(doc, tmp_path)
+        out = doc.name.replace(".doc.json", ".out.json")
+        shutil.copy(GOLDEN / out, tmp_path)
+    edited = [docs[0].name.replace(".doc.json", ".out.json"), docs[-1].name.replace(".doc.json", ".out.json")]
+    for out in edited:
+        old = json.loads((tmp_path / out).read_text())
+        old["report"]["b_form"]["trace"] = float(np.nextafter(old["report"]["b_form"]["trace"], 0.0))
+        (tmp_path / out).write_text(json.dumps(old))
+    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
+    assert regen.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    for out in edited:
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"wrote {out} ("))
+        assert lines[at + 1] == "  changed report.b_form.trace [ulp]"
+    for doc in docs:
+        out = doc.name.replace(".doc.json", ".out.json")
+        assert (tmp_path / out).read_bytes() == (GOLDEN / out).read_bytes(), out
+
+
 def regen_against(tmp_path, monkeypatch, name: str, edit) -> int:
     """Run the script on a copy of one golden document, against its committed output as ``edit`` left it."""
     regen = load_script("regen_golden")

@@ -119,6 +119,26 @@ class TestUnitaryChannel:
             rotation_unitary((0.0, 0.0, 1.0), angle)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ChannelSpec.unitary((10**400, 0, 0), 1.0), NotUnitAxisError, "axis component is beyond the double range"),
+        (lambda: ChannelSpec.unitary((0, 0, 1), 10**400), InvalidMatrixError, "rotation angle is beyond the double range"),
+        (lambda: rotation_unitary((0, 0, -(10**400)), 1.0), NotUnitAxisError, "axis component is beyond the double range"),
+        (lambda: rotation_unitary((0, 0, 1), -(10**400)), InvalidMatrixError, "rotation angle is beyond the double range"),
+        (lambda: ChannelSpec.bit_flip(10**400), ProbabilityRangeError, "probability is beyond the double range"),
+        (lambda: ChannelSpec.phase_flip(-(10**400)), ProbabilityRangeError, "probability is beyond the double range"),
+        (lambda: BlochVector(0, 10**400, 0), OutsideBallError, "Bloch components must be finite"),
+    ],
+    ids=["unitary_axis", "unitary_angle", "rotation_axis", "rotation_angle", "bit_flip", "phase_flip", "bloch"],
+)
+def test_an_int_beyond_the_double_range_raises_the_entry_points_error(build, error, message):
+    """A Python int such as 10**400 does not convert to a double: each entry point raises its
+    own typed error, not the bare ``OverflowError`` of ``float`` or ``math.isfinite``."""
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 class TestPinChannel:
     def test_depolarizing_pin_spectrum(self):
         w = canonical_decompose(build_pin_a(BlochVector(0, 0, 0)), PAULI).eigenvalues
