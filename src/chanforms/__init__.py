@@ -32,6 +32,7 @@ from .errors import (
     OutsideBallError,
     ProbabilityRangeError,
     RankRangeError,
+    SeedRangeError,
     UnknownFieldError,
     UnsupportedCombinationError,
     WrongDimensionError,

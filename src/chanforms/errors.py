@@ -81,6 +81,10 @@ class RankRangeError(ChanformsError):
     """Requested Kraus rank lies outside [1, n^2]."""
 
 
+class SeedRangeError(ChanformsError):
+    """Random-generator seed is not a non-negative integer."""
+
+
 class DocumentError(ChanformsError):
     """Base class for channel-document parse failures."""
 

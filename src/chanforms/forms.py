@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
@@ -50,6 +51,7 @@ from .linalg import (
     _MeasuredHermitian,
     _min_eigenvalue,
     _new,
+    _require_finite,
     as_complex_matrix,
     hermitian_eigendecompose,
     hermiticity_residual,
@@ -89,6 +91,12 @@ def _reshuffle(matrix: np.ndarray, n: int) -> np.ndarray:
 def _identity(n: int) -> np.ndarray:
     """The n x n identity, built once per n and read-only."""
     return _freeze(np.eye(n))
+
+
+@functools.cache
+def _arange(k: int) -> np.ndarray:
+    """0, 1, ..., k - 1, built once per k and read-only."""
+    return _freeze(np.arange(k))
 
 
 def _operator_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -145,9 +153,18 @@ def standard_basis(n: int, label: BasisLabel | str = BasisLabel.MATRIX_UNITS) ->
     enumerates |j><k| in row-major order mu = j*n + k for any n >= 2.
     Each basis is built and checked once and then shared, whether the
     label is given as a member, as its wire value or left out; it is
-    frozen and its elements are read-only.
+    frozen and its elements are read-only.  A dimension that is not an
+    integer, or a label that names no basis, raises ``InvalidMatrixError``
+    (a ``ValueError``).
     """
-    return _standard_basis(n, BasisLabel(label))
+    try:
+        n, label = operator.index(n), BasisLabel(label)
+    except TypeError:
+        raise InvalidMatrixError(f"dimension must be an integer, got {n!r}") from None
+    except ValueError:
+        labels = ", ".join(b.value for b in BasisLabel)
+        raise InvalidMatrixError(f"unknown basis label {label!r}; expected one of {labels}") from None
+    return _standard_basis(n, label)
 
 
 @functools.cache
@@ -182,6 +199,14 @@ class AForm:
     Its B-form, the realignment R(A) with its trace, is built and measured
     on first use and kept, read-only, so ``realign_a_to_b`` and the
     coefficient matrix share one reshuffle and B's trace is taken once.
+
+    One step, ``_measure``, keeps a matrix and its residuals.  The public
+    constructor copies the input and scans it for non-finite entries first;
+    the library's own products (``canonical_to_a``, a Kraus set's or a
+    B-form's A-form) go to ``_measure`` and ``_check`` directly, without the
+    copy or the scan.  ``_check`` compares NaN-safely, and a matrix with a
+    non-finite entry has a NaN or infinite hermiticity residual, so only then
+    is it scanned, to raise what the constructor raises.
     """
 
     matrix: np.ndarray
@@ -191,22 +216,27 @@ class AForm:
     trace_residual: float = field(init=False)
 
     def __post_init__(self, tol: float) -> None:
-        m = as_complex_matrix(self.matrix)
+        self._measure(as_complex_matrix(self.matrix))._check(tol)
+
+    def _measure(self, m: np.ndarray) -> AForm:
+        """Keep ``m``, read-only, with its side and its two residuals."""
         n = _side_dim(m, "A-form")
         a4 = m.reshape(n, n, n, n)
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "hermiticity_residual", max_abs(np.conj(a4) - a4.transpose(1, 0, 3, 2)))
         object.__setattr__(self, "trace_residual", max_abs(a4.trace(axis1=0, axis2=1) - _identity(n)))
-        self._check(tol)
+        return self
 
     def _check(self, tol: float) -> AForm:
         """Raise what construction at ``tol`` would raise, from the kept residuals."""
-        if self.hermiticity_residual > tol:
+        if not self.hermiticity_residual < math.inf:
+            _require_finite(self.matrix)
+        if not self.hermiticity_residual <= tol:
             raise NotHermiticityPreservingError(
                 f"hermiticity-preservation residual {self.hermiticity_residual:.3g} exceeds tol {tol:g}"
             )
-        if self.trace_residual > tol:
+        if not self.trace_residual <= tol:
             raise NotTracePreservingError(
                 f"trace-preservation residual {self.trace_residual:.3g} exceeds tol {tol:g}"
             )
@@ -265,7 +295,13 @@ class CoefficientMatrix(_MeasuredHermitian):
     """Hermitian matrix of expansion coefficients of an A-form in a basis.
 
     Construction keeps what it measured: ``hermiticity_residual`` is the
-    max-norm of ``a - a^dag``.
+    max-norm of ``a - a^dag``.  One step, ``_keep``, checks and keeps a
+    matrix with its residual.  The public constructor copies the input and
+    scans it for non-finite entries first; ``coefficient_matrix`` passes its
+    own product (or, in the matrix units, B and A's residual) to ``_keep``
+    directly.  The check is NaN-safe, and a matrix with a non-finite entry
+    has a NaN or infinite residual, so only then is it scanned, to raise
+    what the constructor raises.
     """
 
     basis: OperatorBasis
@@ -279,7 +315,9 @@ class CoefficientMatrix(_MeasuredHermitian):
 
     def _keep(self, m: np.ndarray, herm: float, tol: float) -> CoefficientMatrix:
         """Check ``herm``, the residual of ``m``, against ``tol``, then keep both."""
-        if herm > tol:
+        if not herm < math.inf:
+            _require_finite(m)
+        if not herm <= tol:
             raise NotHermiticityPreservingError(
                 f"coefficient matrix residual {herm:.3g} exceeds tol {tol:g}; "
                 "source map does not preserve hermiticity"
@@ -303,15 +341,36 @@ class CanonicalDecomposition:
     largest-magnitude entry real and positive.  The operands of
     ``apply_canonical``, the stacks of lam_k C_k and of C_k^dag, are built
     on first use and kept, read-only.
+
+    The constructor takes k finite real eigenvalues and a finite
+    ``(k, n, n)`` stack of operators, n = ``basis.dim``, for any k from 0
+    to n^2; anything else raises ``InvalidMatrixError`` or
+    ``DimensionMismatchError``.
     """
 
     basis: OperatorBasis
     eigenvalues: np.ndarray
-    canonical_ops: np.ndarray  # shape (n^2, n, n), row k paired with eigenvalue k
+    canonical_ops: np.ndarray  # shape (k, n, n), row k paired with eigenvalue k
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eigenvalues", _freeze(np.array(self.eigenvalues, dtype=float)))
-        object.__setattr__(self, "canonical_ops", _freeze(np.array(self.canonical_ops, dtype=complex)))
+        try:
+            w = np.asarray(self.eigenvalues)
+            ops = np.array(self.canonical_ops, dtype=complex)
+        except (TypeError, ValueError, OverflowError):  # ragged, mixed sizes or not numbers
+            raise InvalidMatrixError("eigenvalues and canonical operators must be arrays of numbers") from None
+        if w.ndim != 1 or w.dtype.kind not in "biuf":
+            raise InvalidMatrixError(f"eigenvalues must be a sequence of reals, got {w.dtype} of shape {w.shape}")
+        n = self.basis.dim
+        if ops.ndim != 3 or ops.shape[1:] != (n, n) or len(ops) != len(w) or len(ops) > n * n:
+            raise DimensionMismatchError(
+                f"expected one {n}x{n} operator per eigenvalue, at most {n * n}, for the dim-{n} basis;"
+                f" got {len(w)} eigenvalues and operators of shape {ops.shape}"
+            )
+        w = np.array(w, dtype=float)
+        _require_finite(w)
+        _require_finite(ops)
+        object.__setattr__(self, "eigenvalues", _freeze(w))
+        object.__setattr__(self, "canonical_ops", _freeze(ops))
 
     @property
     def dim(self) -> int:
@@ -327,8 +386,9 @@ class CanonicalDecomposition:
 
 
 def _adjoints(ops: np.ndarray) -> np.ndarray:
-    """The read-only stack of O_k^dag for a (k, n, n) stack of operators O_k."""
-    return _freeze(ops.conj().transpose(0, 2, 1))
+    """The read-only, C-contiguous stack of O_k^dag for a (k, n, n) stack of operators O_k,
+    so ``_operator_action`` reads it as the (k n, n) column of the O_k^dag without a copy."""
+    return _freeze(np.conjugate(ops.transpose(0, 2, 1), order="C"))
 
 
 def _operator_stack(operators) -> np.ndarray:
@@ -347,8 +407,7 @@ def _operator_stack(operators) -> np.ndarray:
             if op.shape != (n, n):
                 raise DimensionMismatchError(f"Kraus operators must all be {n}x{n}, got {op.shape}")
         return np.stack(ops)
-    if not np.isfinite(ops).all():
-        raise InvalidMatrixError("matrix contains non-finite entries")
+    _require_finite(ops)
     return ops
 
 
@@ -363,6 +422,14 @@ class KrausSet:
     ``sum_k E_k^dag E_k - I``.  Its A-form is built and measured on first
     use and kept, so ``kraus_to_a`` of one set returns one ``AForm``; the
     stack of E_k^dag that ``apply_kraus`` needs is kept the same way.
+
+    One step, ``_measure``, keeps a stack and its residual.  The public
+    constructor copies the input and scans it for non-finite entries first;
+    ``extract_kraus`` and ``analyze`` pass their own cut of the canonical
+    operators to ``_measure`` and ``_check`` directly.  ``_check`` compares
+    NaN-safely, and a stack with a non-finite entry has a NaN or infinite
+    residual, so only then is it scanned, to raise what the constructor
+    raises.
     """
 
     operators: np.ndarray  # shape (k, n, n)
@@ -370,15 +437,21 @@ class KrausSet:
     completeness_residual: float = field(init=False)
 
     def __post_init__(self, tol: float) -> None:
-        ops = _operator_stack(self.operators)
-        v = ops.reshape(len(ops) * ops.shape[1], ops.shape[2])  # sum_k E_k^dag E_k == V^dag V
+        self._measure(_operator_stack(self.operators))._check(tol)
+
+    def _measure(self, ops: np.ndarray) -> KrausSet:
+        """Keep the (k, n, n) stack ``ops``, read-only, with its completeness residual."""
+        k, n, _ = ops.shape
+        v = ops.reshape(k * n, n)  # sum_k E_k^dag E_k == V^dag V
         object.__setattr__(self, "operators", _freeze(ops))
-        object.__setattr__(self, "completeness_residual", max_abs(v.conj().T @ v - _identity(v.shape[1])))
-        self._check(tol)
+        object.__setattr__(self, "completeness_residual", max_abs(v.conj().T @ v - _identity(n)))
+        return self
 
     def _check(self, tol: float) -> KrausSet:
         """Raise what construction at ``tol`` would raise, from the kept residual."""
-        if self.completeness_residual > tol:
+        if not self.completeness_residual < math.inf:
+            _require_finite(self.operators)
+        if not self.completeness_residual <= tol:
             raise IncompleteKrausError(
                 f"completeness residual {self.completeness_residual:.3g} exceeds tol {tol:g}"
             )
@@ -397,7 +470,7 @@ class KrausSet:
         as the rows of V, measured but unchecked; a non-finite sum raises and is not kept."""
         k, n, _ = self.operators.shape
         v = self.operators.reshape(k, n * n)
-        return AForm(_reshuffle(v.T @ v.conj(), n), tol=math.inf)
+        return _new(AForm)._measure(_reshuffle(v.T @ v.conj(), n))._check(math.inf)
 
     @functools.cached_property
     def _adjoint(self) -> np.ndarray:
@@ -453,7 +526,8 @@ def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL)
     r = a._b_form.matrix
     if basis._units:
         return _new(CoefficientMatrix, basis=basis)._keep(r, a.hermiticity_residual, _scaled_tol(tol, n))
-    return CoefficientMatrix(basis=basis, matrix=basis._v_conj @ r @ basis._v_t, tol=_scaled_tol(tol, n))
+    m = _freeze(basis._v_conj @ r @ basis._v_t)
+    return _new(CoefficientMatrix, basis=basis)._keep(m, hermiticity_residual(m), _scaled_tol(tol, n))
 
 
 def expand_coefficients(cm: CoefficientMatrix) -> np.ndarray:
@@ -477,7 +551,7 @@ def realign_a_to_b(a: AForm, tol: float = DEFAULT_TOL) -> BForm:
 
 def realign_b_to_a(b: BForm, tol: float = DEFAULT_TOL) -> AForm:
     """Inverse realignment; the same index permutation applied again."""
-    return AForm(_reshuffle(b.matrix, b.dim), tol=tol)
+    return _new(AForm)._measure(_reshuffle(b.matrix, b.dim))._check(tol)
 
 
 def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CanonicalDecomposition:
@@ -493,12 +567,12 @@ def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL
     n = a.dim
     eig = hermitian_eigendecompose(cm, _scaled_tol(tol, n))
     e = eig.eigenvectors if basis._units else eig.eigenvectors @ basis._v
-    ops = e.reshape(n * n, n, n) + 0.0  # + 0.0 turns -0.0 into +0.0
+    flat = e + 0.0  # row k is vec(C_k); + 0.0 turns -0.0 into +0.0
     # Each C_k has unit norm, so its largest-magnitude entry is never 0.
-    flat = ops.reshape(len(ops), -1)
-    pivots = flat[np.arange(len(flat)), np.abs(flat).argmax(1)]
-    ops *= (pivots.conj() / np.hypot(pivots.real, pivots.imag))[:, None, None]
-    return _new(CanonicalDecomposition, basis=basis, eigenvalues=eig.eigenvalues, canonical_ops=_freeze(ops))
+    pivots = flat[_arange(n * n), np.abs(flat).argmax(1)]
+    flat *= (pivots.conj() / np.hypot(pivots.real, pivots.imag))[:, None]
+    ops = _freeze(flat.reshape(n * n, n, n))
+    return _new(CanonicalDecomposition, basis=basis, eigenvalues=eig.eigenvalues, canonical_ops=ops)
 
 
 def canonical_to_a(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> AForm:
@@ -506,7 +580,7 @@ def canonical_to_a(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> AForm
     C_k as the rows of V, the realignment of (V^T lam) conj(V), lam scaling V^T's columns."""
     k, n, _ = c.canonical_ops.shape
     v = c.canonical_ops.reshape(k, n * n)
-    return AForm(_reshuffle((v.T * c.eigenvalues) @ v.conj(), n), tol=tol)
+    return _new(AForm)._measure(_reshuffle((v.T * c.eigenvalues) @ v.conj(), n))._check(tol)
 
 
 def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausSet:
@@ -529,7 +603,9 @@ def _cut_kraus(c: CanonicalDecomposition, tol: float) -> KrausSet:
     w = c.eigenvalues
     keep = w > tol
     kept = np.sqrt(w[keep])[:, None, None] * c.canonical_ops[keep]
-    return KrausSet(kept, tol=_scaled_tol(tol, c.dim, kraus=True))
+    if not len(kept):
+        raise IncompleteKrausError("a Kraus set needs at least one operator")
+    return _new(KrausSet)._measure(kept)._check(_scaled_tol(tol, c.dim, kraus=True))
 
 
 def _map_output(n: int, rho: DensityMatrix, tol: float, act: Callable[..., np.ndarray], *operands) -> MapOutput:
@@ -549,14 +625,17 @@ def _map_output(n: int, rho: DensityMatrix, tol: float, act: Callable[..., np.nd
 
 
 def _operator_action(m: np.ndarray, left: np.ndarray, right_adjoint: np.ndarray) -> np.ndarray:
-    """sum_k L_k m R_k^dag for a (k, n, n) stack L and the stack of the R_k^dag.
+    """sum_k L_k m R_k^dag for a (k, n, n) stack L and the C-contiguous stack of the R_k^dag.
 
-    The first product is one 2-D (k n, n) @ (n, n) product of the stacked
-    L_k, which gives each L_k m bit for bit as the batched product would,
-    without its per-slice cost at small n; the second is batched.
+    Two 2-D products: the stacked L_k times m, a (k n, n) @ (n, n) product
+    that gives each L_k m bit for bit as the batched product would, then
+    the row of the L_k m, [L_1 m ... L_k m], times the column of the
+    R_k^dag, an (n, k n) @ (k n, n) product that sums over k inside one
+    product instead of a batched product and a reduction.
     """
     k, n, _ = left.shape
-    return np.add.reduce((left.reshape(k * n, n) @ m).reshape(k, n, n) @ right_adjoint)
+    rows = (left.reshape(k * n, n) @ m).reshape(k, n, n).transpose(1, 0, 2).reshape(n, k * n)
+    return rows @ right_adjoint.reshape(k * n, n)
 
 
 def apply_a(a: AForm, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:

@@ -52,9 +52,14 @@ def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None)
         raise InvalidMatrixError(f"expected {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
         raise InvalidMatrixError(f"expected {cols} columns, got {m.shape[1]}")
+    _require_finite(m)
+    return m
+
+
+def _require_finite(m: np.ndarray) -> None:
+    """Raise ``InvalidMatrixError`` if ``m`` has a NaN or infinite entry."""
     if not np.isfinite(m).all():
         raise InvalidMatrixError("matrix contains non-finite entries")
-    return m
 
 
 def max_abs(m: np.ndarray) -> float:

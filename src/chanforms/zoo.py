@@ -9,6 +9,7 @@ test suite to cross-check transcription.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -21,6 +22,8 @@ from .errors import (
     NotUnitAxisError,
     ProbabilityRangeError,
     RankRangeError,
+    SeedRangeError,
+    WrongDimensionError,
 )
 from .forms import AForm, BForm, KrausSet, _reshuffle, kraus_to_a, realign_b_to_a
 from .linalg import DEFAULT_TOL, SIGMA_1, SIGMA_2, SIGMA_3, BlochVector
@@ -208,16 +211,34 @@ def _random_kraus(rng: np.random.Generator, n: int, rank: int) -> KrausSet:
     return KrausSet(q.reshape(rank, n, n), tol=1e-12)
 
 
+def _int_at_least(x, lo: int) -> bool:
+    """Whether ``x`` is an integer (any type ``operator.index`` takes) of at least ``lo``."""
+    try:
+        return operator.index(x) >= lo
+    except TypeError:
+        return False
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """The generator of a non-negative integer seed; any other seed raises ``SeedRangeError``."""
+    if not _int_at_least(seed, 0):
+        raise SeedRangeError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def random_cp_channel(n: int, rank: int, seed: int) -> KrausSet:
     """Random completely positive trace-preserving channel of given Kraus rank.
 
     Draws a (rank*n) x n standard complex Gaussian matrix,
     orthonormalizes its columns, and slices it into ``rank`` blocks.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed, which must be a non-negative integer
+    (``SeedRangeError``); n must be a positive integer (``WrongDimensionError``).
     """
-    if not 1 <= rank <= n * n:
+    if not _int_at_least(n, 1):
+        raise WrongDimensionError(f"dimension must be a positive integer, got {n!r}")
+    if not (_int_at_least(rank, 1) and rank <= n * n):
         raise RankRangeError(f"rank must lie in [1, {n * n}], got {rank}")
-    return _random_kraus(np.random.default_rng(seed), n, rank)
+    return _random_kraus(_generator(seed), n, rank)
 
 
 def random_ncp_a(n: int, seed: int, min_negativity: float = 0.05) -> AForm:
@@ -229,9 +250,13 @@ def random_ncp_a(n: int, seed: int, min_negativity: float = 0.05) -> AForm:
     constraints intact (it is Hermitian, traceless, and has vanishing
     partial trace over the first factor), so the result realigns to a
     valid A-form whose minimum canonical eigenvalue is below
-    ``-min_negativity``.
+    ``-min_negativity``.  Every map at n = 1 is completely positive, so n
+    must be an integer of at least 2 (``WrongDimensionError``); the seed
+    must be a non-negative integer (``SeedRangeError``).
     """
-    rng = np.random.default_rng(seed)
+    if not _int_at_least(n, 2):
+        raise WrongDimensionError(f"an NCP map needs dimension at least 2, got {n!r}")
+    rng = _generator(seed)
     rank = int(rng.integers(1, n * n + 1))
     base = kraus_to_a(_random_kraus(rng, n, rank))
     b = _reshuffle(base.matrix, n)

@@ -26,7 +26,10 @@ from chanforms import (
     OperatorBasis,
     NotHermiticityPreservingError,
     NotTracePreservingError,
+    RankRangeError,
+    SeedRangeError,
     UnsupportedCombinationError,
+    WrongDimensionError,
     analyze,
     apply_a,
     apply_canonical,
@@ -53,7 +56,7 @@ from chanforms import (
     standard_basis,
 )
 from chanforms import analysis, forms
-from chanforms.forms import _reshuffle, _standard_basis
+from chanforms.forms import _cut_kraus, _operator_action, _reshuffle, _scaled_tol, _standard_basis
 from chanforms.linalg import as_complex_matrix, hermitian_eigendecompose, hermiticity_residual, max_abs
 from conftest import random_density
 
@@ -129,6 +132,28 @@ class TestStandardBasis:
             with pytest.raises(ValueError):
                 standard_basis(3, "weyl")
         assert _standard_basis.cache_info().currsize == before
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: standard_basis(2, "foo"), InvalidMatrixError, "unknown basis label 'foo'; expected one of pauli, units"),
+        (lambda: standard_basis(2.0), InvalidMatrixError, "dimension must be an integer, got 2.0"),
+        (lambda: random_ncp_a(1, 0), WrongDimensionError, "an NCP map needs dimension at least 2, got 1"),
+        (lambda: random_cp_channel(2, 1, -1), SeedRangeError, "seed must be a non-negative integer, got -1"),
+        (lambda: random_cp_channel(2.0, 1, 1), WrongDimensionError, "dimension must be a positive integer, got 2.0"),
+        (lambda: random_cp_channel(2, 1.5, 1), RankRangeError, r"rank must lie in \[1, 4\], got 1.5"),
+    ],
+    ids=["unknown_label", "float_dim", "ncp_at_n1", "negative_seed", "float_n", "float_rank"],
+)
+def test_public_entry_points_raise_chanforms_errors(call, error, message):
+    # Raised up front, with no numpy error or warning first; an unknown label stays a ValueError.
+    for _ in range(2):  # a cached basis does not change the outcome
+        with pytest.raises(error, match=f"^{message}$") as info:
+            call()
+        assert isinstance(info.value, ChanformsError)
+    if error is InvalidMatrixError:
+        assert isinstance(info.value, ValueError)
 
 
 def gram_reference(elements) -> np.ndarray:
@@ -312,6 +337,34 @@ class TestCanonicalDecomposition:
             pivot = op.flat[np.argmax(np.abs(op))]
             assert pivot.imag == pytest.approx(0.0, abs=1e-12)
             assert pivot.real > 0
+
+    @pytest.mark.parametrize(
+        "eigenvalues, ops, error",
+        [
+            ([1.0, 1.0], np.zeros((4, 2, 2)), DimensionMismatchError),
+            ([1.0], np.eye(3)[None], DimensionMismatchError),
+            ([1.0] * 5, np.zeros((5, 2, 2)), DimensionMismatchError),
+            ([1.0], np.eye(2), DimensionMismatchError),
+            ([1.0], [[[1, np.inf], [0, 1]]], InvalidMatrixError),
+            ([np.nan], np.eye(2)[None], InvalidMatrixError),
+            ([1j], np.eye(2)[None], InvalidMatrixError),
+            ([[1.0]], np.eye(2)[None], InvalidMatrixError),
+            ([1.0, 2.0], [np.eye(2), np.eye(3)], InvalidMatrixError),
+        ],
+        ids=["count", "operator_size", "beyond_n2", "not_a_stack", "inf_entry", "nan_eigenvalue",
+             "complex_eigenvalue", "eigenvalue_matrix", "ragged"],
+    )
+    def test_malformed_payloads_are_rejected(self, eigenvalues, ops, error):
+        # Rejected when built, with no numpy error or warning from a later use.
+        with pytest.raises(error):
+            CanonicalDecomposition(PAULI, eigenvalues, ops)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 4])
+    def test_any_count_up_to_n2_is_accepted(self, k):
+        decomp = canonical_decompose(kraus_to_a(random_cp_channel(2, 4, seed=3)), PAULI)
+        c = CanonicalDecomposition(PAULI, decomp.eigenvalues[:k], decomp.canonical_ops[:k])
+        assert c.canonical_ops.shape == (k, 2, 2) and len(c.eigenvalues) == k
+        assert canonical_to_a(c, np.inf).dim == 2
 
 
 class TestExtractKraus:
@@ -943,6 +996,11 @@ def apply_kraus_reference(ops, rho: DensityMatrix) -> np.ndarray:
     return sum(op @ rho.matrix @ op.conj().T for op in ops)
 
 
+def operator_action_reference(left, m: np.ndarray, right) -> np.ndarray:
+    """sum_k L_k m R_k^dag as [L_1 m ... L_k m] @ [R_1^dag; ...; R_k^dag], one 2-D product."""
+    return np.hstack([x @ m for x in left]) @ np.vstack([r.conj().T for r in right])
+
+
 def outcome(build, operators):
     """("ok", result) or (error class, message)."""
     try:
@@ -1081,16 +1139,19 @@ class TestStackedKrausSet:
         decomp = canonical_decompose(a, default_basis(n))
         rho = DensityMatrix(random_density(rng, n))
         assert bit_equal(apply_a(a, rho).matrix, apply_a_reference(a, rho))
-        # The canonical route is the Kraus product weighted by lam_k: within tol*n^2 of the
-        # old einsum, and bit for bit that product.
+        # Each operator-sum route is within tol*n^2 of the old einsum and sum, and bit for bit
+        # the row of the L_k rho times the column of the O_k^dag: L_k = lam_k C_k and O_k = C_k
+        # for the canonical route, L_k = O_k = E_k for Kraus.
         via_canonical = apply_canonical(decomp, rho).matrix
         assert max_abs(via_canonical - apply_canonical_reference(decomp, rho)) <= 1e-9 * n * n
         ops = decomp.canonical_ops
-        weighted = np.stack([(lam * op) @ rho.matrix @ op.conj().T for lam, op in zip(decomp.eigenvalues, ops)])
-        assert bit_equal(via_canonical, weighted.sum(axis=0))
+        weighted = [lam * op for lam, op in zip(decomp.eigenvalues, ops)]
+        assert bit_equal(via_canonical, operator_action_reference(weighted, rho.matrix, ops))
         if cp:
             kraus = extract_kraus(decomp)
-            assert bit_equal(apply_kraus(kraus, rho).matrix, apply_kraus_reference(kraus.operators, rho))
+            via_kraus = apply_kraus(kraus, rho).matrix
+            assert max_abs(via_kraus - apply_kraus_reference(kraus.operators, rho)) <= 1e-9 * n * n
+            assert bit_equal(via_kraus, operator_action_reference(kraus.operators, rho.matrix, kraus.operators))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_per_n_constants_are_shared_and_read_only(self, n):
@@ -1438,8 +1499,18 @@ class TestKeptOperands:
         assert bit_equal(kept[1], np.stack([op.conj().T for op in ops]))
         assert bit_equal(kept[2], np.stack([op.conj().T for op in kraus.operators]))
         for stack in kept:
+            assert stack.flags.c_contiguous  # so _operator_action reshapes the adjoints without a copy
             with pytest.raises(ValueError):
                 stack[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_operator_action_is_one_row_times_one_column(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for k in range(1, n * n + 1):
+            left, right = (rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)) for _ in "lr")
+            got = _operator_action(m, left, forms._adjoints(right))
+            assert bit_equal(got, operator_action_reference(left, m, right)), (n, k)
 
     @pytest.mark.parametrize("label", ["pauli", "units"])
     def test_a_basis_keeps_its_basis_change(self, label):
@@ -1489,3 +1560,57 @@ class TestKeptOperands:
         for decomp in sample_decompositions(n, seed):
             got, want = canonical_to_a(decomp, 1.0).matrix, canonical_to_a_reference(decomp, 1.0).matrix
             assert max_abs(got - want) <= 4 * np.finfo(float).eps * max_abs(want)
+
+
+EYE2 = np.eye(2, dtype=complex)
+HALF = abs(1.5e308 * (1 + 1j) / 2)  # the canonical weights of test_output_beyond_the_double_range
+W = (1 - 1j) / np.sqrt(2)
+
+
+class TestLibraryBuiltForms:
+    """Forms the library builds from its own products skip the public constructors' copy
+    and finite scan; a product beyond the double range still raises what they raise on it.
+    numpy warns of the overflow in the product itself, so its warnings are silenced here."""
+
+    @pytest.mark.parametrize(
+        "weights, ops, error",
+        [
+            ([1.7e308, 1.7e308], [EYE2, EYE2], InvalidMatrixError),
+            ([1.0, HALF, -HALF], [EYE2, [[1, 0], [W, 0]], [[1, 0], [-W, 0]]], NotTracePreservingError),
+        ],
+        ids=["non_finite", "trace_residual"],
+    )
+    def test_canonical_to_a(self, weights, ops, error):
+        c = CanonicalDecomposition(PAULI, weights, ops)
+        v = c.canonical_ops.reshape(len(weights), 4)
+        with np.errstate(all="ignore"):
+            got = outcome(canonical_to_a, c)
+            want = outcome(lambda v: AForm(_reshuffle((v.T * c.eigenvalues) @ v.conj(), 2)), v)
+        assert want[0] is error and got == want
+
+    @pytest.mark.parametrize(
+        "weights, ops, error",
+        [
+            ([1e300], [[[1e200, 0], [0, 0]]], InvalidMatrixError),
+            ([1.7e308], [EYE2], IncompleteKrausError),
+        ],
+        ids=["non_finite", "completeness_residual"],
+    )
+    def test_cut_kraus(self, weights, ops, error):
+        c = CanonicalDecomposition(PAULI, weights, ops)
+        with np.errstate(all="ignore"):
+            kept = np.sqrt(c.eigenvalues)[:, None, None] * c.canonical_ops
+            want = outcome(lambda ops: KrausSet(ops, tol=_scaled_tol(1e-9, 2, kraus=True)), kept)
+            for cut in (extract_kraus, lambda c: _cut_kraus(c, 1e-9)):
+                assert outcome(cut, c) == want
+        assert want[0] is error
+
+    def test_pauli_coefficient_matrix(self):
+        m = np.eye(4, dtype=complex)
+        m[0, 3] = m[3, 0] = m[1, 2] = m[2, 1] = 1.7e308
+        a = AForm(m, tol=np.inf)
+        with np.errstate(all="ignore"):
+            got = outcome(lambda a: coefficient_matrix(a, PAULI), a)
+            product = PAULI._v_conj @ _reshuffle(m, 2) @ PAULI._v_t
+            want = outcome(lambda p: CoefficientMatrix(PAULI, p, tol=_scaled_tol(1e-9, 2)), product)
+        assert want[0] is InvalidMatrixError and got == want

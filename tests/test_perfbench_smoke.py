@@ -32,8 +32,13 @@ def wl():
 
 
 def test_qubit_sweep_ops_pass_their_checks(wl):
-    items = wl.qubit_warm_items(wl.qubit_stream(1))
-    assert items
+    # The warm items and the rest of the first three blocks of eight slots: all six named kinds
+    # and every slot of the stream, so a disagreement between the application routes on any
+    # kind fails here, not only in the benchmark.
+    stream = wl.qubit_stream(1)
+    assert wl.qubit_warm_items(stream) == stream[:8]
+    items = stream[:24]
+    assert {item.spec.kind.value for item in items[::8] + items[1::8]} == set(wl.NAMED_KINDS)
     for item in items:
         assert wl.check_qubit(item, wl.qubit_op(item)) == []
 
