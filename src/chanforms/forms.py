@@ -30,7 +30,7 @@ import math
 import operator
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -115,7 +115,9 @@ class OperatorBasis:
     """n^2 trace-orthonormal n x n operators, Tr[T_mu^dag T_nu] = delta; ``_units`` marks
     the matrix units |j><k| in row-major order (row-vectorized, V = I) whatever the label.
     The basis-change operands V (the row-vectorized elements as rows), conj(V) and V^T are
-    built once and kept, read-only."""
+    built once and kept, read-only.  ``dim`` is kept as an ``int`` and ``label`` as a
+    ``BasisLabel`` member, either given as its wire value; a dimension that is not a
+    positive integer, or a label that names no basis, raises ``InvalidMatrixError``."""
 
     dim: int
     label: BasisLabel
@@ -127,8 +129,10 @@ class OperatorBasis:
     _v_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, tol: float) -> None:
+        n, label = _dim_and_label(self.dim, self.label)
+        if n < 1:
+            raise InvalidMatrixError(f"dimension must be at least 1, got {n}")
         el = _freeze(np.array(self.elements, dtype=complex))  # defensive copy
-        n = self.dim
         if el.shape != (n * n, n, n):
             raise InvalidMatrixError(f"expected {n * n} elements of shape ({n},{n}), got {el.shape}")
         if not np.isfinite(el).all():
@@ -138,6 +142,8 @@ class OperatorBasis:
         eye = _identity(n * n)
         if max_abs(v_conj @ v.T - eye) > tol:
             raise InvalidMatrixError("basis elements are not trace-orthonormal")
+        object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "elements", el)
         object.__setattr__(self, "_units", np.array_equal(v, eye))
         object.__setattr__(self, "_v", v)
@@ -157,14 +163,18 @@ def standard_basis(n: int, label: BasisLabel | str = BasisLabel.MATRIX_UNITS) ->
     integer, or a label that names no basis, raises ``InvalidMatrixError``
     (a ``ValueError``).
     """
+    return _standard_basis(*_dim_and_label(n, label))
+
+
+def _dim_and_label(n, label) -> tuple[int, BasisLabel]:
+    """``n`` as an ``int`` and ``label`` as a ``BasisLabel`` member, or ``InvalidMatrixError``."""
     try:
-        n, label = operator.index(n), BasisLabel(label)
+        return operator.index(n), BasisLabel(label)
     except TypeError:
         raise InvalidMatrixError(f"dimension must be an integer, got {n!r}") from None
     except ValueError:
         labels = ", ".join(b.value for b in BasisLabel)
         raise InvalidMatrixError(f"unknown basis label {label!r}; expected one of {labels}") from None
-    return _standard_basis(n, label)
 
 
 @functools.cache
@@ -339,8 +349,8 @@ class CanonicalDecomposition:
     kron(canonical_ops[k], conj(canonical_ops[k]))``.  Eigenvalues are
     descending; each operator's global phase is fixed by making its
     largest-magnitude entry real and positive.  The operands of
-    ``apply_canonical``, the stacks of lam_k C_k and of C_k^dag, are built
-    on first use and kept, read-only.
+    ``apply_canonical``, lam_k C_k and C_k^dag each stacked as one read-only
+    ``(k n, n)`` array, are built on first use and kept.
 
     The constructor takes k finite real eigenvalues and a finite
     ``(k, n, n)`` stack of operators, n = ``basis.dim``, for any k from 0
@@ -378,7 +388,8 @@ class CanonicalDecomposition:
 
     @functools.cached_property
     def _weighted(self) -> np.ndarray:
-        return _freeze(self.eigenvalues[:, None, None] * self.canonical_ops)
+        k, n, _ = self.canonical_ops.shape
+        return _freeze((self.eigenvalues[:, None, None] * self.canonical_ops).reshape(k * n, n))
 
     @functools.cached_property
     def _adjoint(self) -> np.ndarray:
@@ -386,9 +397,10 @@ class CanonicalDecomposition:
 
 
 def _adjoints(ops: np.ndarray) -> np.ndarray:
-    """The read-only, C-contiguous stack of O_k^dag for a (k, n, n) stack of operators O_k,
-    so ``_operator_action`` reads it as the (k n, n) column of the O_k^dag without a copy."""
-    return _freeze(np.conjugate(ops.transpose(0, 2, 1), order="C"))
+    """The column [O_1^dag; ...; O_k^dag] of a (k, n, n) stack of operators O_k: one read-only,
+    C-contiguous (k n, n) array, the right operand ``_operator_action`` takes as it is."""
+    k, n, _ = ops.shape
+    return _freeze(np.conjugate(ops.transpose(0, 2, 1), order="C").reshape(k * n, n))
 
 
 def _operator_stack(operators) -> np.ndarray:
@@ -421,7 +433,8 @@ class KrausSet:
     what it measured: ``completeness_residual`` is the max-norm of
     ``sum_k E_k^dag E_k - I``.  Its A-form is built and measured on first
     use and kept, so ``kraus_to_a`` of one set returns one ``AForm``; the
-    stack of E_k^dag that ``apply_kraus`` needs is kept the same way.
+    operands of ``apply_kraus``, E_k and E_k^dag each stacked as one
+    read-only ``(k n, n)`` array, are kept the same way.
 
     One step, ``_measure``, keeps a stack and its residual.  The public
     constructor copies the input and scans it for non-finite entries first;
@@ -471,6 +484,10 @@ class KrausSet:
         k, n, _ = self.operators.shape
         v = self.operators.reshape(k, n * n)
         return _new(AForm)._measure(_reshuffle(v.T @ v.conj(), n))._check(math.inf)
+
+    @functools.cached_property
+    def _stacked(self) -> np.ndarray:
+        return self.operators.reshape(-1, self.dim)  # a view of the read-only stack, read-only too
 
     @functools.cached_property
     def _adjoint(self) -> np.ndarray:
@@ -608,49 +625,60 @@ def _cut_kraus(c: CanonicalDecomposition, tol: float) -> KrausSet:
     return _new(KrausSet)._measure(kept)._check(_scaled_tol(tol, c.dim, kraus=True))
 
 
-def _map_output(n: int, rho: DensityMatrix, tol: float, act: Callable[..., np.ndarray], *operands) -> MapOutput:
-    """The step all three application routes share: check that ``rho`` is n x n, apply ``act`` and
-    flag positivity; a minimum eigenvalue that is not a finite double raises ``InvalidMatrixError``."""
-    m = rho.matrix
-    if m.shape[0] != n:
-        raise DimensionMismatchError(f"dimension mismatch: {n} vs {m.shape[0]}")
-    out = act(m, *operands)
+def _map_output(out: np.ndarray, tol: float) -> MapOutput:
+    """The last step of all three application routes: ``out`` with its minimum eigenvalue (the
+    closed form at n = 2) and whether that is at least ``-tol``.  Each route checks the state's
+    dimension and runs its own kernel first; a minimum eigenvalue that is not a finite double
+    (an output beyond the double range) raises ``InvalidMatrixError``."""
     try:
         min_eig = _min_eigenvalue(out)
     except OverflowError:  # an off-diagonal modulus beyond the double range
         min_eig = math.nan
     if not math.isfinite(min_eig):
         raise InvalidMatrixError("map output beyond the double range; the input's entries are too large")
-    return MapOutput(matrix=out, min_eigenvalue=min_eig, positive=min_eig >= -tol)
+    return _new(MapOutput, matrix=out, min_eigenvalue=min_eig, positive=min_eig >= -tol)
 
 
 def _operator_action(m: np.ndarray, left: np.ndarray, right_adjoint: np.ndarray) -> np.ndarray:
-    """sum_k L_k m R_k^dag for a (k, n, n) stack L and the C-contiguous stack of the R_k^dag.
+    """sum_k L_k m R_k^dag for the kept (k n, n) columns [L_1; ...; L_k] and [R_1^dag; ...; R_k^dag].
 
-    Two 2-D products: the stacked L_k times m, a (k n, n) @ (n, n) product
-    that gives each L_k m bit for bit as the batched product would, then
-    the row of the L_k m, [L_1 m ... L_k m], times the column of the
-    R_k^dag, an (n, k n) @ (k n, n) product that sums over k inside one
-    product instead of a batched product and a reduction.
+    Two 2-D products, with no reshape of a kept operand: the column of the
+    L_k times m, a (k n, n) @ (n, n) product that gives each L_k m bit for
+    bit as a batched product would, then the row of the L_k m,
+    [L_1 m ... L_k m], times the column of the R_k^dag, an (n, k n) @ (k n, n)
+    product that sums over k inside one product instead of a batched
+    product and a reduction.
     """
-    k, n, _ = left.shape
-    rows = (left.reshape(k * n, n) @ m).reshape(k, n, n).transpose(1, 0, 2).reshape(n, k * n)
-    return rows @ right_adjoint.reshape(k * n, n)
+    kn, n = left.shape
+    return (left @ m).reshape(kn // n, n, n).transpose(1, 0, 2).reshape(n, kn) @ right_adjoint
+
+
+def _dimension_mismatch(n: int, m: np.ndarray) -> DimensionMismatchError:
+    return DimensionMismatchError(f"dimension mismatch: {n} vs {m.shape[0]}")
 
 
 def apply_a(a: AForm, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
     """Apply the map through its A-form: unvectorize(A @ vectorize(rho))."""
-    return _map_output(a.dim, rho, tol, lambda m: (a.matrix @ m.reshape(-1)).reshape(m.shape))
+    m, n = rho.matrix, a.dim
+    if m.shape[0] != n:
+        raise _dimension_mismatch(n, m)
+    return _map_output((a.matrix @ m.reshape(-1)).reshape(n, n), tol)
 
 
 def apply_canonical(c: CanonicalDecomposition, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
     """Apply the map as sum_k lam_k C_k rho C_k^dag: the Kraus product, weighted by lam_k."""
-    return _map_output(c.canonical_ops.shape[1], rho, tol, _operator_action, c._weighted, c._adjoint)
+    m, n = rho.matrix, c.canonical_ops.shape[1]
+    if m.shape[0] != n:
+        raise _dimension_mismatch(n, m)
+    return _map_output(_operator_action(m, c._weighted, c._adjoint), tol)
 
 
 def apply_kraus(kraus: KrausSet, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
     """Apply the operator sum rho -> sum_k E_k rho E_k^dag."""
-    return _map_output(kraus.dim, rho, tol, _operator_action, kraus.operators, kraus._adjoint)
+    m, n = rho.matrix, kraus.operators.shape[1]
+    if m.shape[0] != n:
+        raise _dimension_mismatch(n, m)
+    return _map_output(_operator_action(m, kraus._stacked, kraus._adjoint), tol)
 
 
 def kraus_to_a(ops: KrausSet | Iterable[np.ndarray], tol: float = DEFAULT_TOL) -> AForm:

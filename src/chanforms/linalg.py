@@ -97,10 +97,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _new(cls, **fields):
     """A frozen dataclass ``cls`` holding ``fields`` as given, without the
     copies and checks of its ``__post_init__``: for arrays a function has
-    just computed and frozen, or measurements it has in hand."""
+    just computed and frozen, or measurements it has in hand.
+
+    The fields go into the instance ``__dict__`` in one update, which
+    bypasses the frozen ``__setattr__`` as ``object.__setattr__`` would; so
+    ``cls`` must be a dataclass without ``__slots__``, as every form here
+    is.  Assigning to the result afterwards still raises
+    ``FrozenInstanceError``."""
     obj = object.__new__(cls)
-    for name in fields:
-        object.__setattr__(obj, name, fields[name])
+    obj.__dict__.update(fields)
     return obj
 
 

@@ -252,10 +252,19 @@ def random_ncp_a(n: int, seed: int, min_negativity: float = 0.05) -> AForm:
     valid A-form whose minimum canonical eigenvalue is below
     ``-min_negativity``.  Every map at n = 1 is completely positive, so n
     must be an integer of at least 2 (``WrongDimensionError``); the seed
-    must be a non-negative integer (``SeedRangeError``).
+    must be a non-negative integer (``SeedRangeError``).  ``min_negativity``
+    must be a finite number of at least 0, and one the shift reaches within
+    64 doublings of its scale; otherwise ``InvalidMatrixError`` (a
+    ``ValueError``) is raised.
     """
     if not _int_at_least(n, 2):
         raise WrongDimensionError(f"an NCP map needs dimension at least 2, got {n!r}")
+    try:
+        bound_ok = math.isfinite(min_negativity) and min_negativity >= 0
+    except (TypeError, OverflowError):  # not a real number, or an int beyond the double range
+        bound_ok = False
+    if not bound_ok:
+        raise InvalidMatrixError(f"min_negativity must be a finite number of at least 0, got {min_negativity!r}")
     rng = _generator(seed)
     rank = int(rng.integers(1, n * n + 1))
     base = kraus_to_a(_random_kraus(rng, n, rank))
@@ -275,7 +284,7 @@ def random_ncp_a(n: int, seed: int, min_negativity: float = 0.05) -> AForm:
         if float(np.linalg.eigvalsh(shifted).min()) < -min_negativity:
             return realign_b_to_a(BForm(shifted))
         scale *= 2.0
-    raise RuntimeError("failed to reach a negative dynamical spectrum")
+    raise InvalidMatrixError(f"no dynamical eigenvalue below -{min_negativity:g} within 64 doublings of the shift")
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,26 @@ class TestStandardBasis:
         with pytest.raises(ValueError):
             basis.elements[0, 0, 0] = 7.0
 
+    @pytest.mark.parametrize(
+        "dim, label, message",
+        [
+            (2.0, BasisLabel.MATRIX_UNITS, "^dimension must be an integer, got 2.0$"),
+            ("2", BasisLabel.MATRIX_UNITS, "^dimension must be an integer, got '2'$"),
+            (0, BasisLabel.MATRIX_UNITS, "^dimension must be at least 1, got 0$"),
+            (2, "foo", "^unknown basis label 'foo'; expected one of pauli, units$"),
+        ],
+        ids=["float_dim", "str_dim", "zero_dim", "unknown_label"],
+    )
+    def test_the_constructor_checks_dim_and_label(self, dim, label, message):
+        elements = np.zeros((0, 0, 0)) if dim == 0 else np.eye(4).reshape(4, 2, 2)
+        with pytest.raises(InvalidMatrixError, match=message):
+            OperatorBasis(dim=dim, label=label, elements=elements)
+
+    def test_the_constructor_keeps_an_int_and_a_member(self):
+        basis = OperatorBasis(dim=np.int64(2), label="units", elements=np.eye(4).reshape(4, 2, 2))
+        assert type(basis.dim) is int and basis.dim == 2
+        assert basis.label is BasisLabel.MATRIX_UNITS and basis._units
+
     def test_errors_are_raised_on_every_call(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="at least 2"):
@@ -1485,23 +1505,31 @@ class TestKeptOperands:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_stacks_are_built_once_and_read_only(self, n):
+        """Each route's two operands are one read-only, C-contiguous (k n, n) column, kept from the
+        first application on and bit-equal to the (k, n, n) stack it stacks."""
         decomp = sample_decompositions(n, seed=n)[0]
         kraus = extract_kraus(decomp)
         ops = decomp.canonical_ops
-        assert not {"_weighted", "_adjoint"} & set(vars(decomp)) and "_adjoint" not in vars(kraus)
+        names = [(decomp, "_weighted"), (decomp, "_adjoint"), (kraus, "_stacked"), (kraus, "_adjoint")]
+        assert not any(name in vars(form) for form, name in names)
         rho = DensityMatrix(np.eye(n) / n)
-        for _ in range(2):
-            apply_canonical(decomp, rho)
-            apply_kraus(kraus, rho)
-        kept = [decomp._weighted, decomp._adjoint, kraus._adjoint]
-        assert all(x is y for x, y in zip(kept, (vars(decomp)["_weighted"], vars(decomp)["_adjoint"], vars(kraus)["_adjoint"])))
-        assert bit_equal(kept[0], decomp.eigenvalues[:, None, None] * ops)
-        assert bit_equal(kept[1], np.stack([op.conj().T for op in ops]))
-        assert bit_equal(kept[2], np.stack([op.conj().T for op in kraus.operators]))
-        for stack in kept:
-            assert stack.flags.c_contiguous  # so _operator_action reshapes the adjoints without a copy
+        apply_canonical(decomp, rho)
+        apply_kraus(kraus, rho)
+        kept = [vars(form)[name] for form, name in names]
+        apply_canonical(decomp, rho)
+        apply_kraus(kraus, rho)
+        assert all(x is vars(form)[name] for x, (form, name) in zip(kept, names))
+        stacks = [
+            decomp.eigenvalues[:, None, None] * ops,
+            np.stack([op.conj().T for op in ops]),
+            kraus.operators,
+            np.stack([op.conj().T for op in kraus.operators]),
+        ]
+        for got, stack in zip(kept, stacks):
+            assert bit_equal(got, stack.reshape(len(stack) * n, n))
+            assert got.flags.c_contiguous  # so _operator_action takes it with no copy
             with pytest.raises(ValueError):
-                stack[0, 0, 0] = 1.0
+                got[0, 0] = 1.0
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_operator_action_is_one_row_times_one_column(self, n):
@@ -1509,8 +1537,34 @@ class TestKeptOperands:
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for k in range(1, n * n + 1):
             left, right = (rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)) for _ in "lr")
-            got = _operator_action(m, left, forms._adjoints(right))
+            got = _operator_action(m, left.reshape(k * n, n), forms._adjoints(right))
             assert bit_equal(got, operator_action_reference(left, m, right)), (n, k)
+
+    @pytest.mark.parametrize("state_dim", [2, 4])
+    def test_a_state_of_another_dimension_raises_in_every_route(self, state_dim):
+        """All three routes check the state before their kernel, with one message, and build no operand."""
+        decomp = sample_decompositions(3, seed=3)[0]
+        kraus = extract_kraus(decomp)
+        a = canonical_to_a(decomp)
+        rho = DensityMatrix(np.eye(state_dim) / state_dim)
+        for route, form in ((apply_a, a), (apply_canonical, decomp), (apply_kraus, kraus)):
+            with pytest.raises(DimensionMismatchError, match=f"^dimension mismatch: 3 vs {state_dim}$"):
+                route(form, rho)
+        assert not {"_weighted", "_adjoint", "_stacked"} & (set(vars(decomp)) | set(vars(kraus)))
+
+    def test_an_infinite_output_diagonal_raises_in_every_route(self):
+        """E = 1e154 (|0><0| + |0><1|) sends |+><+| to 2e308 |0><0|: the product overflows to an
+        infinite diagonal entry in every route (numpy's warnings are silenced), and the output
+        step raises (test_output_beyond_the_double_range_raises_a_typed_error has the finite
+        outputs whose off-diagonal modulus is beyond the double range)."""
+        kraus = KrausSet([[[1e154, 1e154], [0, 0]]], tol=np.inf)
+        decomp = CanonicalDecomposition(PAULI, [1e308], [[[1, 1], [0, 0]]])
+        rho = bloch_to_density(BlochVector(1, 0, 0))
+        message = "^map output beyond the double range; the input's entries are too large$"
+        with np.errstate(all="ignore"):
+            for route, form in ((apply_a, kraus_to_a(kraus, np.inf)), (apply_canonical, decomp), (apply_kraus, kraus)):
+                with pytest.raises(InvalidMatrixError, match=message):
+                    route(form, rho)
 
     @pytest.mark.parametrize("label", ["pauli", "units"])
     def test_a_basis_keeps_its_basis_change(self, label):

@@ -1,3 +1,4 @@
+import dataclasses
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -25,7 +26,7 @@ from chanforms import (
     random_cp_channel,
 )
 from chanforms.forms import BForm, CoefficientMatrix, standard_basis
-from chanforms.linalg import _min_eigenvalue, as_complex_matrix, bloch_components, hermiticity_residual
+from chanforms.linalg import _min_eigenvalue, _new, as_complex_matrix, bloch_components, hermiticity_residual
 from conftest import random_density, random_hermitian
 
 
@@ -339,3 +340,26 @@ class TestRowVectorize:
             for s in range(3):
                 assert vec[r * 3 + s] == out[r, s]
         assert np.abs(out - sum(e @ rho.matrix @ e.conj().T for e in kraus.operators)).max() < 1e-12
+
+
+class TestNew:
+    """``_new`` keeps the given fields as they are, with no ``__post_init__``, and the result stays frozen."""
+
+    def test_runs_no_post_init_and_stays_frozen(self):
+        m = np.array([[1, 5], [0, 0]], dtype=complex)  # not Hermitian: the constructor would raise
+        rho = _new(DensityMatrix, matrix=m)
+        assert rho.matrix is m and vars(rho) == {"matrix": m} and rho.matrix.flags.writeable
+        b = _new(BForm, dim=2)
+        assert vars(b) == {"dim": 2}
+        for obj, name in ((rho, "matrix"), (b, "dim"), (b, "trace")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 0)
+        assert vars(b) == {"dim": 2}
+
+    def test_takes_only_classes_with_an_instance_dict(self):
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Slotted:
+            x: int
+
+        with pytest.raises(AttributeError):
+            _new(Slotted, x=1)

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts, so a renamed library name cannot break them silently."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -77,6 +78,32 @@ def test_op_calls_repeats_exactly(workload):
         assert result.returncode == 0, result.stderr
         assert int(result.stdout) > 0
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_op_digest_repeats_exactly_and_sees_one_ulp(tmp_path):
+    """Two runs print the same line per op, from another directory with PYTHONPATH unset; a one-ulp
+    change to one route's output changes that op's digest."""
+    argv = [sys.executable, str(SCRIPTS / "op_digest.py"), "--seed", "1"]
+    runs = [
+        subprocess.run(argv, capture_output=True, text=True, timeout=120, **kwargs)
+        for kwargs in ({}, {"cwd": tmp_path, "env": without_pythonpath()})
+    ]
+    for result in runs:
+        assert result.returncode == 0, result.stderr
+    lines = runs[0].stdout.splitlines()
+    assert runs[1].stdout == runs[0].stdout and len(lines) == 384
+    assert all(re.fullmatch(rf"{i} [a-z_]+ (pauli|units) [0-9a-f]{{64}}", line) for i, line in enumerate(lines))
+
+    digest = load_script("op_digest")
+    item = digest.wl.qubit_stream(1)[0]
+    result = digest.wl.qubit_op(item)
+    before = digest.digest(result)
+    assert lines[0].endswith(before) and digest.digest(digest.wl.qubit_op(item)) == before
+    out = result.via_canonical[0]
+    moved = out.matrix.copy()
+    moved[0, 0] = np.nextafter(moved[0, 0].real, np.inf) + 1j * moved[0, 0].imag
+    result.via_canonical[0] = dataclasses.replace(out, matrix=moved)
+    assert digest.digest(result) != before
 
 
 def load_script(name: str):

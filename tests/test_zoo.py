@@ -7,6 +7,7 @@ from chanforms import (
     PAULIS,
     BasisLabel,
     BlochVector,
+    ChanformsError,
     ChannelSpec,
     DensityMatrix,
     InvalidMatrixError,
@@ -330,6 +331,29 @@ class TestRandomNcp:
 
     def test_deterministic(self):
         assert np.array_equal(random_ncp_a(2, seed=5).matrix, random_ncp_a(2, seed=5).matrix)
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            (float("nan"), "^min_negativity must be a finite number of at least 0, got nan$"),
+            (float("inf"), "^min_negativity must be a finite number of at least 0, got inf$"),
+            (-1.0, "^min_negativity must be a finite number of at least 0, got -1.0$"),
+            (-0.5, "^min_negativity must be a finite number of at least 0, got -0.5$"),
+            ("0.1", "^min_negativity must be a finite number of at least 0, got '0.1'$"),
+            (10**400, "^min_negativity must be a finite number of at least 0, got 1000"),
+            (1e300, "^no dynamical eigenvalue below -1e\\+300 within 64 doublings of the shift$"),
+        ],
+        ids=["nan", "inf", "minus_one", "minus_half", "str", "huge_int", "unreachable"],
+    )
+    def test_a_bound_that_is_not_a_reachable_non_negative_number_raises(self, bound, message):
+        """Checked before any draw, except the unreachable one; a negative bound would let a CP map through."""
+        with pytest.raises(InvalidMatrixError, match=message) as info:
+            random_ncp_a(2, 0, bound)
+        assert isinstance(info.value, ValueError) and isinstance(info.value, ChanformsError)
+
+    def test_a_zero_bound_gives_a_map_with_a_negative_eigenvalue(self):
+        for seed in range(6):
+            assert cp_verdict(random_ncp_a(2, seed, 0.0), PAULI).min_eigenvalue < 0
 
 
 class TestParameterSweeps:
