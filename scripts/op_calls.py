@@ -6,6 +6,10 @@
 Builds the workload's inputs with ``perfbench/workloads.py`` (imported, not
 changed), runs every op once to fill caches, then runs the same pass again
 under cProfile and prints its function calls divided by the number of ops.
+The calls are summed over the profiler's entries, one per code object or
+built-in, rather than read from ``pstats``: ``pstats`` keys an entry by
+(file, line, name), and every dataclass-generated ``__init__`` has the key
+``("<string>", 2, "__init__")``, so all of them but one would be lost.
 The warm pass also fills the values a form keeps on first use: an A-form's
 realignment and a Kraus set's A-form.  Where a workload reuses its specs
 (``qubit_sweep``), the count is the steady state of a spec analyzed again;
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import pstats
 import sys
 import tempfile
 from pathlib import Path
@@ -40,4 +43,4 @@ with tempfile.TemporaryDirectory() as work:
         op(item)
     profile = cProfile.Profile()
     profile.runcall(lambda: [op(item) for item in items])
-    print(round(pstats.Stats(profile).total_calls / len(items)))
+    print(round(sum(entry.callcount for entry in profile.getstats()) / len(items)))

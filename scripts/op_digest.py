@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per qubit_sweep op over every value the op returns.
+"""Print one SHA-256 per qubit_sweep op over every value the op returns, then one per odd-n op.
 
     python3 scripts/op_digest.py --seed 5 > after.txt
 
@@ -9,7 +9,13 @@ item's index, its channel kind and basis, and the SHA-256 of everything
 the op returned: the A-form, the analysis report (its spectrum,
 ``spectral_match``, verdict, canonical operators and eigenvalues, and
 Kraus operators), the rebuilt A, the ``choi_consistency`` residual and the
-outputs of all three application routes.  Arrays are hashed by dtype,
+outputs of all three application routes.  Ten more lines follow, one per
+library op at n = 3 and 5 on a seeded rank-1 Kraus set E and state rho:
+``channel_a`` of the ``raw_kraus`` spec of E, ``canonical_to_a`` of the
+one-operator decomposition (n, E / sqrt(n)), and ``apply_a``,
+``apply_canonical`` and ``apply_kraus`` of those on rho; a one-term outer
+product at odd n rounds differently under another product routine, which
+the qubit stream does not show.  Arrays are hashed by dtype,
 shape and raw bytes, floats by their eight bytes, so a change of one ulp
 or of a zero's sign changes the line.  These are library outputs the CLI
 never prints, so ``scripts/cli_matrix.py`` does not see them; a change
@@ -33,6 +39,18 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads as wl  # noqa: E402
+from chanforms import (  # noqa: E402
+    CanonicalDecomposition,
+    ChannelSpec,
+    DensityMatrix,
+    apply_a,
+    apply_canonical,
+    apply_kraus,
+    canonical_to_a,
+    channel_a,
+    random_cp_channel,
+    standard_basis,
+)
 
 
 def _feed(h, value) -> None:
@@ -71,12 +89,35 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
+def odd_n_ops(seed: int) -> list[tuple[int, str, object]]:
+    """(n, op name, result) of the seeded library ops at n = 3 and 5."""
+    rows = []
+    for n in (3, 5):
+        kraus = random_cp_channel(n, 1, seed=seed)
+        a = channel_a(ChannelSpec.raw_kraus(kraus.operators), wl.TOL)
+        one = CanonicalDecomposition(standard_basis(n), [float(n)], kraus.operators / np.sqrt(n))
+        rng = np.random.default_rng([seed, n])
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w = g @ g.conj().T
+        rho = DensityMatrix(w / np.trace(w).real)
+        rows += [
+            (n, "channel_a", a),
+            (n, "canonical_to_a", canonical_to_a(one, wl.TOL)),
+            (n, "apply_a", apply_a(a, rho, wl.TOL)),
+            (n, "apply_canonical", apply_canonical(one, rho, wl.TOL)),
+            (n, "apply_kraus", apply_kraus(kraus, rho, wl.TOL)),
+        ]
+    return rows
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, required=True)
     args = p.parse_args()
     for i, item in enumerate(wl.qubit_stream(args.seed)):
         print(i, item.spec.kind.value, item.basis.value, digest(wl.qubit_op(item)))
+    for n, name, result in odd_n_ops(args.seed):
+        print(f"n={n}", name, digest(result))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .forms import (
     default_basis,
     realign_a_to_b,
 )
-from .linalg import DEFAULT_TOL, _freeze, max_abs
+from .linalg import DEFAULT_TOL, _freeze, _new, max_abs
 from .zoo import ChannelSpec, channel_a
 
 
@@ -81,7 +81,7 @@ def analyze(
     if not basis._units:
         n, slack = a.dim, _scaled_tol(tol, a.dim)
         v = decomp.canonical_ops.reshape(n * n, n * n).T  # column k is vec(C_k)
-        spectral_match = max_abs(b.matrix @ v - v * decomp.eigenvalues)
+        spectral_match = max_abs(np.dot(b.matrix, v) - v * decomp.eigenvalues)
         if not spectral_match <= slack:
             raise InvalidMatrixError(
                 f"canonical pairs are not eigenpairs of B: residual {spectral_match:.3g},"
@@ -100,7 +100,8 @@ def analyze(
             "no operator-sum form exists"
         )
 
-    return AnalysisReport(
+    return _new(
+        AnalysisReport,
         channel=spec.describe(),
         tol=tol,
         a_hermiticity_residual=a.hermiticity_residual,

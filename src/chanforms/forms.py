@@ -107,7 +107,7 @@ def _operator_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     k, n, _ = ops.shape
     v = ops.reshape(k, n * n)
-    return _reshuffle(v.T @ weights @ v.conj(), n)
+    return _reshuffle(v.T @ weights @ v.conj(), n)  # @, not np.dot: see canonical_to_a
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,8 +349,9 @@ class CanonicalDecomposition:
     kron(canonical_ops[k], conj(canonical_ops[k]))``.  Eigenvalues are
     descending; each operator's global phase is fixed by making its
     largest-magnitude entry real and positive.  The operands of
-    ``apply_canonical``, lam_k C_k and C_k^dag each stacked as one read-only
-    ``(k n, n)`` array, are built on first use and kept.
+    ``apply_canonical``, the rows of the lam_k C_k in (i, k) order and the
+    column of the C_k^dag, each one read-only 2-D array, are built on first
+    use and kept.
 
     The constructor takes k finite real eigenvalues and a finite
     ``(k, n, n)`` stack of operators, n = ``basis.dim``, for any k from 0
@@ -388,12 +389,19 @@ class CanonicalDecomposition:
 
     @functools.cached_property
     def _weighted(self) -> np.ndarray:
-        k, n, _ = self.canonical_ops.shape
-        return _freeze((self.eigenvalues[:, None, None] * self.canonical_ops).reshape(k * n, n))
+        return _interleaved(self.eigenvalues[:, None, None] * self.canonical_ops)
 
     @functools.cached_property
     def _adjoint(self) -> np.ndarray:
         return _adjoints(self.canonical_ops)
+
+
+def _interleaved(ops: np.ndarray) -> np.ndarray:
+    """The rows of a (k, n, n) stack of operators O_k in (i, k) order, row i k + j being row i of
+    O_j: one read-only, C-contiguous (n k, n) array, the left operand ``_operator_action`` takes
+    as it is."""
+    k, n, _ = ops.shape
+    return _freeze(ops.transpose(1, 0, 2).reshape(n * k, n))
 
 
 def _adjoints(ops: np.ndarray) -> np.ndarray:
@@ -433,8 +441,9 @@ class KrausSet:
     what it measured: ``completeness_residual`` is the max-norm of
     ``sum_k E_k^dag E_k - I``.  Its A-form is built and measured on first
     use and kept, so ``kraus_to_a`` of one set returns one ``AForm``; the
-    operands of ``apply_kraus``, E_k and E_k^dag each stacked as one
-    read-only ``(k n, n)`` array, are kept the same way.
+    operands of ``apply_kraus``, the rows of the E_k in (i, k) order and
+    the column of the E_k^dag, each one read-only 2-D array, are kept the
+    same way.
 
     One step, ``_measure``, keeps a stack and its residual.  The public
     constructor copies the input and scans it for non-finite entries first;
@@ -457,7 +466,7 @@ class KrausSet:
         k, n, _ = ops.shape
         v = ops.reshape(k * n, n)  # sum_k E_k^dag E_k == V^dag V
         object.__setattr__(self, "operators", _freeze(ops))
-        object.__setattr__(self, "completeness_residual", max_abs(v.conj().T @ v - _identity(n)))
+        object.__setattr__(self, "completeness_residual", max_abs(np.dot(v.conj().T, v) - _identity(n)))
         return self
 
     def _check(self, tol: float) -> KrausSet:
@@ -483,11 +492,12 @@ class KrausSet:
         as the rows of V, measured but unchecked; a non-finite sum raises and is not kept."""
         k, n, _ = self.operators.shape
         v = self.operators.reshape(k, n * n)
+        # @, not np.dot: see canonical_to_a.
         return _new(AForm)._measure(_reshuffle(v.T @ v.conj(), n))._check(math.inf)
 
     @functools.cached_property
     def _stacked(self) -> np.ndarray:
-        return self.operators.reshape(-1, self.dim)  # a view of the read-only stack, read-only too
+        return _interleaved(self.operators)
 
     @functools.cached_property
     def _adjoint(self) -> np.ndarray:
@@ -543,7 +553,7 @@ def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL)
     r = a._b_form.matrix
     if basis._units:
         return _new(CoefficientMatrix, basis=basis)._keep(r, a.hermiticity_residual, _scaled_tol(tol, n))
-    m = _freeze(basis._v_conj @ r @ basis._v_t)
+    m = _freeze(np.dot(np.dot(basis._v_conj, r), basis._v_t))
     return _new(CoefficientMatrix, basis=basis)._keep(m, hermiticity_residual(m), _scaled_tol(tol, n))
 
 
@@ -583,7 +593,7 @@ def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL
     cm = coefficient_matrix(a, basis, tol)
     n = a.dim
     eig = hermitian_eigendecompose(cm, _scaled_tol(tol, n))
-    e = eig.eigenvectors if basis._units else eig.eigenvectors @ basis._v
+    e = eig.eigenvectors if basis._units else np.dot(eig.eigenvectors, basis._v)
     flat = e + 0.0  # row k is vec(C_k); + 0.0 turns -0.0 into +0.0
     # Each C_k has unit norm, so its largest-magnitude entry is never 0.
     pivots = flat[_arange(n * n), np.abs(flat).argmax(1)]
@@ -597,6 +607,7 @@ def canonical_to_a(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> AForm
     C_k as the rows of V, the realignment of (V^T lam) conj(V), lam scaling V^T's columns."""
     k, n, _ = c.canonical_ops.shape
     v = c.canonical_ops.reshape(k, n * n)
+    # @, not np.dot: at k = 1 this is an outer product, which np.dot rounds differently at odd n.
     return _new(AForm)._measure(_reshuffle((v.T * c.eigenvalues) @ v.conj(), n))._check(tol)
 
 
@@ -628,11 +639,12 @@ def _cut_kraus(c: CanonicalDecomposition, tol: float) -> KrausSet:
 def _map_output(out: np.ndarray, tol: float) -> MapOutput:
     """The last step of all three application routes: ``out`` with its minimum eigenvalue (the
     closed form at n = 2) and whether that is at least ``-tol``.  Each route checks the state's
-    dimension and runs its own kernel first; a minimum eigenvalue that is not a finite double
-    (an output beyond the double range) raises ``InvalidMatrixError``."""
+    dimension and runs its own kernel first; an output beyond the double range (a minimum
+    eigenvalue that is not a finite double, or at n >= 3 a NaN or infinite entry) raises
+    ``InvalidMatrixError``."""
     try:
         min_eig = _min_eigenvalue(out)
-    except OverflowError:  # an off-diagonal modulus beyond the double range
+    except OverflowError:  # an off-diagonal modulus, or at n >= 3 an entry, beyond the double range
         min_eig = math.nan
     if not math.isfinite(min_eig):
         raise InvalidMatrixError("map output beyond the double range; the input's entries are too large")
@@ -640,17 +652,20 @@ def _map_output(out: np.ndarray, tol: float) -> MapOutput:
 
 
 def _operator_action(m: np.ndarray, left: np.ndarray, right_adjoint: np.ndarray) -> np.ndarray:
-    """sum_k L_k m R_k^dag for the kept (k n, n) columns [L_1; ...; L_k] and [R_1^dag; ...; R_k^dag].
+    """sum_k L_k m R_k^dag for the kept operands of ``_interleaved`` (the L_k) and ``_adjoints``
+    (the column [R_1^dag; ...; R_k^dag]).
 
-    Two 2-D products, with no reshape of a kept operand: the column of the
-    L_k times m, a (k n, n) @ (n, n) product that gives each L_k m bit for
-    bit as a batched product would, then the row of the L_k m,
-    [L_1 m ... L_k m], times the column of the R_k^dag, an (n, k n) @ (k n, n)
-    product that sums over k inside one product instead of a batched
-    product and a reduction.
+    Two 2-D products with nothing copied between them: the L_k's rows in
+    (i, k) order times m, an (n k, n) . (n, n) product whose row i k + j is
+    row i of L_j m, bit for bit as a batched product would give it; its
+    (n, k n) reshape, a view, is the row [L_1 m ... L_k m], and that times
+    the column of the R_k^dag, an (n, k n) . (k n, n) product, sums over k
+    inside one product instead of a batched product and a reduction.
+    Both are ``np.dot``: the BLAS kernel of ``@`` and the same bits, with
+    less dispatch.
     """
     kn, n = left.shape
-    return (left @ m).reshape(kn // n, n, n).transpose(1, 0, 2).reshape(n, kn) @ right_adjoint
+    return np.dot(np.dot(left, m).reshape(n, kn), right_adjoint)
 
 
 def _dimension_mismatch(n: int, m: np.ndarray) -> DimensionMismatchError:
@@ -662,7 +677,7 @@ def apply_a(a: AForm, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput
     m, n = rho.matrix, a.dim
     if m.shape[0] != n:
         raise _dimension_mismatch(n, m)
-    return _map_output((a.matrix @ m.reshape(-1)).reshape(n, n), tol)
+    return _map_output(np.dot(a.matrix, m.reshape(-1)).reshape(n, n), tol)
 
 
 def apply_canonical(c: CanonicalDecomposition, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
@@ -705,7 +720,7 @@ def _classify(eigenvalues: np.ndarray, tol: float) -> CpVerdict:
         if min_eig >= -tol
         else CpClassification.NOT_COMPLETELY_POSITIVE
     )
-    return CpVerdict(classification=cls, min_eigenvalue=min_eig)
+    return _new(CpVerdict, classification=cls, min_eigenvalue=min_eig)
 
 
 def cp_verdict(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CpVerdict:

@@ -63,8 +63,8 @@ def _require_finite(m: np.ndarray) -> None:
 
 
 def max_abs(m: np.ndarray) -> float:
-    """Entrywise max-norm; 0.0 for empty input."""
-    return float(np.abs(m).max()) if m.size else 0.0
+    """Entrywise max-norm; 0.0 for empty input.  A NaN entry gives NaN."""
+    return float(np.maximum.reduce(np.abs(m), axis=None)) if m.size else 0.0
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
@@ -79,14 +79,20 @@ def _min_eigenvalue(m: np.ndarray) -> float:
     the real parts of the diagonal and b = (m01 + conj m10)/2; it agrees
     with LAPACK to a few ulps of max|m| without LAPACK's per-call cost.
     Each term is halved before it is added, so a, d and b stay finite; an
-    |b| beyond the double range raises ``OverflowError``.
+    |b| beyond the double range raises ``OverflowError``.  At n >= 3 the
+    matrix is scanned first: a NaN or infinite entry raises ``OverflowError``
+    too, and m is halved before it is added to its adjoint, so the Hermitian
+    part of a finite m is finite.
     """
     if m.shape == (2, 2):
         (m00, m01), (m10, m11) = m.tolist()
         a, d = m00.real / 2, m11.real / 2
         b = m01 / 2 + m10.conjugate() / 2
         return a + d - math.hypot(a - d, abs(b))
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])  # ascending order
+    if not np.isfinite(m).all():
+        raise OverflowError("matrix entry beyond the double range")
+    h = m / 2
+    return float(np.linalg.eigvalsh(h + h.conj().T)[0])  # ascending order
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -234,7 +240,7 @@ def hermitian_eigendecompose(
     w = w[order]  # descending with NaN last, so an inf or a NaN shows at an end
     if w.size and not (w[0] < math.inf and w[-1] > -math.inf):
         raise InvalidMatrixError("eigenvalues beyond the double range; the input's entries are too large")
-    return _new(EigenDecomposition, eigenvalues=_freeze(w), eigenvectors=_freeze(v[:, order].T))
+    return _new(EigenDecomposition, eigenvalues=_freeze(w), eigenvectors=_freeze(v.T[order]))
 
 
 def bloch_to_density(p: BlochVector, tol: float = DEFAULT_TOL) -> DensityMatrix:

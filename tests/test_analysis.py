@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -65,6 +67,18 @@ class TestAnalyze:
         first = dumps(report_document(analyze(spec)))
         second = dumps(report_document(analyze(spec)))
         assert first == second
+
+    @pytest.mark.parametrize("spec", [ChannelSpec.bit_flip(0.75), ChannelSpec.transpose()], ids=["cp", "ncp"])
+    def test_report_and_verdict_hold_every_field_and_stay_frozen(self, spec):
+        """Both are built without their generated ``__init__``; each still holds exactly its declared
+        fields and refuses assignment."""
+        report = analyze(spec)
+        for obj in (report, report.verdict):
+            names = [f.name for f in dataclasses.fields(obj)]
+            assert sorted(vars(obj)) == sorted(names)
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, name, None)
 
     def test_report_fields_consistent(self):
         report = analyze(ChannelSpec.phase_flip(0.25))

@@ -1505,8 +1505,9 @@ class TestKeptOperands:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_stacks_are_built_once_and_read_only(self, n):
-        """Each route's two operands are one read-only, C-contiguous (k n, n) column, kept from the
-        first application on and bit-equal to the (k, n, n) stack it stacks."""
+        """Each route's two operands are one read-only, C-contiguous 2-D array, kept from the first
+        application on: the left one holds the rows of its (k, n, n) stack in (i, k) order, row i k + j
+        being row i of operator j, and the right one is the column of the adjoints."""
         decomp = sample_decompositions(n, seed=n)[0]
         kraus = extract_kraus(decomp)
         ops = decomp.canonical_ops
@@ -1519,14 +1520,21 @@ class TestKeptOperands:
         apply_canonical(decomp, rho)
         apply_kraus(kraus, rho)
         assert all(x is vars(form)[name] for x, (form, name) in zip(kept, names))
-        stacks = [
-            decomp.eigenvalues[:, None, None] * ops,
-            np.stack([op.conj().T for op in ops]),
-            kraus.operators,
-            np.stack([op.conj().T for op in kraus.operators]),
+
+        def rows_in_i_k_order(stack):
+            return stack.transpose(1, 0, 2).reshape(n * len(stack), n)
+
+        def column_of_adjoints(stack):
+            return np.stack([op.conj().T for op in stack]).reshape(len(stack) * n, n)
+
+        wants = [
+            rows_in_i_k_order(decomp.eigenvalues[:, None, None] * ops),
+            column_of_adjoints(ops),
+            rows_in_i_k_order(kraus.operators),
+            column_of_adjoints(kraus.operators),
         ]
-        for got, stack in zip(kept, stacks):
-            assert bit_equal(got, stack.reshape(len(stack) * n, n))
+        for got, want in zip(kept, wants):
+            assert bit_equal(got, want)
             assert got.flags.c_contiguous  # so _operator_action takes it with no copy
             with pytest.raises(ValueError):
                 got[0, 0] = 1.0
@@ -1537,7 +1545,7 @@ class TestKeptOperands:
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for k in range(1, n * n + 1):
             left, right = (rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)) for _ in "lr")
-            got = _operator_action(m, left.reshape(k * n, n), forms._adjoints(right))
+            got = _operator_action(m, left.transpose(1, 0, 2).reshape(n * k, n), forms._adjoints(right))
             assert bit_equal(got, operator_action_reference(left, m, right)), (n, k)
 
     @pytest.mark.parametrize("state_dim", [2, 4])
@@ -1552,19 +1560,39 @@ class TestKeptOperands:
                 route(form, rho)
         assert not {"_weighted", "_adjoint", "_stacked"} & (set(vars(decomp)) | set(vars(kraus)))
 
-    def test_an_infinite_output_diagonal_raises_in_every_route(self):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_an_infinite_output_diagonal_raises_in_every_route(self, n):
         """E = 1e154 (|0><0| + |0><1|) sends |+><+| to 2e308 |0><0|: the product overflows to an
         infinite diagonal entry in every route (numpy's warnings are silenced), and the output
-        step raises (test_output_beyond_the_double_range_raises_a_typed_error has the finite
-        outputs whose off-diagonal modulus is beyond the double range)."""
-        kraus = KrausSet([[[1e154, 1e154], [0, 0]]], tol=np.inf)
-        decomp = CanonicalDecomposition(PAULI, [1e308], [[[1, 1], [0, 0]]])
-        rho = bloch_to_density(BlochVector(1, 0, 0))
+        step raises, through the closed form at n = 2 and LAPACK's branch at n = 3
+        (test_output_beyond_the_double_range_raises_a_typed_error has the finite outputs whose
+        off-diagonal modulus is beyond the double range)."""
+        op = np.zeros((n, n))
+        op[0, :2] = 1
+        kraus = KrausSet([1e154 * op], tol=np.inf)
+        decomp = CanonicalDecomposition(default_basis(n), [1e308], [op])
+        plus = np.zeros((n, n))
+        plus[:2, :2] = 0.5
+        rho = DensityMatrix(plus)
         message = "^map output beyond the double range; the input's entries are too large$"
         with np.errstate(all="ignore"):
             for route, form in ((apply_a, kraus_to_a(kraus, np.inf)), (apply_canonical, decomp), (apply_kraus, kraus)):
                 with pytest.raises(InvalidMatrixError, match=message):
                     route(form, rho)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "where, entry",
+        [((0, 0), np.nan), ((0, 0), np.inf), ((0, 0), complex(np.inf, np.nan)), ((0, 1), np.nan), ((0, 1), np.inf)],
+        ids=["nan_diagonal", "inf_diagonal", "inf_nan_diagonal", "nan_off_diagonal", "inf_off_diagonal"],
+    )
+    def test_a_non_finite_output_raises_at_every_n(self, n, where, entry):
+        """The output step all three routes share raises on a NaN or an infinite entry at n = 2 and
+        at n >= 3 alike; at n = 3 LAPACK's branch once returned 0.0 for diag(nan, 1, 1)."""
+        out = np.eye(n, dtype=complex) / n
+        out[where] = entry
+        with pytest.raises(InvalidMatrixError, match="^map output beyond the double range; "):
+            forms._map_output(out, 1e-9)
 
     @pytest.mark.parametrize("label", ["pauli", "units"])
     def test_a_basis_keeps_its_basis_change(self, label):

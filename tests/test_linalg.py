@@ -148,6 +148,21 @@ class TestMinEigenvalue:
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert _min_eigenvalue(m) == min_eigenvalue_reference(m)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
+    def test_a_non_finite_entry_raises_overflow_at_n_3(self, entry):
+        """LAPACK's branch scans first: eigvalsh gave 0.0 for diag(nan, 1, 1), and numpy warned on
+        diag(inf, 1, 1) while halving it."""
+        m = np.eye(3, dtype=complex)
+        m[0, 0] = entry
+        with pytest.raises(OverflowError, match="^matrix entry beyond the double range$"):
+            _min_eigenvalue(m)
+
+    def test_a_finite_matrix_near_the_double_limit_has_a_finite_hermitian_part_at_n_3(self):
+        """m is halved before it is added to its adjoint, as at n = 2, so 1e308 + 1e308 never forms."""
+        m = np.zeros((3, 3), dtype=complex)
+        m[0, 1] = m[1, 0] = 1e308
+        assert _min_eigenvalue(m) == pytest.approx(-1e308)
+
 
 class TestHermitianEigendecompose:
     def test_projection_coefficient_spectrum(self):
@@ -296,6 +311,15 @@ class TestDensityMatrixValidation:
     def test_negative_rejected_through_the_closed_form(self):
         m = np.array([[0.5, 1.0], [1.0, 0.5]], dtype=complex)  # eigenvalues 1.5, -0.5
         with pytest.raises(InvalidStateError, match=r"^not positive semidefinite: min eigenvalue -0.5 < -1e-09$"):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_off_diagonal_entries_near_the_double_limit_fail_positivity_at_every_n(self, n):
+        """At n = 3 LAPACK saw an infinite Hermitian part and raised ``LinAlgError``."""
+        m = np.zeros((n, n), dtype=complex)
+        m[0, 0] = m[1, 1] = 0.5
+        m[0, 1] = m[1, 0] = 1e308
+        with pytest.raises(InvalidStateError, match=r"^not positive semidefinite: min eigenvalue -1e\+308 < -1e-09$"):
             DensityMatrix(m)
 
     def test_entries_beyond_the_double_range_rejected(self):

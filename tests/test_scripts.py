@@ -81,8 +81,8 @@ def test_op_calls_repeats_exactly(workload):
 
 
 def test_op_digest_repeats_exactly_and_sees_one_ulp(tmp_path):
-    """Two runs print the same line per op, from another directory with PYTHONPATH unset; a one-ulp
-    change to one route's output changes that op's digest."""
+    """Two runs print the same line per op, 384 qubit ops and 10 at n = 3 and 5, from another directory
+    with PYTHONPATH unset; a one-ulp change to one route's output changes that op's digest."""
     argv = [sys.executable, str(SCRIPTS / "op_digest.py"), "--seed", "1"]
     runs = [
         subprocess.run(argv, capture_output=True, text=True, timeout=120, **kwargs)
@@ -91,8 +91,11 @@ def test_op_digest_repeats_exactly_and_sees_one_ulp(tmp_path):
     for result in runs:
         assert result.returncode == 0, result.stderr
     lines = runs[0].stdout.splitlines()
-    assert runs[1].stdout == runs[0].stdout and len(lines) == 384
-    assert all(re.fullmatch(rf"{i} [a-z_]+ (pauli|units) [0-9a-f]{{64}}", line) for i, line in enumerate(lines))
+    assert runs[1].stdout == runs[0].stdout and len(lines) == 394
+    assert all(re.fullmatch(rf"{i} [a-z_]+ (pauli|units) [0-9a-f]{{64}}", line) for i, line in enumerate(lines[:384]))
+    odd = ["channel_a", "canonical_to_a", "apply_a", "apply_canonical", "apply_kraus"]
+    assert [line.rsplit(" ", 1)[0] for line in lines[384:]] == [f"n={n} {op}" for n in (3, 5) for op in odd]
+    assert all(re.fullmatch(r"n=[35] [a-z_]+ [0-9a-f]{64}", line) for line in lines[384:])
 
     digest = load_script("op_digest")
     item = digest.wl.qubit_stream(1)[0]
