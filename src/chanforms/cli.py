@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from collections.abc import Callable
 
@@ -398,6 +399,15 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused.  Everything
+    it builds (the parsed JSON tree, the forms, the wire lists) is acyclic
+    and freed by reference counting when the command ends, so the
+    collector's passes over those thousands of containers find nothing.
+    A caller that had the collector on gets it back on, one that had it
+    off keeps it off, whatever the exit path.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -405,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
 
+    collecting = gc.isenabled()
+    if collecting:
+        gc.disable()
     try:
         return _run(args)
     except InvalidMapError as exc:
@@ -419,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # total exit-code contract: never crash
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -640,11 +640,11 @@ def _map_output(out: np.ndarray, tol: float) -> MapOutput:
     """The last step of all three application routes: ``out`` with its minimum eigenvalue (the
     closed form at n = 2) and whether that is at least ``-tol``.  Each route checks the state's
     dimension and runs its own kernel first; an output beyond the double range (a minimum
-    eigenvalue that is not a finite double, or at n >= 3 a NaN or infinite entry) raises
+    eigenvalue that is not a finite double, or a NaN or infinite entry) raises
     ``InvalidMatrixError``."""
     try:
         min_eig = _min_eigenvalue(out)
-    except OverflowError:  # an off-diagonal modulus, or at n >= 3 an entry, beyond the double range
+    except OverflowError:  # a diagonal entry (any entry at n >= 3) or an off-diagonal modulus beyond range
         min_eig = math.nan
     if not math.isfinite(min_eig):
         raise InvalidMatrixError("map output beyond the double range; the input's entries are too large")

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import InitVar, dataclass
 
@@ -79,13 +80,16 @@ def _min_eigenvalue(m: np.ndarray) -> float:
     the real parts of the diagonal and b = (m01 + conj m10)/2; it agrees
     with LAPACK to a few ulps of max|m| without LAPACK's per-call cost.
     Each term is halved before it is added, so a, d and b stay finite; an
-    |b| beyond the double range raises ``OverflowError``.  At n >= 3 the
-    matrix is scanned first: a NaN or infinite entry raises ``OverflowError``
-    too, and m is halved before it is added to its adjoint, so the Hermitian
-    part of a finite m is finite.
+    |b| beyond the double range raises ``OverflowError``, and so does a NaN
+    or infinite diagonal entry, whose imaginary part the closed form would
+    not read.  At n >= 3 the matrix is scanned first: a NaN or infinite
+    entry raises ``OverflowError`` too, and m is halved before it is added
+    to its adjoint, so the Hermitian part of a finite m is finite.
     """
     if m.shape == (2, 2):
         (m00, m01), (m10, m11) = m.tolist()
+        if not (cmath.isfinite(m00) and cmath.isfinite(m11)):
+            raise OverflowError("diagonal entry beyond the double range")
         a, d = m00.real / 2, m11.real / 2
         b = m01 / 2 + m10.conjugate() / 2
         return a + d - math.hypot(a - d, abs(b))

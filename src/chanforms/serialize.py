@@ -53,9 +53,13 @@ class ChannelDocument:
 
 
 def matrix_to_wire(m) -> list:
-    """Row-major ``[re, im]`` pairs of a matrix, or of each matrix of an ``(..., r, c)`` stack."""
-    m = np.asarray(m, dtype=complex)
-    return np.stack((m.real, m.imag), -1).tolist()
+    """Row-major ``[re, im]`` pairs of a matrix, or of each matrix of an ``(..., r, c)`` stack.
+
+    A C-contiguous complex array holds each entry as its two doubles, so
+    its float view, shaped ``(..., r, c, 2)``, is the pairs without a copy.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2).tolist()
 
 
 # Wire dicts are freshly built trees, so the encoder's cycle check (one dict
@@ -134,7 +138,9 @@ def _tol(obj, path: str) -> float:
     return _check_tol(_as_finite_number(obj, path), path)
 
 
-def _int_at_least(minimum: int):
+def _int_leaf(minimum: int):
+    """Leaf for an integer (not a boolean) of at least ``minimum``."""
+
     def leaf(obj, path: str) -> int:
         if isinstance(obj, bool) or not isinstance(obj, int):
             raise BadMatrixShapeError(f"{path}: expected an integer")
@@ -319,7 +325,7 @@ def _walk(schema, obj, path: str):
 _real = _as_finite_number
 _reals = _array(_real)
 _matrices = _array(parse_matrix)
-_dim = _int_at_least(2)
+_dim = _int_leaf(2)
 _basis = _member(BasisLabel, "basis")
 
 # Payload field parsers and writers, by the wire types of the kind table.
@@ -473,8 +479,8 @@ _REPORT = {
             "classification": _member(CpClassification, "classification"),
             "min_eigenvalue": _real,
         },
-        "canonical": {**_CANONICAL, "null_dimension": _int_at_least(0)},
-        "kraus": _or_null({"rank": _int_at_least(1)}),
+        "canonical": {**_CANONICAL, "null_dimension": _int_leaf(0)},
+        "kraus": _or_null({"rank": _int_leaf(1)}),
     },
 }
 

@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import json
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanforms import build_bit_flip_a, build_unitary_a, cli, forms
+from chanforms import build_bit_flip_a, build_unitary_a, cli, forms, random_cp_channel
 from chanforms.serialize import (
     dumps,
     matrix_to_wire,
@@ -654,6 +655,74 @@ class TestInProcess:
         assert code == 0
         assert json.loads(units)["report"]["canonical"]["basis"] == "units"
         assert json.loads(default)["report"]["canonical"]["basis"] == "pauli"
+
+
+class TestCollectorPause:
+    """``main`` runs each command with the cyclic collector paused and gives the caller's
+    collector state back on every exit path."""
+
+    @pytest.fixture(params=[True, False], ids=["collecting", "paused_by_caller"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.fixture
+    def docs(self, tmp_path):
+        texts = {"bit_flip": BIT_FLIP_DOC, "transpose": TRANSPOSE_DOC, "invalid": invalid_map_doc(), "bad": "{not json"}
+        for name, text in texts.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, code, stderr",
+        [
+            (["analyze", "{docs}/bit_flip.json"], 0, ""),
+            (["analyze", "{docs}/invalid.json"], 1, "invalid map: "),
+            (["analyze", "{docs}/bad.json"], 2, "error: document: invalid JSON"),
+            (["analyze"], 2, "usage: chanforms"),
+            (["analyze", "{docs}/transpose.json"], 3, ""),
+        ],
+        ids=["exit_0", "exit_1", "exit_2_parse", "exit_2_usage", "exit_3"],
+    )
+    def test_the_callers_collector_state_is_restored(self, capsys, collecting, docs, argv, code, stderr):
+        argv = [arg.format(docs=docs) for arg in argv]
+        got, _, err = main_in_process(capsys, argv)
+        assert got == code and err.startswith(stderr)
+        assert gc.isenabled() is collecting
+
+    def test_the_internal_error_path_restores_it_too(self, capsys, collecting, docs):
+        seen = []
+
+        def fail(*args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        with mock.patch.object(cli, "analyze", side_effect=fail):
+            got = main_in_process(capsys, ["analyze", f"{docs}/bit_flip.json"])
+        assert got == (2, "", "internal error: boom\n")
+        assert seen == [False] and gc.isenabled() is collecting
+
+    def test_no_collection_starts_during_a_dense_analyze(self, capsys, tmp_path):
+        """An n = 8 raw_a document allocates thousands of lists on the way in and out, enough to
+        start the generation-0 collection many times over, were the collector running."""
+        a = forms.kraus_to_a(random_cp_channel(8, 64, seed=8)).matrix
+        doc = tmp_path / "raw8.json"
+        doc.write_text(dumps({"format_version": "1", "channel": {"kind": "raw_a", "matrix": matrix_to_wire(a)}}))
+        cli.build_parser()  # argparse leaves cyclic garbage when it builds the parser
+        starts = []
+        hook = lambda phase, info: starts.append(info["generation"]) if phase == "start" else None
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            code, out, err = main_in_process(capsys, ["analyze", str(doc), "--output", "machine"])
+        finally:
+            gc.callbacks.remove(hook)
+        assert (code, err) == (0, "")
+        assert parse_report_document(out)["channel"]["dim"] == 8
+        assert starts == []
 
 
 def _raw_documents() -> list[dict]:

@@ -1583,12 +1583,30 @@ class TestKeptOperands:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize(
         "where, entry",
-        [((0, 0), np.nan), ((0, 0), np.inf), ((0, 0), complex(np.inf, np.nan)), ((0, 1), np.nan), ((0, 1), np.inf)],
-        ids=["nan_diagonal", "inf_diagonal", "inf_nan_diagonal", "nan_off_diagonal", "inf_off_diagonal"],
+        [
+            ((0, 0), np.nan),
+            ((0, 0), np.inf),
+            ((0, 0), complex(np.inf, np.nan)),
+            ((0, 0), complex(0.5, np.nan)),
+            ((0, 0), complex(0.5, np.inf)),
+            ((0, 1), np.nan),
+            ((0, 1), np.inf),
+        ],
+        ids=[
+            "nan_diagonal",
+            "inf_diagonal",
+            "inf_nan_diagonal",
+            "nan_imag_diagonal",
+            "inf_imag_diagonal",
+            "nan_off_diagonal",
+            "inf_off_diagonal",
+        ],
     )
     def test_a_non_finite_output_raises_at_every_n(self, n, where, entry):
         """The output step all three routes share raises on a NaN or an infinite entry at n = 2 and
-        at n >= 3 alike; at n = 3 LAPACK's branch once returned 0.0 for diag(nan, 1, 1)."""
+        at n >= 3 alike; at n = 3 LAPACK's branch once returned 0.0 for diag(nan, 1, 1), and at
+        n = 2 the closed form, which reads only the diagonal's real parts, once returned 0.5 for a
+        NaN or infinite imaginary part."""
         out = np.eye(n, dtype=complex) / n
         out[where] = entry
         with pytest.raises(InvalidMatrixError, match="^map output beyond the double range; "):

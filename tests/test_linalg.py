@@ -157,6 +157,16 @@ class TestMinEigenvalue:
         with pytest.raises(OverflowError, match="^matrix entry beyond the double range$"):
             _min_eigenvalue(m)
 
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("entry", [complex(0.5, np.nan), complex(0.5, np.inf), np.nan, -np.inf])
+    def test_a_non_finite_diagonal_entry_raises_overflow_at_n_2(self, i, entry):
+        """The closed form reads only the diagonal's real parts, so it checks the whole entries first:
+        a NaN or infinite imaginary part once gave the minimum eigenvalue of the real parts."""
+        m = np.eye(2, dtype=complex) / 2
+        m[i, i] = entry
+        with pytest.raises(OverflowError, match="^diagonal entry beyond the double range$"):
+            _min_eigenvalue(m)
+
     def test_a_finite_matrix_near_the_double_limit_has_a_finite_hermitian_part_at_n_3(self):
         """m is halved before it is added to its adjoint, as at n = 2, so 1e308 + 1e308 never forms."""
         m = np.zeros((3, 3), dtype=complex)

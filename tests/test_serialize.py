@@ -307,6 +307,20 @@ def per_entry_wire(m) -> list:
 
 BIG_INT = "1" + "0" * 400  # an integer literal beyond double range
 
+# A 3 x 4 complex matrix whose parts include both zeros, a subnormal and large values.
+_SIGNED = np.array(
+    [0.0, -0.0, 1.5, -2.25, 5e-324, -1e300, 0.1, -0.0, 3.0, 0.0, -7.5, 2**53 + 1.0]
+    + [-0.0, 0.0, 1e-310, 4.0, -0.5, 1e300, 0.0, -0.0, 2.0, -3.0, 0.25, -0.0]
+).view(complex).reshape(3, 4)
+
+NON_CONTIGUOUS_CASES = {
+    "transposed": _SIGNED.T,
+    "strided_columns": _SIGNED[:, ::2],
+    "fortran_order": np.asfortranarray(_SIGNED),
+    "integer": np.array([[3, -1, 0], [0, 7, -2**40]]),
+    "empty_stack": np.zeros((0, 3, 3), dtype=complex),
+}
+
 
 def pairs_reference(obj):
     """The rule ``_pairs`` had before it decoded in one pass, kept as its reference:
@@ -377,6 +391,15 @@ class TestMatrixCodec:
     def test_encoder_matches_per_entry_reference(self, m):
         assert dumps(matrix_to_wire(m)) == dumps([per_entry_wire(op) for op in m])
         assert dumps(matrix_to_wire(m[0])) == dumps(per_entry_wire(m[0]))
+
+    @pytest.mark.parametrize("m", NON_CONTIGUOUS_CASES.values(), ids=NON_CONTIGUOUS_CASES.keys())
+    def test_encoder_matches_per_entry_reference_off_the_contiguous_complex_layout(self, m):
+        """The encoder writes a float view of a C-contiguous complex copy; each non-empty input
+        here is not one, so it is converted first, and every pair keeps its bits (-0.0 included).
+        An empty stack writes an empty list."""
+        assert m.size == 0 or not (m.flags.c_contiguous and m.dtype == complex)
+        want = [per_entry_wire(op) for op in m] if m.ndim == 3 else per_entry_wire(m)
+        assert dumps(matrix_to_wire(m)) == dumps(want)
 
     def test_real_and_integer_matrices_encode_as_floats(self):
         identity = "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[1.0,0.0]]]\n"
