@@ -9,13 +9,14 @@ item's index, its channel kind and basis, and the SHA-256 of everything
 the op returned: the A-form, the analysis report (its spectrum,
 ``spectral_match``, verdict, canonical operators and eigenvalues, and
 Kraus operators), the rebuilt A, the ``choi_consistency`` residual and the
-outputs of all three application routes.  Ten more lines follow, one per
-library op at n = 3 and 5 on a seeded rank-1 Kraus set E and state rho:
-``channel_a`` of the ``raw_kraus`` spec of E, ``canonical_to_a`` of the
-one-operator decomposition (n, E / sqrt(n)), and ``apply_a``,
-``apply_canonical`` and ``apply_kraus`` of those on rho; a one-term outer
-product at odd n rounds differently under another product routine, which
-the qubit stream does not show.  Arrays are hashed by dtype,
+outputs of all three application routes.  Twelve more lines follow, one
+per library op at n = 3 and 5 on a seeded rank-1 Kraus set E and state
+rho: ``channel_a`` of the ``raw_kraus`` spec of E, ``canonical_to_a`` of
+the one-operator decomposition (n, E / sqrt(n)), ``apply_a``,
+``apply_canonical`` and ``apply_kraus`` of those on rho, and the
+``choi_consistency`` residual of E's A-form; a one-term outer product at
+odd n rounds differently under another product routine, which the qubit
+stream does not show.  Arrays are hashed by dtype,
 shape and raw bytes, floats by their eight bytes, so a change of one ulp
 or of a zero's sign changes the line.  These are library outputs the CLI
 never prints, so ``scripts/cli_matrix.py`` does not see them; a change
@@ -48,6 +49,7 @@ from chanforms import (  # noqa: E402
     apply_kraus,
     canonical_to_a,
     channel_a,
+    choi_consistency,
     random_cp_channel,
     standard_basis,
 )
@@ -106,6 +108,7 @@ def odd_n_ops(seed: int) -> list[tuple[int, str, object]]:
             (n, "apply_a", apply_a(a, rho, wl.TOL)),
             (n, "apply_canonical", apply_canonical(one, rho, wl.TOL)),
             (n, "apply_kraus", apply_kraus(kraus, rho, wl.TOL)),
+            (n, "choi_consistency", choi_consistency(a, wl.TOL)),
         ]
     return rows
 

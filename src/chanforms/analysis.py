@@ -81,14 +81,14 @@ def analyze(
     if not basis._units:
         n, slack = a.dim, _scaled_tol(tol, a.dim)
         v = decomp.canonical_ops.reshape(n * n, n * n).T  # column k is vec(C_k)
-        spectral_match = max_abs(np.dot(b.matrix, v) - v * decomp.eigenvalues)
+        spectral_match = max_abs(b.matrix.dot(v) - v * decomp.eigenvalues)
         if not spectral_match <= slack:
             raise InvalidMatrixError(
                 f"canonical pairs are not eigenpairs of B: residual {spectral_match:.3g},"
                 f" beyond tol*n^2 = {slack:.3g}"
             )
 
-    verdict = _classify(decomp.eigenvalues, tol)
+    verdict = _classify(float(decomp.eigenvalues[-1]), tol)  # descending
 
     kraus: KrausSet | None = None
     reason: str | None = None
@@ -117,12 +117,13 @@ def analyze(
 
 
 @functools.cache
-def _omega4(n: int) -> np.ndarray:
-    """Density matrix of sum_k |kk> / sqrt(n) on the doubled space as a
-    read-only (n, n, n, n) array, built once per n."""
+def _choi_projector(n: int) -> np.ndarray:
+    """The density matrix Omega of sum_k |kk> / sqrt(n) on the doubled space, with its indices
+    reordered to W[(r,s),(b,d)] = Omega[(r,b),(s,d)]: a read-only n^2 x n^2 array, built once per n."""
     omega = np.zeros(n * n, dtype=complex)
     omega[:: n + 1] = 1.0 / np.sqrt(n)
-    return _freeze(np.outer(omega, omega.conj()).reshape(n, n, n, n))
+    omega4 = np.outer(omega, omega.conj()).reshape(n, n, n, n)  # (r, b, s, d)
+    return _freeze(omega4.transpose(0, 2, 1, 3).reshape(n * n, n * n))
 
 
 def choi_state(a: AForm) -> np.ndarray:
@@ -130,12 +131,13 @@ def choi_state(a: AForm) -> np.ndarray:
 
     Computed by applying the map to the first tensor factor directly,
     without going through the realignment, so it can serve as an
-    independent check on the B-form.
+    independent check on the B-form: out[(a,b),(c,d)] = sum_{r,s}
+    A[(a,c),(r,s)] Omega[(r,b),(s,d)], one n^2 x n^2 BLAS product A W
+    whose (a,c,b,d) entries are then put in (a,b,c,d) order.
     """
     n = a.dim
-    a4 = a.matrix.reshape(n, n, n, n)
-    out4 = np.einsum("acrs,rbsd->abcd", a4, _omega4(n))  # omega4 is ((r,b),(s,d))
-    return out4.reshape(n * n, n * n)
+    out4 = a.matrix.dot(_choi_projector(n)).reshape(n, n, n, n)  # (a, c, b, d)
+    return out4.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def choi_consistency(a: AForm, tol: float = DEFAULT_TOL) -> float:

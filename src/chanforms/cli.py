@@ -309,6 +309,8 @@ def _cmd_convert(args: argparse.Namespace) -> Command:
         )
     else:  # kraus
         kraus = extract_kraus(canonical_decompose(a, basis, tol), tol)  # NCP -> exit 3
+        # The set passed extract_kraus's tol*(n^2+1); the emitted document is read back at tol.
+        kraus._check(tol)
         machine = lambda: _payload_document_wire(ChannelKind.RAW_KRAUS, tol, operators=kraus.operators)
         human = lambda: (
             f"kraus operators ({len(kraus)}):\n"

@@ -94,6 +94,12 @@ def _identity(n: int) -> np.ndarray:
 
 
 @functools.cache
+def _flat_identity(n: int) -> np.ndarray:
+    """The n x n identity row-vectorized, built once per n and read-only."""
+    return _freeze(np.eye(n).reshape(-1))
+
+
+@functools.cache
 def _arange(k: int) -> np.ndarray:
     """0, 1, ..., k - 1, built once per k and read-only."""
     return _freeze(np.arange(k))
@@ -107,7 +113,7 @@ def _operator_sum(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     k, n, _ = ops.shape
     v = ops.reshape(k, n * n)
-    return _reshuffle(v.T @ weights @ v.conj(), n)  # @, not np.dot: see canonical_to_a
+    return _reshuffle(v.T @ weights @ v.conj(), n)  # @, not .dot: see canonical_to_a
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +241,9 @@ class AForm:
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "hermiticity_residual", max_abs(np.conj(a4) - a4.transpose(1, 0, 3, 2)))
-        object.__setattr__(self, "trace_residual", max_abs(a4.trace(axis1=0, axis2=1) - _identity(n)))
+        # The rows (r', r') of m, summed in one reduction: vec(sum_r' A[r'r'; rs]).
+        traced = np.add.reduce(m[:: n + 1], axis=0)
+        object.__setattr__(self, "trace_residual", max_abs(traced - _flat_identity(n)))
         return self
 
     def _check(self, tol: float) -> AForm:
@@ -466,7 +474,7 @@ class KrausSet:
         k, n, _ = ops.shape
         v = ops.reshape(k * n, n)  # sum_k E_k^dag E_k == V^dag V
         object.__setattr__(self, "operators", _freeze(ops))
-        object.__setattr__(self, "completeness_residual", max_abs(np.dot(v.conj().T, v) - _identity(n)))
+        object.__setattr__(self, "completeness_residual", max_abs(v.conj().T.dot(v) - _identity(n)))
         return self
 
     def _check(self, tol: float) -> KrausSet:
@@ -492,7 +500,7 @@ class KrausSet:
         as the rows of V, measured but unchecked; a non-finite sum raises and is not kept."""
         k, n, _ = self.operators.shape
         v = self.operators.reshape(k, n * n)
-        # @, not np.dot: see canonical_to_a.
+        # @, not .dot: see canonical_to_a.
         return _new(AForm)._measure(_reshuffle(v.T @ v.conj(), n))._check(math.inf)
 
     @functools.cached_property
@@ -553,7 +561,7 @@ def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL)
     r = a._b_form.matrix
     if basis._units:
         return _new(CoefficientMatrix, basis=basis)._keep(r, a.hermiticity_residual, _scaled_tol(tol, n))
-    m = _freeze(np.dot(np.dot(basis._v_conj, r), basis._v_t))
+    m = _freeze(basis._v_conj.dot(r).dot(basis._v_t))
     return _new(CoefficientMatrix, basis=basis)._keep(m, hermiticity_residual(m), _scaled_tol(tol, n))
 
 
@@ -593,10 +601,11 @@ def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL
     cm = coefficient_matrix(a, basis, tol)
     n = a.dim
     eig = hermitian_eigendecompose(cm, _scaled_tol(tol, n))
-    e = eig.eigenvectors if basis._units else np.dot(eig.eigenvectors, basis._v)
+    e = eig.eigenvectors if basis._units else eig.eigenvectors.dot(basis._v)
     flat = e + 0.0  # row k is vec(C_k); + 0.0 turns -0.0 into +0.0
     # Each C_k has unit norm, so its largest-magnitude entry is never 0.
     pivots = flat[_arange(n * n), np.abs(flat).argmax(1)]
+    # hypot, not np.abs: np.abs of a complex array is not bit-equal to it, and the C_k follow its bits.
     flat *= (pivots.conj() / np.hypot(pivots.real, pivots.imag))[:, None]
     ops = _freeze(flat.reshape(n * n, n, n))
     return _new(CanonicalDecomposition, basis=basis, eigenvalues=eig.eigenvalues, canonical_ops=ops)
@@ -607,7 +616,7 @@ def canonical_to_a(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> AForm
     C_k as the rows of V, the realignment of (V^T lam) conj(V), lam scaling V^T's columns."""
     k, n, _ = c.canonical_ops.shape
     v = c.canonical_ops.reshape(k, n * n)
-    # @, not np.dot: at k = 1 this is an outer product, which np.dot rounds differently at odd n.
+    # @, not .dot: at k = 1 this is an outer product, which .dot rounds differently at odd n.
     return _new(AForm)._measure(_reshuffle((v.T * c.eigenvalues) @ v.conj(), n))._check(tol)
 
 
@@ -618,7 +627,8 @@ def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausS
     generic); an eigenvalue below ``-tol`` means no Kraus form exists
     and raises ``NotCompletelyPositiveError``.
     """
-    verdict = _classify(c.eigenvalues, tol)
+    w = c.eigenvalues  # a caller-built decomposition may list them in any order
+    verdict = _classify(float(w.min()) if w.size else 0.0, tol)
     if not verdict.is_cp:
         raise NotCompletelyPositiveError(
             f"map is not completely positive: min eigenvalue {verdict.min_eigenvalue:.6g} < -{tol:g}"
@@ -648,7 +658,9 @@ def _map_output(out: np.ndarray, tol: float) -> MapOutput:
         min_eig = math.nan
     if not math.isfinite(min_eig):
         raise InvalidMatrixError("map output beyond the double range; the input's entries are too large")
-    return _new(MapOutput, matrix=out, min_eigenvalue=min_eig, positive=min_eig >= -tol)
+    result = object.__new__(MapOutput)  # _new's fields, without its frame: see linalg._new
+    result.__dict__.update(matrix=out, min_eigenvalue=min_eig, positive=min_eig >= -tol)
+    return result
 
 
 def _operator_action(m: np.ndarray, left: np.ndarray, right_adjoint: np.ndarray) -> np.ndarray:
@@ -661,11 +673,11 @@ def _operator_action(m: np.ndarray, left: np.ndarray, right_adjoint: np.ndarray)
     (n, k n) reshape, a view, is the row [L_1 m ... L_k m], and that times
     the column of the R_k^dag, an (n, k n) . (k n, n) product, sums over k
     inside one product instead of a batched product and a reduction.
-    Both are ``np.dot``: the BLAS kernel of ``@`` and the same bits, with
-    less dispatch.
+    Both are ``ndarray.dot``: the BLAS kernel of ``@`` and the same bits,
+    without the dispatch of ``np.dot`` or ``@``.
     """
     kn, n = left.shape
-    return np.dot(np.dot(left, m).reshape(n, kn), right_adjoint)
+    return left.dot(m).reshape(n, kn).dot(right_adjoint)
 
 
 def _dimension_mismatch(n: int, m: np.ndarray) -> DimensionMismatchError:
@@ -677,7 +689,7 @@ def apply_a(a: AForm, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput
     m, n = rho.matrix, a.dim
     if m.shape[0] != n:
         raise _dimension_mismatch(n, m)
-    return _map_output(np.dot(a.matrix, m.reshape(-1)).reshape(n, n), tol)
+    return _map_output(a.matrix.dot(m.reshape(-1)).reshape(n, n), tol)
 
 
 def apply_canonical(c: CanonicalDecomposition, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> MapOutput:
@@ -712,9 +724,8 @@ def kraus_to_a(ops: KrausSet | Iterable[np.ndarray], tol: float = DEFAULT_TOL) -
     return ops._a_form._check(tol)
 
 
-def _classify(eigenvalues: np.ndarray, tol: float) -> CpVerdict:
-    """CP exactly when no canonical eigenvalue lies below ``-tol``; an empty spectrum has none."""
-    min_eig = float(eigenvalues.min()) if eigenvalues.size else 0.0
+def _classify(min_eig: float, tol: float) -> CpVerdict:
+    """CP exactly when the least canonical eigenvalue, ``min_eig``, is at least ``-tol``."""
     cls = (
         CpClassification.COMPLETELY_POSITIVE
         if min_eig >= -tol
@@ -725,4 +736,4 @@ def _classify(eigenvalues: np.ndarray, tol: float) -> CpVerdict:
 
 def cp_verdict(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CpVerdict:
     """Classify a map as CP or NCP by the sign of its canonical spectrum."""
-    return _classify(canonical_decompose(a, basis, tol).eigenvalues, tol)
+    return _classify(float(canonical_decompose(a, basis, tol).eigenvalues[-1]), tol)  # descending

@@ -240,7 +240,7 @@ def hermitian_eigendecompose(
         w, v = np.linalg.eigh(h + h.conj().T)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
-    order = np.argsort(-w, kind="stable")
+    order = (-w).argsort(kind="stable")
     w = w[order]  # descending with NaN last, so an inf or a NaN shows at an end
     if w.size and not (w[0] < math.inf and w[-1] > -math.inf):
         raise InvalidMatrixError("eigenvalues beyond the double range; the input's entries are too large")

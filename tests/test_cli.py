@@ -827,3 +827,17 @@ class TestExitCodeTable:
         converted = tmp_path / "converted.json"
         converted.write_text(out)
         assert main_in_process(capsys, ["analyze", str(converted)])[0] == 0
+
+    @pytest.mark.parametrize("output", ["human", "machine"])
+    def test_a_kraus_set_its_own_parser_would_reject_is_not_printed(self, capsys, tmp_path, output):
+        """The eigenvalues 9e-4 <= tol of two weak decay operators are cut, which leaves a completeness
+        residual of 1.8e-3: within extract_kraus's tol*(n^2+1), beyond the document's tol 1e-3."""
+        ops = [np.diag([np.sqrt(1 - 1.8e-3), 1.0, 1.0]), np.zeros((3, 3)), np.zeros((3, 3))]
+        ops[1][1, 0] = ops[2][2, 0] = np.sqrt(9e-4)
+        doc = tmp_path / "weak_decay.json"
+        channel = {"kind": "raw_kraus", "operators": [matrix_to_wire(op) for op in ops]}
+        doc.write_text(dumps({"format_version": "1", "channel": channel, "options": {"tol": 1e-3}}))
+        assert main_in_process(capsys, ["analyze", str(doc)])[0] == 0
+        code, out, err = main_in_process(capsys, ["convert", str(doc), "--to", "kraus", "--output", output])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: completeness residual 0.0018 exceeds tol 0.001") and err.count("\n") == 1

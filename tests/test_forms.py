@@ -1140,7 +1140,7 @@ class TestStackedKrausSet:
             decomp = canonical_decompose(channel_a(spec), basis)
             assert bit_equal(extract_kraus(decomp).operators, np.stack(extract_kraus_reference(decomp)))
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_trace_residual_equals_the_einsum(self, n):
         rng = np.random.default_rng(n)
         for scale in (1e-12, 1.0, 1e3):
@@ -1175,12 +1175,13 @@ class TestStackedKrausSet:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_per_n_constants_are_shared_and_read_only(self, n):
-        eye, omega = forms._identity(n), analysis._omega4(n)
-        assert eye is forms._identity(n) and omega is analysis._omega4(n)
-        assert np.array_equal(eye, np.eye(n))
+        eye, flat_eye, w = forms._identity(n), forms._flat_identity(n), analysis._choi_projector(n)
+        assert eye is forms._identity(n) and flat_eye is forms._flat_identity(n) and w is analysis._choi_projector(n)
+        assert np.array_equal(eye, np.eye(n)) and np.array_equal(flat_eye, np.eye(n).reshape(-1))
         state = np.eye(n).reshape(-1) / np.sqrt(n)  # sum_k |kk> / sqrt(n)
-        assert np.array_equal(omega, np.outer(state, state).reshape(n, n, n, n))
-        for const in (eye, omega):
+        omega = np.outer(state, state).reshape(n, n, n, n)  # ((r, b), (s, d))
+        assert bit_equal(w, omega.transpose(0, 2, 1, 3).reshape(n * n, n * n))  # ((r, s), (b, d))
+        for const in (eye, flat_eye, w):
             with pytest.raises(ValueError):
                 const[(0,) * const.ndim] = 2.0
 
