@@ -11,7 +11,7 @@ add nothing, so they are never searched.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,7 @@ from .forms import (
     default_basis,
     realign_a_to_b,
 )
-from .linalg import DEFAULT_TOL, _freeze, _new, max_abs
+from .linalg import DEFAULT_TOL, _new, max_abs
 from .zoo import ChannelSpec, channel_a
 
 
@@ -116,33 +116,27 @@ def analyze(
     )
 
 
-@functools.cache
-def _choi_projector(n: int) -> np.ndarray:
-    """The density matrix Omega of sum_k |kk> / sqrt(n) on the doubled space, with its indices
-    reordered to W[(r,s),(b,d)] = Omega[(r,b),(s,d)]: a read-only n^2 x n^2 array, built once per n."""
-    omega = np.zeros(n * n, dtype=complex)
-    omega[:: n + 1] = 1.0 / np.sqrt(n)
-    omega4 = np.outer(omega, omega.conj()).reshape(n, n, n, n)  # (r, b, s, d)
-    return _freeze(omega4.transpose(0, 2, 1, 3).reshape(n * n, n * n))
-
-
 def choi_state(a: AForm) -> np.ndarray:
     """Image of the maximally entangled state under ``map (x) identity``.
 
-    Computed by applying the map to the first tensor factor directly,
-    without going through the realignment, so it can serve as an
-    independent check on the B-form: out[(a,b),(c,d)] = sum_{r,s}
-    A[(a,c),(r,s)] Omega[(r,b),(s,d)], one n^2 x n^2 BLAS product A W
-    whose (a,c,b,d) entries are then put in (a,b,c,d) order.
+    Applying the map to the first factor of Omega = sum_{r,s} |rr><ss| / n
+    gives out[(a,b),(c,d)] = sum_{r,s} A[(a,c),(r,s)] Omega[(r,b),(s,d)]
+    = A[(a,c),(b,d)] / n: A's (a,c,b,d) entries put in (a,b,c,d) order and
+    scaled by (1/sqrt(n))^2, the weight of each |rr><ss|.  The reorder is
+    written here rather than taken from the realignment code, which
+    ``choi_consistency`` checks against it.
     """
     n = a.dim
-    out4 = a.matrix.dot(_choi_projector(n)).reshape(n, n, n, n)  # (a, c, b, d)
-    return out4.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    w = 1 / math.sqrt(n)
+    return a.matrix.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n) * (w * w)
 
 
 def choi_consistency(a: AForm, tol: float = DEFAULT_TOL) -> float:
-    """Max-entry deviation between the directly-computed extension image
-    and ``B / n``; representation-level, so it holds for NCP maps too."""
+    """Max-entry deviation between ``choi_state(a)`` and ``B / n``, with B
+    the realigned A that ``realign_a_to_b`` checks at ``tol``.  Both sides
+    are the same entries of A, reordered by two separate code paths and
+    scaled, so the residual guards the realignment's index order; it
+    holds for NCP maps too and says nothing about complete positivity."""
     b = realign_a_to_b(a, tol)
     return max_abs(choi_state(a) - b.matrix / a.dim)
 

@@ -48,6 +48,7 @@ from .linalg import (
     PAULIS,
     DensityMatrix,
     _freeze,
+    _complex_array,
     _MeasuredHermitian,
     _min_eigenvalue,
     _new,
@@ -138,7 +139,7 @@ class OperatorBasis:
         n, label = _dim_and_label(self.dim, self.label)
         if n < 1:
             raise InvalidMatrixError(f"dimension must be at least 1, got {n}")
-        el = _freeze(np.array(self.elements, dtype=complex))  # defensive copy
+        el = _freeze(_complex_array(self.elements, "basis elements"))  # defensive copy
         if el.shape != (n * n, n, n):
             raise InvalidMatrixError(f"expected {n * n} elements of shape ({n},{n}), got {el.shape}")
         if not np.isfinite(el).all():
@@ -203,8 +204,43 @@ def default_basis(n: int) -> OperatorBasis:
     return _standard_basis(n, BasisLabel.MATRIX_UNITS)
 
 
+class _Measured:
+    """The protocol of the four validated forms: ``AForm``, ``BForm``,
+    ``CoefficientMatrix`` and ``KrausSet``.
+
+    Each has one measuring step, ``_measure``, which keeps an array and
+    what was measured on it, and one ``_check(tol)``, which raises what
+    construction at ``tol`` would raise from the kept values alone.  The
+    public constructor copies the input and scans it for non-finite entries,
+    then measures and checks; the library's own products go to ``_measure``
+    and ``_check`` directly, without the copy or the scan, on a bare
+    ``object.__new__(cls)`` (``_new`` with no fields, without its frame).
+
+    ``_check`` walks the class's ``_limits`` table in order.  Each row names
+    a kept residual, the kept array it was measured on, the error it raises
+    beyond ``tol`` and its message, formatted with the residual and ``tol``.
+    The comparisons are NaN-safe: an array with a non-finite entry has a NaN
+    or infinite residual, so only then is the array scanned, to raise the
+    constructor's ``InvalidMatrixError``; a residual that is not at most
+    ``tol`` raises the row's error.  A passing check makes no call: it reads
+    the kept values from the instance ``__dict__`` and formats no message.
+    """
+
+    _limits: tuple[tuple[str, str, type[Exception], str], ...] = ()
+
+    def _check(self, tol: float):
+        kept = self.__dict__
+        for residual, array, error, message in self._limits:
+            r = kept[residual]
+            if not r < math.inf:
+                _require_finite(kept[array])
+            if not r <= tol:
+                raise error(message.format(r, tol))
+        return self
+
+
 @dataclass(frozen=True, eq=False)
-class AForm:
+class AForm(_Measured):
     """Process matrix acting on row-vectorized density matrices.
 
     Construction validates the two physical-map constraints within
@@ -215,14 +251,9 @@ class AForm:
     Its B-form, the realignment R(A) with its trace, is built and measured
     on first use and kept, read-only, so ``realign_a_to_b`` and the
     coefficient matrix share one reshuffle and B's trace is taken once.
-
-    One step, ``_measure``, keeps a matrix and its residuals.  The public
-    constructor copies the input and scans it for non-finite entries first;
-    the library's own products (``canonical_to_a``, a Kraus set's or a
-    B-form's A-form) go to ``_measure`` and ``_check`` directly, without the
-    copy or the scan.  ``_check`` compares NaN-safely, and a matrix with a
-    non-finite entry has a NaN or infinite hermiticity residual, so only then
-    is it scanned, to raise what the constructor raises.
+    The library's own products (``canonical_to_a``, a Kraus set's or a
+    B-form's A-form) are measured and checked without the copy or the scan;
+    a map that fails both checks raises the hermiticity error.
     """
 
     matrix: np.ndarray
@@ -230,6 +261,10 @@ class AForm:
     dim: int = field(init=False)
     hermiticity_residual: float = field(init=False)
     trace_residual: float = field(init=False)
+    _limits = (("hermiticity_residual", "matrix", NotHermiticityPreservingError,
+                "hermiticity-preservation residual {:.3g} exceeds tol {:g}"),
+               ("trace_residual", "matrix", NotTracePreservingError,
+                "trace-preservation residual {:.3g} exceeds tol {:g}"))
 
     def __post_init__(self, tol: float) -> None:
         self._measure(as_complex_matrix(self.matrix))._check(tol)
@@ -246,33 +281,20 @@ class AForm:
         object.__setattr__(self, "trace_residual", max_abs(traced - _flat_identity(n)))
         return self
 
-    def _check(self, tol: float) -> AForm:
-        """Raise what construction at ``tol`` would raise, from the kept residuals."""
-        if not self.hermiticity_residual < math.inf:
-            _require_finite(self.matrix)
-        if not self.hermiticity_residual <= tol:
-            raise NotHermiticityPreservingError(
-                f"hermiticity-preservation residual {self.hermiticity_residual:.3g} exceeds tol {tol:g}"
-            )
-        if not self.trace_residual <= tol:
-            raise NotTracePreservingError(
-                f"trace-preservation residual {self.trace_residual:.3g} exceeds tol {tol:g}"
-            )
-        return self
-
     @functools.cached_property
     def _b_form(self) -> BForm:
         """The B-form R(A)[(r',r),(s',s)] = A[(r',s'),(r,s)], measured but unchecked; its
         hermiticity residual is A's (see ``realign_a_to_b``)."""
-        return _new(BForm)._keep(_freeze(_reshuffle(self.matrix, self.dim)), self.dim, self.hermiticity_residual)
+        return object.__new__(BForm)._measure(_reshuffle(self.matrix, self.dim), self.dim, self.hermiticity_residual)
 
 
 @dataclass(frozen=True, eq=False)
-class BForm(_MeasuredHermitian):
+class BForm(_Measured, _MeasuredHermitian):
     """Realigned dynamical matrix: Hermitian with trace n.
 
     Construction keeps what it measured: ``hermiticity_residual`` is the
-    max-norm of ``B - B^dag`` and ``trace`` the real part of Tr[B].
+    max-norm of ``B - B^dag`` and ``trace`` the real part of Tr[B].  After
+    its one table row, ``_check`` compares the trace with n, within tol * n.
     """
 
     matrix: np.ndarray
@@ -281,15 +303,17 @@ class BForm(_MeasuredHermitian):
     hermiticity_residual: float = field(init=False)
     trace: float = field(init=False)
     _complex_trace: complex = field(init=False, repr=False)
+    _limits = (("hermiticity_residual", "matrix", NotHermiticityPreservingError,
+                "B-form hermiticity residual {:.3g} exceeds tol {:g}"),)
 
     def __post_init__(self, tol: float) -> None:
         m = as_complex_matrix(self.matrix)
-        self._keep(_freeze(m), _side_dim(m, "B-form"), hermiticity_residual(m))._check(tol)
+        self._measure(m, _side_dim(m, "B-form"), hermiticity_residual(m))._check(tol)
 
-    def _keep(self, m: np.ndarray, n: int, herm: float) -> BForm:
-        """Keep ``m``, its side ``n``, ``herm``, the residual of ``m``, and the trace of ``m``."""
+    def _measure(self, m: np.ndarray, n: int, herm: float) -> BForm:
+        """Keep ``m``, read-only, its side ``n``, ``herm``, the residual of ``m``, and the trace of ``m``."""
         tr = complex(np.trace(m))
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "hermiticity_residual", herm)
         object.__setattr__(self, "trace", tr.real)
@@ -297,49 +321,38 @@ class BForm(_MeasuredHermitian):
         return self
 
     def _check(self, tol: float) -> BForm:
-        """Raise what construction at ``tol`` would raise, from the kept measurements."""
-        if self.hermiticity_residual > tol:
-            raise NotHermiticityPreservingError(
-                f"B-form hermiticity residual {self.hermiticity_residual:.3g} exceeds tol {tol:g}"
-            )
+        """The table's row, then |Tr B - n| against tol * n.  Both are compared first, so a passing
+        check makes no call; on a failure the row runs, and raises if it fails, before the trace."""
         tr, n = self._complex_trace, self.dim
-        if abs(tr - n) > tol * n:
+        if abs(tr - n) > tol * n or not self.hermiticity_residual <= tol:
+            _Measured._check(self, tol)
             raise NotTracePreservingError(f"B-form trace {tr:.6g} differs from n={n}")
         return self
 
 
 @dataclass(frozen=True, eq=False)
-class CoefficientMatrix(_MeasuredHermitian):
+class CoefficientMatrix(_Measured, _MeasuredHermitian):
     """Hermitian matrix of expansion coefficients of an A-form in a basis.
 
     Construction keeps what it measured: ``hermiticity_residual`` is the
-    max-norm of ``a - a^dag``.  One step, ``_keep``, checks and keeps a
-    matrix with its residual.  The public constructor copies the input and
-    scans it for non-finite entries first; ``coefficient_matrix`` passes its
-    own product (or, in the matrix units, B and A's residual) to ``_keep``
-    directly.  The check is NaN-safe, and a matrix with a non-finite entry
-    has a NaN or infinite residual, so only then is it scanned, to raise
-    what the constructor raises.
+    max-norm of ``a - a^dag``.  ``coefficient_matrix`` measures its own
+    product (or, in the matrix units, B with A's residual) and checks it
+    without the copy or the scan.
     """
 
     basis: OperatorBasis
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
     hermiticity_residual: float = field(init=False)
+    _limits = (("hermiticity_residual", "matrix", NotHermiticityPreservingError,
+                "coefficient matrix residual {:.3g} exceeds tol {:g}; source map does not preserve hermiticity"),)
 
     def __post_init__(self, tol: float) -> None:
         m = as_complex_matrix(self.matrix, self.basis.dim ** 2, self.basis.dim ** 2)
-        self._keep(_freeze(m), hermiticity_residual(m), tol)
+        self._measure(_freeze(m), hermiticity_residual(m))._check(tol)
 
-    def _keep(self, m: np.ndarray, herm: float, tol: float) -> CoefficientMatrix:
-        """Check ``herm``, the residual of ``m``, against ``tol``, then keep both."""
-        if not herm < math.inf:
-            _require_finite(m)
-        if not herm <= tol:
-            raise NotHermiticityPreservingError(
-                f"coefficient matrix residual {herm:.3g} exceeds tol {tol:g}; "
-                "source map does not preserve hermiticity"
-            )
+    def _measure(self, m: np.ndarray, herm: float) -> CoefficientMatrix:
+        """Keep ``m``, which comes read-only, and ``herm``, the residual of ``m``."""
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "hermiticity_residual", herm)
         return self
@@ -440,7 +453,7 @@ def _operator_stack(operators) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class KrausSet:
+class KrausSet(_Measured):
     """Operators of a completely positive map, sum_k E_k^dag E_k = I.
 
     Built from any sequence of n x n matrices, ``operators`` is one read-only
@@ -453,18 +466,15 @@ class KrausSet:
     the column of the E_k^dag, each one read-only 2-D array, are kept the
     same way.
 
-    One step, ``_measure``, keeps a stack and its residual.  The public
-    constructor copies the input and scans it for non-finite entries first;
-    ``extract_kraus`` and ``analyze`` pass their own cut of the canonical
-    operators to ``_measure`` and ``_check`` directly.  ``_check`` compares
-    NaN-safely, and a stack with a non-finite entry has a NaN or infinite
-    residual, so only then is it scanned, to raise what the constructor
-    raises.
+    ``extract_kraus`` and ``analyze`` measure and check their own cut of the
+    canonical operators without the copy or the scan.
     """
 
     operators: np.ndarray  # shape (k, n, n)
     tol: InitVar[float] = DEFAULT_TOL
     completeness_residual: float = field(init=False)
+    _limits = (("completeness_residual", "operators", IncompleteKrausError,
+                "completeness residual {:.3g} exceeds tol {:g}"),)
 
     def __post_init__(self, tol: float) -> None:
         self._measure(_operator_stack(self.operators))._check(tol)
@@ -475,16 +485,6 @@ class KrausSet:
         v = ops.reshape(k * n, n)  # sum_k E_k^dag E_k == V^dag V
         object.__setattr__(self, "operators", _freeze(ops))
         object.__setattr__(self, "completeness_residual", max_abs(v.conj().T.dot(v) - _identity(n)))
-        return self
-
-    def _check(self, tol: float) -> KrausSet:
-        """Raise what construction at ``tol`` would raise, from the kept residual."""
-        if not self.completeness_residual < math.inf:
-            _require_finite(self.operators)
-        if not self.completeness_residual <= tol:
-            raise IncompleteKrausError(
-                f"completeness residual {self.completeness_residual:.3g} exceeds tol {tol:g}"
-            )
         return self
 
     @property
@@ -501,7 +501,7 @@ class KrausSet:
         k, n, _ = self.operators.shape
         v = self.operators.reshape(k, n * n)
         # @, not .dot: see canonical_to_a.
-        return _new(AForm)._measure(_reshuffle(v.T @ v.conj(), n))._check(math.inf)
+        return object.__new__(AForm)._measure(_reshuffle(v.T @ v.conj(), n))._check(math.inf)
 
     @functools.cached_property
     def _stacked(self) -> np.ndarray:
@@ -558,11 +558,11 @@ def coefficient_matrix(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL)
     n = a.dim
     if basis.dim != n:
         raise DimensionMismatchError(f"dimension mismatch: {n} vs {basis.dim}")
-    r = a._b_form.matrix
+    r, slack = a._b_form.matrix, _scaled_tol(tol, n)
     if basis._units:
-        return _new(CoefficientMatrix, basis=basis)._keep(r, a.hermiticity_residual, _scaled_tol(tol, n))
+        return _new(CoefficientMatrix, basis=basis)._measure(r, a.hermiticity_residual)._check(slack)
     m = _freeze(basis._v_conj.dot(r).dot(basis._v_t))
-    return _new(CoefficientMatrix, basis=basis)._keep(m, hermiticity_residual(m), _scaled_tol(tol, n))
+    return _new(CoefficientMatrix, basis=basis)._measure(m, hermiticity_residual(m))._check(slack)
 
 
 def expand_coefficients(cm: CoefficientMatrix) -> np.ndarray:
@@ -586,7 +586,7 @@ def realign_a_to_b(a: AForm, tol: float = DEFAULT_TOL) -> BForm:
 
 def realign_b_to_a(b: BForm, tol: float = DEFAULT_TOL) -> AForm:
     """Inverse realignment; the same index permutation applied again."""
-    return _new(AForm)._measure(_reshuffle(b.matrix, b.dim))._check(tol)
+    return object.__new__(AForm)._measure(_reshuffle(b.matrix, b.dim))._check(tol)
 
 
 def canonical_decompose(a: AForm, basis: OperatorBasis, tol: float = DEFAULT_TOL) -> CanonicalDecomposition:
@@ -617,7 +617,7 @@ def canonical_to_a(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> AForm
     k, n, _ = c.canonical_ops.shape
     v = c.canonical_ops.reshape(k, n * n)
     # @, not .dot: at k = 1 this is an outer product, which .dot rounds differently at odd n.
-    return _new(AForm)._measure(_reshuffle((v.T * c.eigenvalues) @ v.conj(), n))._check(tol)
+    return object.__new__(AForm)._measure(_reshuffle((v.T * c.eigenvalues) @ v.conj(), n))._check(tol)
 
 
 def extract_kraus(c: CanonicalDecomposition, tol: float = DEFAULT_TOL) -> KrausSet:
@@ -643,7 +643,7 @@ def _cut_kraus(c: CanonicalDecomposition, tol: float) -> KrausSet:
     kept = np.sqrt(w[keep])[:, None, None] * c.canonical_ops[keep]
     if not len(kept):
         raise IncompleteKrausError("a Kraus set needs at least one operator")
-    return _new(KrausSet)._measure(kept)._check(_scaled_tol(tol, c.dim, kraus=True))
+    return object.__new__(KrausSet)._measure(kept)._check(_scaled_tol(tol, c.dim, kraus=True))
 
 
 def _map_output(out: np.ndarray, tol: float) -> MapOutput:

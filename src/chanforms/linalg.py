@@ -42,11 +42,11 @@ PAULIS = (np.eye(2, dtype=complex), SIGMA_1, SIGMA_2, SIGMA_3)
 def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Coerce ``entries`` to a finite 2-D complex array (a defensive copy).
 
-    Raises ``InvalidMatrixError`` (a ``ValueError``) on non-2-D input, a
-    shape mismatch against the optional ``rows``/``cols``, or any NaN/Inf
-    entry.
+    Raises ``InvalidMatrixError`` (a ``ValueError``) on entries that are not
+    numbers or not in rows of one length, non-2-D input, a shape mismatch
+    against the optional ``rows``/``cols``, or any NaN/Inf entry.
     """
-    m = np.array(entries, dtype=complex)
+    m = _complex_array(entries, "matrix entries")
     if m.ndim != 2:
         raise InvalidMatrixError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if rows is not None and m.shape[0] != rows:
@@ -55,6 +55,15 @@ def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None)
         raise InvalidMatrixError(f"expected {cols} columns, got {m.shape[1]}")
     _require_finite(m)
     return m
+
+
+def _complex_array(entries, what: str) -> np.ndarray:
+    """``np.array(entries, dtype=complex)``; ``InvalidMatrixError`` where numpy refuses it: entries
+    that are not numbers (a string, an object) or lie beyond the double range, or ragged rows."""
+    try:
+        return np.array(entries, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidMatrixError(f"{what} must be numbers within the double range, in rows of one length") from None
 
 
 def _require_finite(m: np.ndarray) -> None:
@@ -131,7 +140,8 @@ class _MeasuredHermitian:
 class BlochVector:
     """Real 3-vector parameterizing a qubit state rho = (I + p.sigma)/2.
 
-    Must lie inside the closed unit ball (up to ``DEFAULT_TOL``).
+    Must lie inside the closed unit ball (up to ``DEFAULT_TOL``); a component
+    that is not a finite real number raises ``OutsideBallError`` too.
     """
 
     p1: float
@@ -144,6 +154,8 @@ class BlochVector:
                 finite = math.isfinite(v)
             except OverflowError:  # an int beyond the double range
                 finite = False
+            except TypeError:  # a string, a complex number or another non-real
+                raise OutsideBallError(f"Bloch components must be real numbers, got {v!r}") from None
             if not finite:
                 raise OutsideBallError("Bloch components must be finite")
         if self.norm > 1.0 + DEFAULT_TOL:

@@ -20,6 +20,7 @@ from .errors import (
     ChanformsError,
     InvalidMatrixError,
     NotUnitAxisError,
+    OutsideBallError,
     ProbabilityRangeError,
     RankRangeError,
     SeedRangeError,
@@ -69,14 +70,12 @@ class ChannelSpec:
 
     @classmethod
     def unitary(cls, axis, angle: float) -> "ChannelSpec":
-        ax = tuple(_real(v, NotUnitAxisError, "axis component") for v in axis)
-        if len(ax) != 3:
-            raise NotUnitAxisError(f"axis needs 3 components, got {len(ax)}")
-        _require_unit_axis(ax)
+        ax = tuple(_require_unit_axis(axis).tolist())
         return cls(kind=ChannelKind.UNITARY, axis=ax, angle=_real(angle, InvalidMatrixError, "rotation angle"))
 
     @classmethod
     def pin(cls, p0: BlochVector) -> "ChannelSpec":
+        """The pin map to ``p0``, which must be a ``BlochVector`` (``OutsideBallError`` otherwise)."""
         return cls(kind=ChannelKind.PIN, p0=p0)
 
     @classmethod
@@ -121,11 +120,17 @@ class ChannelSpec:
 
 
 def _real(x, error: type[ChanformsError], what: str) -> float:
-    """``float(x)``; a number beyond the double range, such as the int 10**400, raises ``error``."""
+    """``float(x)`` of a real number; anything else raises ``error``: a string or bytes (numbers
+    are not parsed from text here), a value ``float`` refuses, or a number beyond the double range,
+    such as the int 10**400."""
     try:
-        return float(x)
+        if not isinstance(x, (str, bytes, bytearray)):
+            return float(x)
     except OverflowError:
         raise error(f"{what} is beyond the double range") from None
+    except (TypeError, ValueError):
+        pass
+    raise error(f"{what} must be a real number, got {x!r}")
 
 
 def _require_probability(p: float) -> float:
@@ -136,7 +141,13 @@ def _require_probability(p: float) -> float:
 
 
 def _require_unit_axis(axis) -> np.ndarray:
-    ax = np.array([_real(v, NotUnitAxisError, "axis component") for v in axis])
+    """``axis`` as a float array; ``NotUnitAxisError`` unless it is three real components of norm 1."""
+    try:
+        ax = np.array([_real(v, NotUnitAxisError, "axis component") for v in axis])
+    except TypeError:  # not iterable
+        raise NotUnitAxisError(f"axis must be three real components, got {axis!r}") from None
+    if len(ax) != 3:
+        raise NotUnitAxisError(f"axis needs 3 components, got {len(ax)}")
     norm = math.hypot(*ax)
     if not abs(norm - 1.0) <= DEFAULT_TOL:  # also rejects a NaN component
         raise NotUnitAxisError(f"axis norm {norm:.6g} differs from 1 beyond tol {DEFAULT_TOL:g}")
@@ -162,7 +173,10 @@ def build_unitary_a(axis, angle: float) -> AForm:
 
 def build_pin_a(p0: BlochVector) -> AForm:
     """Process matrix of the map pinning every input to the state with Bloch vector ``p0``;
-    columns 0 and 3 hold that state's vector (1+p3, p1-ip2, p1+ip2, 1-p3)/2."""
+    columns 0 and 3 hold that state's vector (1+p3, p1-ip2, p1+ip2, 1-p3)/2.  ``p0`` must be a
+    ``BlochVector``, which has checked its components; anything else raises ``OutsideBallError``."""
+    if not isinstance(p0, BlochVector):
+        raise OutsideBallError(f"the pin map needs a BlochVector, got {p0!r}")
     col = 0.5 * np.array([1 + p0.p3, p0.p1 - 1j * p0.p2, p0.p1 + 1j * p0.p2, 1 - p0.p3], dtype=complex)
     a = np.zeros((4, 4), dtype=complex)
     a[:, 0] = col

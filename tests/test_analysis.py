@@ -302,10 +302,15 @@ class TestChoiConsistency:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_the_product_equals_the_einsum_bit_for_bit(self, n):
-        """The one BLAS product A W gives the old einsum's state, zero signs included, and the same
-        residual, on seeded CP maps of every Kraus rank class and on NCP maps."""
+        """A's entries reordered and scaled by (1/sqrt(n))^2 give the old einsum's state, zero signs
+        included, and the same residual, on seeded CP maps of every Kraus rank class and on NCP maps;
+        at n = 2 also on the named A-forms, whose exact zeros are where a zero's sign could move."""
         maps = [kraus_to_a(random_cp_channel(n, r, seed=31 * n + r)) for r in (1, 2, n, n * n)]
         maps += [random_ncp_a(n, seed=seed) for seed in (n, n + 100)]
+        if n == 2:
+            named = [ChannelSpec.transpose(), ChannelSpec.equatorial_projection(), ChannelSpec.bit_flip(0.3)]
+            named += [ChannelSpec.phase_flip(0.5), ChannelSpec.unitary((0, 0, 1), 0.0)]  # the last is the identity
+            maps += [channel_a(spec) for spec in named]
         for a in maps:
             state = choi_state(a)
             expected = choi_state_reference(a)

@@ -57,7 +57,7 @@ from chanforms import (
 )
 from chanforms import analysis, forms
 from chanforms.forms import _cut_kraus, _operator_action, _reshuffle, _scaled_tol, _standard_basis
-from chanforms.linalg import as_complex_matrix, hermitian_eigendecompose, hermiticity_residual, max_abs
+from chanforms.linalg import _new, as_complex_matrix, hermitian_eigendecompose, hermiticity_residual, max_abs
 from conftest import random_density
 
 _, SIGMA_1, _, SIGMA_3 = PAULIS
@@ -1175,13 +1175,10 @@ class TestStackedKrausSet:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_per_n_constants_are_shared_and_read_only(self, n):
-        eye, flat_eye, w = forms._identity(n), forms._flat_identity(n), analysis._choi_projector(n)
-        assert eye is forms._identity(n) and flat_eye is forms._flat_identity(n) and w is analysis._choi_projector(n)
+        eye, flat_eye = forms._identity(n), forms._flat_identity(n)
+        assert eye is forms._identity(n) and flat_eye is forms._flat_identity(n)
         assert np.array_equal(eye, np.eye(n)) and np.array_equal(flat_eye, np.eye(n).reshape(-1))
-        state = np.eye(n).reshape(-1) / np.sqrt(n)  # sum_k |kk> / sqrt(n)
-        omega = np.outer(state, state).reshape(n, n, n, n)  # ((r, b), (s, d))
-        assert bit_equal(w, omega.transpose(0, 2, 1, 3).reshape(n * n, n * n))  # ((r, s), (b, d))
-        for const in (eye, flat_eye, w):
+        for const in (eye, flat_eye):
             with pytest.raises(ValueError):
                 const[(0,) * const.ndim] = 2.0
 
@@ -1715,3 +1712,84 @@ class TestLibraryBuiltForms:
             product = PAULI._v_conj @ _reshuffle(m, 2) @ PAULI._v_t
             want = outcome(lambda p: CoefficientMatrix(PAULI, p, tol=_scaled_tol(1e-9, 2)), product)
         assert want[0] is InvalidMatrixError and got == want
+
+
+def with_entries(base, entries) -> np.ndarray:
+    m = np.array(base, dtype=complex)
+    for index, value in entries.items():
+        m[index] = value
+    return m
+
+
+I4 = np.eye(4)
+A_HERMITICITY_ONLY = with_entries(I4, {(0, 1): 0.5, (3, 1): -0.5})  # column (0,1) still sums to 0
+A_TRACE_ONLY = 1.5 * I4  # Hermiticity-preserving, each (r, r) column sums to 1.5
+A_BOTH = with_entries(I4, {(0, 1): 0.5})
+WITH_NAN = with_entries(I4, {(0, 0): np.nan})
+B_HERMITICITY_ONLY = with_entries(I4 / 2, {(0, 1): 0.5})
+B_BOTH = with_entries(I4, {(0, 1): 0.5})
+HERM_A = "hermiticity-preservation residual 0.5 exceeds tol 1e-09"
+HERM_CM = "coefficient matrix residual 0.5 exceeds tol 1e-09; source map does not preserve hermiticity"
+NON_FINITE = "matrix contains non-finite entries"
+
+
+def measured(cls, m):
+    """``m`` kept and measured the library's way, without the public constructor's copy or scan."""
+    m = np.array(m, dtype=complex)
+    if cls is BForm:
+        return _new(BForm)._measure(m, 2, hermiticity_residual(m))
+    if cls is CoefficientMatrix:
+        return _new(CoefficientMatrix, basis=UNITS2)._measure(m, hermiticity_residual(m))
+    return _new(cls)._measure(m)
+
+
+def constructed(cls, m, tol):
+    if cls is CoefficientMatrix:
+        return CoefficientMatrix(UNITS2, m, tol=tol)
+    return cls(m, tol=tol)
+
+
+class TestCheckTable:
+    """Each form's checks raise the same class and message, in the same order, whether the public
+    constructor runs them or the library's measure-then-check route does."""
+
+    @pytest.mark.parametrize(
+        "cls, m, error, message",
+        [
+            (AForm, A_HERMITICITY_ONLY, NotHermiticityPreservingError, HERM_A),
+            (AForm, A_TRACE_ONLY, NotTracePreservingError, "trace-preservation residual 0.5 exceeds tol 1e-09"),
+            (AForm, A_BOTH, NotHermiticityPreservingError, HERM_A),
+            (AForm, WITH_NAN, InvalidMatrixError, NON_FINITE),
+            (BForm, B_HERMITICITY_ONLY, NotHermiticityPreservingError, "B-form hermiticity residual 0.5 exceeds tol 1e-09"),
+            (BForm, I4, NotTracePreservingError, "B-form trace 4+0j differs from n=2"),
+            (BForm, B_BOTH, NotHermiticityPreservingError, "B-form hermiticity residual 0.5 exceeds tol 1e-09"),
+            (BForm, WITH_NAN, InvalidMatrixError, NON_FINITE),
+            (CoefficientMatrix, B_HERMITICITY_ONLY, NotHermiticityPreservingError, HERM_CM),
+            (CoefficientMatrix, WITH_NAN, InvalidMatrixError, NON_FINITE),
+            (KrausSet, [1.5 * EYE2], IncompleteKrausError, "completeness residual 1.25 exceeds tol 1e-09"),
+            (KrausSet, [with_entries(EYE2, {(0, 0): np.nan})], InvalidMatrixError, NON_FINITE),
+        ],
+        ids=["a_hermiticity", "a_trace", "a_both", "a_nan", "b_hermiticity", "b_trace", "b_both", "b_nan",
+             "cm_hermiticity", "cm_nan", "kraus_completeness", "kraus_nan"],
+    )
+    def test_constructor_and_measured_route_raise_alike(self, cls, m, error, message):
+        want = outcome(lambda m: constructed(cls, m, 1e-9), m)
+        assert want == (error, message)
+        assert outcome(lambda m: measured(cls, m)._check(1e-9), m) == want
+        assert outcome(lambda m: constructed(cls, m, np.inf), m)[0] == (error if error is InvalidMatrixError else "ok")
+
+    @pytest.mark.parametrize(
+        "cls, m, message",
+        [
+            (AForm, I4, "hermiticity-preservation residual 0 exceeds tol nan"),
+            (BForm, I4 / 2, "B-form hermiticity residual 0 exceeds tol nan"),
+            (CoefficientMatrix, I4 / 2, "coefficient matrix residual 0 exceeds tol nan; "
+                                        "source map does not preserve hermiticity"),
+        ],
+        ids=["a", "b", "cm"],
+    )
+    def test_a_nan_tol_passes_no_form(self, cls, m, message):
+        for build in (lambda m: constructed(cls, m, np.nan), lambda m: measured(cls, m)._check(np.nan)):
+            assert outcome(build, m) == (NotHermiticityPreservingError, message)
+        assert outcome(lambda ops: KrausSet(ops, tol=np.nan), [EYE2]) == (
+            IncompleteKrausError, "completeness residual 0 exceeds tol nan")

@@ -25,7 +25,7 @@ from chanforms import (
     kraus_to_a,
     random_cp_channel,
 )
-from chanforms.forms import BForm, CoefficientMatrix, standard_basis
+from chanforms.forms import AForm, BForm, CoefficientMatrix, KrausSet, OperatorBasis, standard_basis
 from chanforms.linalg import _min_eigenvalue, _new, as_complex_matrix, bloch_components, hermiticity_residual
 from conftest import random_density, random_hermitian
 
@@ -78,6 +78,30 @@ class TestAsComplexMatrix:
         with pytest.raises(InvalidMatrixError, match=f"^{message}$") as info:
             as_complex_matrix(entries, **kwargs)
         assert isinstance(info.value, ChanformsError) and isinstance(info.value, ValueError)
+
+
+NOT_NUMBERS = "matrix entries must be numbers within the double range, in rows of one length"
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: AForm("abc"), InvalidMatrixError, NOT_NUMBERS),
+        (lambda: BForm("x"), InvalidMatrixError, NOT_NUMBERS),
+        (lambda: OperatorBasis(2, "units", "abc"), InvalidMatrixError, NOT_NUMBERS.replace("matrix entries", "basis elements")),
+        (lambda: hermitian_eigendecompose("x"), InvalidMatrixError, NOT_NUMBERS),
+        (lambda: AForm([[object()]]), InvalidMatrixError, NOT_NUMBERS),
+        (lambda: KrausSet([[[object(), 0], [0, 1]]]), InvalidMatrixError, NOT_NUMBERS),
+        (lambda: DensityMatrix([[object(), 0], [0, 1]]), InvalidStateError, NOT_NUMBERS),
+        (lambda: AForm([[10**400]]), InvalidMatrixError, NOT_NUMBERS),
+    ],
+    ids=["a_string", "b_string", "basis_string", "eigh_string", "a_object", "kraus_object", "state_object", "a_huge_int"],
+)
+def test_a_matrix_that_is_not_numbers_raises_a_chanforms_error(build, error, message):
+    """numpy's own TypeError, ValueError or OverflowError on the copy leaves as the entry point's typed error."""
+    with pytest.raises(error, match=f"^{message}$") as info:
+        build()
+    assert isinstance(info.value, ChanformsError)
 
 
 def min_eigenvalue_reference(m: np.ndarray) -> float:

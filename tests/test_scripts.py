@@ -109,6 +109,37 @@ def test_op_digest_repeats_exactly_and_sees_one_ulp(tmp_path):
     assert digest.digest(result) != before
 
 
+CODE_LINES_SNIPPET = '''"""Module docstring,
+two lines."""
+
+import os  # a trailing comment: the line counts
+
+# a comment line
+def f(x):
+    """One-line docstring."""
+    text = """a string that is
+not a docstring"""
+    return (x +
+            1)
+
+
+class C:
+    """Class docstring."""
+
+    y = 1
+'''
+
+
+def test_code_lines_counts_code_without_blanks_comments_or_docstrings(tmp_path, capsys):
+    """import, def, the two lines of the string, the two of the return, class and y: 8 lines."""
+    script = load_script("code_lines")
+    assert script.code_lines(CODE_LINES_SNIPPET) == 8
+    (tmp_path / "a.py").write_text(CODE_LINES_SNIPPET)
+    (tmp_path / "b.py").write_text('"""Only a docstring."""\n\nX = 1\n')
+    script.main([str(tmp_path)])
+    assert capsys.readouterr().out == "8 a.py\n1 b.py\n9 total\n"
+
+
 def load_script(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

@@ -140,6 +140,32 @@ def test_an_int_beyond_the_double_range_raises_the_entry_points_error(build, err
         build()
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ChannelSpec.bit_flip("0.5"), ProbabilityRangeError, "probability must be a real number, got '0.5'"),
+        (lambda: ChannelSpec.bit_flip(b"0.5"), ProbabilityRangeError, "probability must be a real number, got b'0.5'"),
+        (lambda: ChannelSpec.bit_flip(None), ProbabilityRangeError, "probability must be a real number, got None"),
+        (lambda: ChannelSpec.unitary([1, 0, 0], "1.0"), InvalidMatrixError, "rotation angle must be a real number, got '1.0'"),
+        (lambda: ChannelSpec.unitary([1, 0, 0], "x"), InvalidMatrixError, "rotation angle must be a real number, got 'x'"),
+        (lambda: ChannelSpec.unitary(None, 1.0), NotUnitAxisError, "axis must be three real components, got None"),
+        (lambda: rotation_unitary([1, 0, 0], "x"), InvalidMatrixError, "rotation angle must be a real number, got 'x'"),
+        (lambda: rotation_unitary([1, 0], 1.0), NotUnitAxisError, "axis needs 3 components, got 2"),
+        (lambda: BlochVector("a", 0, 0), OutsideBallError, "Bloch components must be real numbers, got 'a'"),
+        (lambda: ChannelSpec.pin((0, 0, 0.5)), OutsideBallError, r"the pin map needs a BlochVector, got \(0, 0, 0.5\)"),
+    ],
+    ids=["p_str", "p_bytes", "p_none", "angle_numeric_str", "angle_str", "axis_none", "rotation_angle_str",
+         "rotation_two_components", "bloch_str", "pin_tuple"],
+)
+def test_a_parameter_that_is_not_a_real_number_raises_the_entry_points_error(build, error, message):
+    """Strings are not parsed as numbers, and None, a non-iterable axis or a bare triple for a Bloch
+    vector raise the entry point's typed error, not a bare TypeError, ValueError, AttributeError or
+    IndexError; a two-component axis no longer reads past its end."""
+    with pytest.raises(error, match=f"^{message}$") as info:
+        build()
+    assert isinstance(info.value, ChanformsError)
+
+
 class TestPinChannel:
     def test_depolarizing_pin_spectrum(self):
         w = canonical_decompose(build_pin_a(BlochVector(0, 0, 0)), PAULI).eigenvalues
