@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per qubit_sweep op over every value the op returns, then one per odd-n op.
+"""Print two SHA-256s per qubit_sweep op, of its spec and of every value the op returns, then one per odd-n op.
 
     python3 scripts/op_digest.py --seed 5 > after.txt
 
 Builds the seeded qubit stream with ``perfbench/workloads.py`` (imported,
 not changed) and runs ``qubit_op`` once per item.  Each line is the
-item's index, its channel kind and basis, and the SHA-256 of everything
-the op returned: the A-form, the analysis report (its spectrum,
-``spectral_match``, verdict, canonical operators and eigenvalues, and
-Kraus operators), the rebuilt A, the ``choi_consistency`` residual and the
-outputs of all three application routes.  Twelve more lines follow, one
+item's index, its channel kind and basis, the SHA-256 of what the item's
+``ChannelSpec`` keeps (its kind, axis, angle, p0, p, matrix and
+operators), and the SHA-256 of everything the op returned: the A-form,
+the analysis report (its spectrum, ``spectral_match``, verdict, canonical
+operators and eigenvalues, and Kraus operators), the rebuilt A, the
+``choi_consistency`` residual and the outputs of all three application
+routes.  Twelve more lines follow, one
 per library op at n = 3 and 5 on a seeded rank-1 Kraus set E and state
 rho: ``channel_a`` of the ``raw_kraus`` spec of E, ``canonical_to_a`` of
 the one-operator decomposition (n, E / sqrt(n)), ``apply_a``,
@@ -17,8 +19,8 @@ the one-operator decomposition (n, E / sqrt(n)), ``apply_a``,
 ``choi_consistency`` residual of E's A-form; a one-term outer product at
 odd n rounds differently under another product routine, which the qubit
 stream does not show.  Arrays are hashed by dtype,
-shape and raw bytes, floats by their eight bytes, so a change of one ulp
-or of a zero's sign changes the line.  These are library outputs the CLI
+shape and raw bytes, floats by their type and eight bytes, so a change of
+one ulp, of a zero's sign or of a float's type changes the line.  These are library outputs the CLI
 never prints, so ``scripts/cli_matrix.py`` does not see them; a change
 that must not move an output byte is checked by running this script on
 the parent and on the change and comparing the outputs with ``diff``.
@@ -61,7 +63,7 @@ def _feed(h, value) -> None:
         h.update(f"array {value.dtype.str} {value.shape}|".encode())
         h.update(np.ascontiguousarray(value).tobytes())
     elif isinstance(value, (float, np.floating)):
-        h.update(b"float|" + struct.pack("<d", value))
+        h.update(f"{type(value).__name__}|".encode() + struct.pack("<d", value))
     elif value is None or isinstance(value, (bool, int, str, enum.Enum)):
         h.update(f"{value!r}|".encode())
     elif dataclasses.is_dataclass(value):
@@ -91,6 +93,10 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
+# What a spec keeps, in the order hashed.
+SPEC_FIELDS = ("kind", "axis", "angle", "p0", "p", "matrix", "operators")
+
+
 def odd_n_ops(seed: int) -> list[tuple[int, str, object]]:
     """(n, op name, result) of the seeded library ops at n = 3 and 5."""
     rows = []
@@ -118,7 +124,8 @@ def main() -> None:
     p.add_argument("--seed", type=int, required=True)
     args = p.parse_args()
     for i, item in enumerate(wl.qubit_stream(args.seed)):
-        print(i, item.spec.kind.value, item.basis.value, digest(wl.qubit_op(item)))
+        spec = {name: getattr(item.spec, name) for name in SPEC_FIELDS}
+        print(i, item.spec.kind.value, item.basis.value, digest(spec), digest(wl.qubit_op(item)))
     for n, name, result in odd_n_ops(args.seed):
         print(f"n={n}", name, digest(result))
 

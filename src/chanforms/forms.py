@@ -387,7 +387,7 @@ class CanonicalDecomposition:
     def __post_init__(self) -> None:
         try:
             w = np.asarray(self.eigenvalues)
-            ops = np.array(self.canonical_ops, dtype=complex)
+            ops = _complex_array(self.canonical_ops, "canonical operators")
         except (TypeError, ValueError, OverflowError):  # ragged, mixed sizes or not numbers
             raise InvalidMatrixError("eigenvalues and canonical operators must be arrays of numbers") from None
         if w.ndim != 1 or w.dtype.kind not in "biuf":
@@ -436,8 +436,8 @@ def _operator_stack(operators) -> np.ndarray:
     """One finite (k, n, n) complex copy of a sequence of n x n matrices; any other
     input takes the per-operator checks, which raise the error naming the fault."""
     try:
-        ops = np.array(operators, dtype=complex)
-    except (TypeError, ValueError, OverflowError):  # ragged, mixed sizes or not numbers
+        ops = _complex_array(operators, "Kraus operators")
+    except ValueError:  # ragged, mixed sizes or not numbers
         ops = np.empty(0)
     if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
         ops = tuple(as_complex_matrix(op) for op in operators)

@@ -58,10 +58,15 @@ def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None)
 
 
 def _complex_array(entries, what: str) -> np.ndarray:
-    """``np.array(entries, dtype=complex)``; ``InvalidMatrixError`` where numpy refuses it: entries
-    that are not numbers (a string, an object) or lie beyond the double range, or ragged rows."""
+    """A complex copy of ``entries``, read as ``np.array(entries, dtype=complex)`` reads it except
+    that text is not parsed as a number; ``InvalidMatrixError`` on entries that are not numbers
+    (a str or bytes entry, an object) or lie beyond the double range, or on ragged rows.  An array
+    is converted in one pass; other input is read once without a dtype, so its text shows."""
     try:
-        return np.array(entries, dtype=complex)
+        a = entries if isinstance(entries, np.ndarray) else np.array(entries)
+        if a.dtype.kind in "SUO" and any(isinstance(x, (str, bytes)) for x in a.flat):
+            raise TypeError("text is not read as a number")
+        return np.array(a, dtype=complex) if a is entries else np.asarray(a, dtype=complex)
     except (TypeError, ValueError, OverflowError):
         raise InvalidMatrixError(f"{what} must be numbers within the double range, in rows of one length") from None
 

@@ -361,14 +361,19 @@ _SUMMARY = _kind_union({"dim": _dim}, _PLAIN)
 
 
 def _make_channel(fields: dict, tol: float, path: str) -> ChannelSpec:
-    """Run parsed payload fields through their kind's validating constructor.
+    """Build the spec of parsed payload fields, a ``bloch`` triple as a ``BlochVector``;
+    a raw kind's form is checked at ``tol``, as ``ChannelSpec.raw_a`` and ``raw_kraus`` do.
 
     An error it raises keeps its class and is prefixed with ``path``, the
     payload's place in the document.
     """
-    rule = _KINDS[ChannelKind(fields["kind"])]
+    kind = ChannelKind(fields["kind"])
     try:
-        return rule.make(tol, **{name: fields[name] for name, _ in rule.fields})
+        payload = {f: BlochVector(*fields[f]) if t == "bloch" else fields[f] for f, t in _KINDS[kind].fields}
+        spec = ChannelSpec(kind=kind, **payload)
+        if kind not in NAMED_KINDS:
+            spec._form._check(tol)
+        return spec
     except ChanformsError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 

@@ -8,8 +8,10 @@ test suite to cross-check transcription.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -45,15 +47,18 @@ class ChannelKind(str, Enum):
 class ChannelSpec:
     """Parsed description of a channel.
 
-    Construction measures the channel once, however the spec is built (a
-    classmethod, the dataclass constructor or ``dataclasses.replace``), and
-    keeps the form it measured: the closed-form ``AForm`` of a named kind,
-    the ``AForm`` of ``raw_a``'s ``matrix`` or the ``KrausSet`` of
-    ``raw_kraus``'s ``operators``, whose read-only copy replaces the field.
-    A malformed payload (a matrix that is not n^2 x n^2, a non-finite entry,
-    operators of mixed sizes) raises here.  The map constraints are checked
-    by ``channel_a`` at its ``tol`` against the residuals kept in the form,
-    and by the raw classmethods at theirs.
+    Construction runs the kind's builder once on the payload fields, however
+    the spec is built (a classmethod, the dataclass constructor or
+    ``dataclasses.replace``), and keeps the form it built: the closed-form
+    ``AForm`` of a named kind, the ``AForm`` of ``raw_a``'s ``matrix`` or the
+    ``KrausSet`` of ``raw_kraus``'s ``operators``.  Each field is kept as the
+    builder accepted it: a raw payload as the form's read-only copy, ``p`` and
+    ``angle`` as floats, the axis as a tuple of floats and ``p0`` as the
+    ``BlochVector`` given; a one-shot iterator is read into a tuple first.  A
+    bad parameter or a malformed payload (a matrix that is not n^2 x n^2, a
+    non-finite entry, operators of mixed sizes) raises here.  The map
+    constraints are checked by ``channel_a`` at its ``tol`` against the
+    residuals kept in the form, and by the raw classmethods at theirs.
     """
 
     kind: ChannelKind
@@ -66,12 +71,16 @@ class ChannelSpec:
     _form: AForm | KrausSet = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_form", _KINDS[self.kind].measure(self))
+        rule = _KINDS[self.kind]
+        values = [getattr(self, name) for name, _ in rule.fields]
+        values = [tuple(v) if isinstance(v, Iterator) else v for v in values]
+        form = rule.build(*values)
+        # One update of the instance __dict__ bypasses the frozen __setattr__, as in linalg._new.
+        self.__dict__.update({name: _KEEP[t](v, form) for (name, t), v in zip(rule.fields, values)}, _form=form)
 
     @classmethod
     def unitary(cls, axis, angle: float) -> "ChannelSpec":
-        ax = tuple(_require_unit_axis(axis).tolist())
-        return cls(kind=ChannelKind.UNITARY, axis=ax, angle=_real(angle, InvalidMatrixError, "rotation angle"))
+        return cls(kind=ChannelKind.UNITARY, axis=axis, angle=angle)
 
     @classmethod
     def pin(cls, p0: BlochVector) -> "ChannelSpec":
@@ -88,11 +97,11 @@ class ChannelSpec:
 
     @classmethod
     def bit_flip(cls, p: float) -> "ChannelSpec":
-        return cls(kind=ChannelKind.BIT_FLIP, p=_require_probability(p))
+        return cls(kind=ChannelKind.BIT_FLIP, p=p)
 
     @classmethod
     def phase_flip(cls, p: float) -> "ChannelSpec":
-        return cls(kind=ChannelKind.PHASE_FLIP, p=_require_probability(p))
+        return cls(kind=ChannelKind.PHASE_FLIP, p=p)
 
     @classmethod
     def raw_a(cls, matrix: np.ndarray, tol: float = DEFAULT_TOL) -> "ChannelSpec":
@@ -306,33 +315,28 @@ class _KindRule:
     """Everything specific to one channel kind.
 
     ``fields`` are the payload fields in wire order with their wire types:
-    "real", "axis" (three reals), "bloch" (three reals, a Bloch vector),
-    "a_matrix" or "operators".  ``make(tol, **fields)`` is the validating
-    constructor applied to the parsed fields; ``measure(spec)`` gives the
-    form a spec of this kind keeps, built once at its construction and not
-    checked against a tolerance: the closed-form ``AForm`` of a named kind,
-    or for a raw kind the ``AForm`` or ``KrausSet`` of its payload, whose
-    read-only copy it puts in the spec's field.  ``summary`` is the kind's
-    line in the ``zoo`` catalog, None for the raw kinds.
+    "real", "axis" (three reals), "bloch" (three reals on the wire, a
+    ``BlochVector`` in a spec), "a_matrix" or "operators".  ``build`` is the
+    kind's builder, called on the field values in wire order: it checks them
+    and returns the form a spec of this kind keeps, not checked against a
+    tolerance (a raw kind's form is built at an infinite tol, so that only a
+    malformed payload raises).  ``summary`` is the kind's line in the ``zoo``
+    catalog, None for the raw kinds.
     """
 
     fields: tuple[tuple[str, str], ...]
-    make: Callable[..., ChannelSpec]
-    measure: Callable[[ChannelSpec], AForm | KrausSet]
+    build: Callable[..., AForm | KrausSet]
     summary: str | None = None
 
 
-def _measure_payload(name: str, form_type: type[AForm] | type[KrausSet]) -> Callable:
-    """``measure`` of a raw kind: the form of its field ``name``, built at an infinite
-    tol so that only a malformed payload raises; its read-only copy replaces the field."""
-
-    def measure(spec: ChannelSpec) -> AForm | KrausSet:
-        form = form_type(getattr(spec, name), tol=math.inf)
-        object.__setattr__(spec, name, getattr(form, name))
-        return form
-
-    return measure
-
+# How a spec keeps a payload value its builder has accepted, by wire type.
+_KEEP: dict[str, Callable] = {
+    "real": lambda value, form: float(value),
+    "axis": lambda value, form: tuple(map(float, value)),
+    "bloch": lambda value, form: value,
+    "a_matrix": lambda value, form: form.matrix,
+    "operators": lambda value, form: form.operators,
+}
 
 # How ``describe`` and the channel documents write the scalar wire types;
 # the matrix types are written by the serializer and left out of summaries.
@@ -345,56 +349,42 @@ _PLAIN: dict[str, Callable] = {
 _KINDS: dict[ChannelKind, _KindRule] = {
     ChannelKind.UNITARY: _KindRule(
         (("axis", "axis"), ("angle", "real")),
-        lambda tol, axis, angle: ChannelSpec.unitary(axis, angle),
-        lambda spec: build_unitary_a(spec.axis, spec.angle),
+        build_unitary_a,
         "rho -> U rho U^dag with U = exp(i(theta/2) n.sigma); completely positive, "
         "canonical rank 1 with eigenvalue 2",
     ),
     ChannelKind.PIN: _KindRule(
         (("p0", "bloch"),),
-        lambda tol, p0: ChannelSpec.pin(BlochVector(*p0)),
-        lambda spec: build_pin_a(spec.p0),
+        build_pin_a,
         "sends every input state to a fixed state rho0; completely positive, "
         "spectrum {(1+|p0|)/2 twice, (1-|p0|)/2 twice}; B-form equals rho0 (x) I",
     ),
     ChannelKind.TRANSPOSE: _KindRule(
         (),
-        lambda tol: ChannelSpec.transpose(),
-        lambda spec: build_transpose_a(),
+        build_transpose_a,
         "rho -> rho^T; positive but not completely positive (one canonical "
         "eigenvalue is -1); its B-form equals its A-form",
     ),
     ChannelKind.EQUATORIAL_PROJECTION: _KindRule(
         (),
-        lambda tol: ChannelSpec.equatorial_projection(),
-        lambda spec: build_equatorial_projection_a(),
+        build_equatorial_projection_a,
         "projects the Bloch ball onto its equator, (p1,p2,p3) -> (p1,p2,0); "
         "not completely positive (spectrum {3/2, 1/2, 1/2, -1/2})",
     ),
     ChannelKind.BIT_FLIP: _KindRule(
         (("p", "real"),),
-        lambda tol, p: ChannelSpec.bit_flip(p),
-        lambda spec: build_bit_flip_a(spec.p),
+        build_bit_flip_a,
         "keeps the state with probability p, applies sigma_1 with probability "
         "1-p; completely positive, spectrum {2p, 2(1-p), 0, 0}",
     ),
     ChannelKind.PHASE_FLIP: _KindRule(
         (("p", "real"),),
-        lambda tol, p: ChannelSpec.phase_flip(p),
-        lambda spec: build_phase_flip_a(spec.p),
+        build_phase_flip_a,
         "keeps the state with probability p, applies sigma_3 with probability "
         "1-p; completely positive, spectrum {2p, 2(1-p), 0, 0}",
     ),
-    ChannelKind.RAW_A: _KindRule(
-        (("matrix", "a_matrix"),),
-        lambda tol, matrix: ChannelSpec.raw_a(matrix, tol=tol),
-        _measure_payload("matrix", AForm),
-    ),
-    ChannelKind.RAW_KRAUS: _KindRule(
-        (("operators", "operators"),),
-        lambda tol, operators: ChannelSpec.raw_kraus(operators, tol=tol),
-        _measure_payload("operators", KrausSet),
-    ),
+    ChannelKind.RAW_A: _KindRule((("matrix", "a_matrix"),), functools.partial(AForm, tol=math.inf)),
+    ChannelKind.RAW_KRAUS: _KindRule((("operators", "operators"),), functools.partial(KrausSet, tol=math.inf)),
 }
 
 # The named kinds, in catalog order, with their one-line summaries.

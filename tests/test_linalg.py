@@ -25,7 +25,15 @@ from chanforms import (
     kraus_to_a,
     random_cp_channel,
 )
-from chanforms.forms import AForm, BForm, CoefficientMatrix, KrausSet, OperatorBasis, standard_basis
+from chanforms.forms import (
+    AForm,
+    BForm,
+    CanonicalDecomposition,
+    CoefficientMatrix,
+    KrausSet,
+    OperatorBasis,
+    standard_basis,
+)
 from chanforms.linalg import _min_eigenvalue, _new, as_complex_matrix, bloch_components, hermiticity_residual
 from conftest import random_density, random_hermitian
 
@@ -81,6 +89,8 @@ class TestAsComplexMatrix:
 
 
 NOT_NUMBERS = "matrix entries must be numbers within the double range, in rows of one length"
+# The identity map's A-form, diag(1, 0, 0, 1) plus its corners, written as text: numpy would read it.
+IDENTITY_A_TEXT = [["1" if i in (0, 3) and j in (0, 3) else "0" for j in range(4)] for i in range(4)]
 
 
 @pytest.mark.parametrize(
@@ -94,8 +104,17 @@ NOT_NUMBERS = "matrix entries must be numbers within the double range, in rows o
         (lambda: KrausSet([[[object(), 0], [0, 1]]]), InvalidMatrixError, NOT_NUMBERS),
         (lambda: DensityMatrix([[object(), 0], [0, 1]]), InvalidStateError, NOT_NUMBERS),
         (lambda: AForm([[10**400]]), InvalidMatrixError, NOT_NUMBERS),
+        (lambda: AForm(IDENTITY_A_TEXT), InvalidMatrixError, NOT_NUMBERS),
+        (lambda: DensityMatrix([[b"1", b"0"], [b"0", b"0"]]), InvalidStateError, NOT_NUMBERS),
+        (lambda: KrausSet([[["1", "0"], ["0", "1"]]]), InvalidMatrixError, NOT_NUMBERS),
+        (lambda: OperatorBasis(2, "units", np.eye(4).reshape(4, 2, 2).astype(str)), InvalidMatrixError,
+         NOT_NUMBERS.replace("matrix entries", "basis elements")),
+        (lambda: AForm(np.array([[1, "0"]], dtype=object)), InvalidMatrixError, NOT_NUMBERS),
+        (lambda: CanonicalDecomposition(standard_basis(2), [2.0], [[["1", "0"], ["0", "1"]]]), InvalidMatrixError,
+         "eigenvalues and canonical operators must be arrays of numbers"),
     ],
-    ids=["a_string", "b_string", "basis_string", "eigh_string", "a_object", "kraus_object", "state_object", "a_huge_int"],
+    ids=["a_string", "b_string", "basis_string", "eigh_string", "a_object", "kraus_object", "state_object", "a_huge_int",
+         "a_text", "state_bytes", "kraus_text", "basis_text", "a_object_text", "canonical_text"],
 )
 def test_a_matrix_that_is_not_numbers_raises_a_chanforms_error(build, error, message):
     """numpy's own TypeError, ValueError or OverflowError on the copy leaves as the entry point's typed error."""

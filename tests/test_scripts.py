@@ -82,7 +82,8 @@ def test_op_calls_repeats_exactly(workload):
 
 def test_op_digest_repeats_exactly_and_sees_one_ulp(tmp_path):
     """Two runs print the same line per op, 384 qubit ops and 12 at n = 3 and 5, from another directory
-    with PYTHONPATH unset; a one-ulp change to one route's output changes that op's digest."""
+    with PYTHONPATH unset; a one-ulp change to one route's output changes that op's digest, and a
+    kept parameter of another float type changes its spec's digest."""
     argv = [sys.executable, str(SCRIPTS / "op_digest.py"), "--seed", "1"]
     runs = [
         subprocess.run(argv, capture_output=True, text=True, timeout=120, **kwargs)
@@ -92,7 +93,9 @@ def test_op_digest_repeats_exactly_and_sees_one_ulp(tmp_path):
         assert result.returncode == 0, result.stderr
     lines = runs[0].stdout.splitlines()
     assert runs[1].stdout == runs[0].stdout and len(lines) == 396
-    assert all(re.fullmatch(rf"{i} [a-z_]+ (pauli|units) [0-9a-f]{{64}}", line) for i, line in enumerate(lines[:384]))
+    assert all(
+        re.fullmatch(rf"{i} [a-z_]+ (pauli|units) [0-9a-f]{{64}} [0-9a-f]{{64}}", line) for i, line in enumerate(lines[:384])
+    )
     odd = ["channel_a", "canonical_to_a", "apply_a", "apply_canonical", "apply_kraus", "choi_consistency"]
     assert [line.rsplit(" ", 1)[0] for line in lines[384:]] == [f"n={n} {op}" for n in (3, 5) for op in odd]
     assert all(re.fullmatch(r"n=[35] [a-z_]+ [0-9a-f]{64}", line) for line in lines[384:])
@@ -107,6 +110,11 @@ def test_op_digest_repeats_exactly_and_sees_one_ulp(tmp_path):
     moved[0, 0] = np.nextafter(moved[0, 0].real, np.inf) + 1j * moved[0, 0].imag
     result.via_canonical[0] = dataclasses.replace(out, matrix=moved)
     assert digest.digest(result) != before
+
+    spec = {name: getattr(item.spec, name) for name in digest.SPEC_FIELDS}
+    assert lines[0].split()[3] == digest.digest(spec)
+    p = next(name for name in ("p", "angle") if spec[name] is not None)
+    assert digest.digest({**spec, p: np.float64(spec[p])}) != digest.digest(spec)
 
 
 CODE_LINES_SNIPPET = '''"""Module docstring,

@@ -45,6 +45,7 @@ from chanforms.serialize import (
     parse_state_document,
     parse_zoo_document,
 )
+from chanforms.zoo import _KINDS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -282,6 +283,15 @@ class TestDumps:
     def test_nan_is_rejected(self):
         with pytest.raises(ValueError):
             dumps({"x": [[float("nan"), 0.0]]})
+
+    def test_format_md_lists_the_kind_table(self):
+        """FORMAT.md's "Channel payloads" table lists exactly the kinds of ``zoo._KINDS``, in
+        order, each with its payload field names in wire order."""
+        text = (Path(__file__).resolve().parent.parent / "FORMAT.md").read_text()
+        table = text.split("Channel payloads", 1)[1].split("\n\n")[1]
+        rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+        documented = [(re.match(r"\s*`(\w+)`", kind)[1], re.findall(r"`(\w+)`", fields)) for kind, fields in rows]
+        assert documented == [(kind.value, [name for name, _ in rule.fields]) for kind, rule in _KINDS.items()]
 
 
 # Complex parts at the edges of the double range: signed zeros,

@@ -1,16 +1,26 @@
+import collections
+import dataclasses
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanforms import (
+    DEFAULT_TOL,
     PAULIS,
+    AForm,
     BasisLabel,
     BlochVector,
     ChanformsError,
+    ChannelKind,
     ChannelSpec,
     DensityMatrix,
     InvalidMatrixError,
+    KrausSet,
     NotUnitAxisError,
     OutsideBallError,
     ProbabilityRangeError,
@@ -24,6 +34,7 @@ from chanforms import (
     build_transpose_a,
     build_unitary_a,
     canonical_decompose,
+    channel_a,
     coefficient_matrix,
     cp_verdict,
     density_to_bloch,
@@ -35,6 +46,8 @@ from chanforms import (
     rotation_unitary,
     standard_basis,
 )
+from chanforms import zoo
+from chanforms.serialize import _make_channel, parse_channel_document
 from conftest import random_density
 
 PAULI = standard_basis(2, BasisLabel.PAULI_OVER_SQRT2)
@@ -441,3 +454,136 @@ class TestNamedChannelInvariants:
         for name, a in self.named_channels().items():
             w = canonical_decompose(a, PAULI).eigenvalues
             assert abs(w.sum() - 2.0) < 1e-10, name
+
+
+def _wire_spec(**channel) -> ChannelSpec:
+    """The spec a channel document with this payload parses to."""
+    return parse_channel_document(json.dumps({"format_version": "1", "channel": channel})).channel
+
+
+AXIS = (0.6, 0.0, 0.8)
+BLOCH = BlochVector(0.3, -0.2, 0.5)
+
+# Each named kind: its classmethod spec, the bare constructor's loose arguments, and its wire payload.
+FOUR_WAYS = {
+    ChannelKind.UNITARY: (
+        lambda: ChannelSpec.unitary(AXIS, 1.25),
+        [{"axis": list(AXIS), "angle": np.float64(1.25)}, {"axis": np.array(AXIS), "angle": np.float32(1.25)}],
+        {"axis": list(AXIS), "angle": 1.25},
+    ),
+    ChannelKind.PIN: (lambda: ChannelSpec.pin(BLOCH), [{"p0": BLOCH}], {"p0": [0.3, -0.2, 0.5]}),
+    ChannelKind.TRANSPOSE: (ChannelSpec.transpose, [{}], {}),
+    ChannelKind.EQUATORIAL_PROJECTION: (ChannelSpec.equatorial_projection, [{}], {}),
+    ChannelKind.BIT_FLIP: (lambda: ChannelSpec.bit_flip(1.0), [{"p": 1}, {"p": np.float64(1.0)}, {"p": True}], {"p": 1}),
+    ChannelKind.PHASE_FLIP: (lambda: ChannelSpec.phase_flip(0.25), [{"p": np.float16(0.25)}], {"p": 0.25}),
+}
+
+PARAMETERS = ("axis", "angle", "p0", "p", "matrix", "operators")
+
+
+def kept(spec: ChannelSpec) -> dict:
+    """Each parameter a spec keeps, as (type, value); a Bloch vector by its type and components,
+    and an axis by the types of its components too."""
+    out = {}
+    for name in PARAMETERS:
+        value = getattr(spec, name)
+        if isinstance(value, BlochVector):
+            value = tuple((type(x), x) for x in (value.p1, value.p2, value.p3))
+        elif isinstance(value, tuple):
+            value = tuple((type(x), x) for x in value)
+        out[name] = (type(value), value)
+    return out
+
+
+class TestKindTable:
+    """Every spec is built by its kind's builder, once, whatever route builds it."""
+
+    @pytest.mark.parametrize("kind", list(FOUR_WAYS), ids=lambda k: k.value)
+    def test_a_named_kind_keeps_the_same_values_built_four_ways(self, kind):
+        make, loose, payload = FOUR_WAYS[kind]
+        spec = make()
+        specs = [ChannelSpec(kind=kind, **fields) for fields in loose]
+        specs += [dataclasses.replace(spec), _wire_spec(kind=kind.value, **payload)]
+        for other in specs:
+            assert kept(other) == kept(spec)
+            a, b = channel_a(other).matrix, channel_a(spec).matrix
+            assert a.tobytes() == b.tobytes()
+        if kind is ChannelKind.UNITARY:
+            assert type(spec.angle) is float and spec.axis == AXIS
+        if kind is ChannelKind.PIN:  # kept as given; the wire builds its own vector
+            assert all(s.p0 is BLOCH for s in [spec, *specs[:-1]])
+
+    def test_an_axis_iterator_is_read_once(self):
+        spec = ChannelSpec.unitary(iter(AXIS), 1.25)
+        assert kept(spec) == kept(ChannelSpec.unitary(AXIS, 1.25))
+
+    def test_a_bare_spec_keeps_no_mutable_input(self):
+        axis = np.array(AXIS)
+        spec = ChannelSpec(kind=ChannelKind.UNITARY, axis=axis, angle=1.25)
+        axis[0] = 7.0
+        assert spec.axis == AXIS
+
+    @pytest.mark.parametrize(
+        "kind, fields, wire, error, message",
+        [
+            ("bit_flip", {"p": 1.5}, True, ProbabilityRangeError, "probability 1.5 outside [0, 1]"),
+            ("phase_flip", {"p": "0.5"}, False, ProbabilityRangeError, "probability must be a real number, got '0.5'"),
+            ("unitary", {"axis": [2.0, 0.0, 0.0], "angle": 1.0}, True, NotUnitAxisError,
+             "axis norm 2 differs from 1 beyond tol 1e-09"),
+            ("unitary", {"axis": [0.0, 0.0, 1.0], "angle": math.nan}, False, InvalidMatrixError,
+             "rotation angle nan is not finite"),
+            ("pin", {"p0": [0.0, 0.0, 0.5]}, None, OutsideBallError,
+             "the pin map needs a BlochVector, got [0.0, 0.0, 0.5]"),
+        ],
+        ids=["p_1.5", "p_text", "axis_norm_2", "angle_nan", "pin_list"],
+    )
+    def test_a_bad_parameter_raises_alike_on_every_route(self, kind, fields, wire, error, message):
+        """The classmethod and the bare constructor raise one class and message; the wire raises
+        them with the payload's path.  ``wire`` is True where a document can carry the value, False
+        where only the parsed-payload step can (a document's schema refuses text and NaN first),
+        and None where the wire has no such value (it always builds the Bloch vector)."""
+        kind = ChannelKind(kind)
+        routes = [lambda: getattr(ChannelSpec, kind.value)(**fields), lambda: ChannelSpec(kind=kind, **fields)]
+        for route in routes:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                route()
+        if wire is not None:
+            prefixed = f"^{re.escape('document.channel: ' + message)}$"
+            with pytest.raises(error, match=prefixed):
+                _make_channel({"kind": kind.value, **fields}, DEFAULT_TOL, "document.channel")
+        if wire:
+            with pytest.raises(error, match=prefixed):
+                _wire_spec(kind=kind.value, **fields)
+
+    @pytest.mark.parametrize("kind", list(FOUR_WAYS), ids=lambda k: k.value)
+    def test_each_parameter_is_checked_once_per_spec(self, kind, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name):
+            check = getattr(zoo, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return check(*args)
+
+            monkeypatch.setattr(zoo, name, counted)
+
+        counting("_require_unit_axis")
+        counting("_require_probability")
+        make, loose, payload = FOUR_WAYS[kind]
+        spec = make()
+        builds = [make, lambda: ChannelSpec(kind=kind, **loose[0]), lambda: dataclasses.replace(spec),
+                  lambda: _wire_spec(kind=kind.value, **payload)]
+        checks = {ChannelKind.UNITARY: ["_require_unit_axis"], ChannelKind.BIT_FLIP: ["_require_probability"],
+                  ChannelKind.PHASE_FLIP: ["_require_probability"]}.get(kind, [])
+        for build in builds:
+            calls.clear()
+            build()
+            assert calls == collections.Counter(checks)
+
+    def test_every_kind_names_its_builder(self):
+        builders = [rule.build for rule in zoo._KINDS.values()]
+        assert builders[:6] == [build_unitary_a, build_pin_a, build_transpose_a, build_equatorial_projection_a,
+                                build_bit_flip_a, build_phase_flip_a]
+        assert [b.func for b in builders[6:]] == [AForm, KrausSet]
+        assert all(b.keywords == {"tol": math.inf} for b in builders[6:])
