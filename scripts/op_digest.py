@@ -11,14 +11,17 @@ operators), and the SHA-256 of everything the op returned: the A-form,
 the analysis report (its spectrum, ``spectral_match``, verdict, canonical
 operators and eigenvalues, and Kraus operators), the rebuilt A, the
 ``choi_consistency`` residual and the outputs of all three application
-routes.  Twelve more lines follow, one
+routes.  Fourteen more lines follow, one
 per library op at n = 3 and 5 on a seeded rank-1 Kraus set E and state
 rho: ``channel_a`` of the ``raw_kraus`` spec of E, ``canonical_to_a`` of
 the one-operator decomposition (n, E / sqrt(n)), ``apply_a``,
 ``apply_canonical`` and ``apply_kraus`` of those on rho, and the
-``choi_consistency`` residual of E's A-form; a one-term outer product at
-odd n rounds differently under another product routine, which the qubit
-stream does not show.  Arrays are hashed by dtype,
+``choi_consistency`` residual of E's A-form and ``hermitian_eigendecompose``
+of g + g^dag, a plain array, for the seeded complex Gaussian g that
+gives rho = g g^dag / Tr.  A one-term outer product at odd n rounds
+differently under another product routine, which the qubit stream does
+not show, and the stream and the CLI reach the eigensolve only through a
+validated form.  Arrays are hashed by dtype,
 shape and raw bytes, floats by their type and eight bytes, so a change of
 one ulp, of a zero's sign or of a float's type changes the line.  These are library outputs the CLI
 never prints, so ``scripts/cli_matrix.py`` does not see them; a change
@@ -52,6 +55,7 @@ from chanforms import (  # noqa: E402
     canonical_to_a,
     channel_a,
     choi_consistency,
+    hermitian_eigendecompose,
     random_cp_channel,
     standard_basis,
 )
@@ -115,6 +119,7 @@ def odd_n_ops(seed: int) -> list[tuple[int, str, object]]:
             (n, "apply_canonical", apply_canonical(one, rho, wl.TOL)),
             (n, "apply_kraus", apply_kraus(kraus, rho, wl.TOL)),
             (n, "choi_consistency", choi_consistency(a, wl.TOL)),
+            (n, "hermitian_eigendecompose", hermitian_eigendecompose(g + g.conj().T)),
         ]
     return rows
 

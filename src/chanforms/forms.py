@@ -147,7 +147,7 @@ class OperatorBasis:
         v = el.reshape(n * n, n * n)
         v_conj = _freeze(v.conj())
         eye = _identity(n * n)
-        if max_abs(v_conj @ v.T - eye) > tol:
+        if not max_abs(v_conj @ v.T - eye) <= tol:  # NaN-safe: a NaN tol or residual fails it
             raise InvalidMatrixError("basis elements are not trace-orthonormal")
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "label", label)
@@ -202,6 +202,29 @@ def default_basis(n: int) -> OperatorBasis:
     if n == 2:
         return _standard_basis(2, BasisLabel.PAULI_OVER_SQRT2)
     return _standard_basis(n, BasisLabel.MATRIX_UNITS)
+
+
+class _kept:
+    """A value built on first use and kept: ``functools.cached_property`` without its lock.
+
+    A non-data descriptor: the first read calls the method and stores the result in the
+    instance ``__dict__`` under the method's name, where every later read finds it without
+    reaching the descriptor; a first use that raises stores nothing.  On the class it is
+    itself.  Python 3.11's ``cached_property`` takes one class-wide lock around every first
+    use, which 3.12 dropped; each value kept here is a pure function of an immutable form,
+    so two threads racing on a first use store equal values, and no lock is needed.
+    """
+
+    def __init__(self, build):
+        self._build = build
+        self._name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._name] = self._build(obj)
+        return value
 
 
 class _Measured:
@@ -277,11 +300,11 @@ class AForm(_Measured):
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "hermiticity_residual", max_abs(np.conj(a4) - a4.transpose(1, 0, 3, 2)))
         # The rows (r', r') of m, summed in one reduction: vec(sum_r' A[r'r'; rs]).
-        traced = np.add.reduce(m[:: n + 1], axis=0)
+        traced = np.add.reduce(m[:: n + 1], 0)  # axis positional: a reduce parses keywords slowly
         object.__setattr__(self, "trace_residual", max_abs(traced - _flat_identity(n)))
         return self
 
-    @functools.cached_property
+    @_kept
     def _b_form(self) -> BForm:
         """The B-form R(A)[(r',r),(s',s)] = A[(r',s'),(r,s)], measured but unchecked; its
         hermiticity residual is A's (see ``realign_a_to_b``)."""
@@ -408,11 +431,11 @@ class CanonicalDecomposition:
     def dim(self) -> int:
         return self.basis.dim
 
-    @functools.cached_property
+    @_kept
     def _weighted(self) -> np.ndarray:
         return _interleaved(self.eigenvalues[:, None, None] * self.canonical_ops)
 
-    @functools.cached_property
+    @_kept
     def _adjoint(self) -> np.ndarray:
         return _adjoints(self.canonical_ops)
 
@@ -494,7 +517,7 @@ class KrausSet(_Measured):
     def __len__(self) -> int:
         return len(self.operators)
 
-    @functools.cached_property
+    @_kept
     def _a_form(self) -> AForm:
         """sum_k E_k (x) conj(E_k), the realignment of V^T conj(V) with the row-vectorized E_k
         as the rows of V, measured but unchecked; a non-finite sum raises and is not kept."""
@@ -503,11 +526,11 @@ class KrausSet(_Measured):
         # @, not .dot: see canonical_to_a.
         return object.__new__(AForm)._measure(_reshuffle(v.T @ v.conj(), n))._check(math.inf)
 
-    @functools.cached_property
+    @_kept
     def _stacked(self) -> np.ndarray:
         return _interleaved(self.operators)
 
-    @functools.cached_property
+    @_kept
     def _adjoint(self) -> np.ndarray:
         return _adjoints(self.operators)
 

@@ -21,6 +21,7 @@ import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     InvalidMatrixError,
@@ -59,16 +60,33 @@ def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None)
 
 def _complex_array(entries, what: str) -> np.ndarray:
     """A complex copy of ``entries``, read as ``np.array(entries, dtype=complex)`` reads it except
-    that text is not parsed as a number; ``InvalidMatrixError`` on entries that are not numbers
-    (a str or bytes entry, an object) or lie beyond the double range, or on ragged rows.  An array
-    is converted in one pass; other input is read once without a dtype, so its text shows."""
+    that text is not parsed as a number and a buffer is not read as its bytes; ``InvalidMatrixError``
+    on entries that are not numbers (a str or bytes entry, a bytes, bytearray or memoryview row, an
+    object) or lie beyond the double range, or on ragged rows.  An array is converted in one pass;
+    other input is read once without a dtype, so its text shows, and its rows are looked at for
+    buffers, which numpy would read as their byte values."""
     try:
-        a = entries if isinstance(entries, np.ndarray) else np.array(entries)
+        if isinstance(entries, np.ndarray):
+            a = entries
+        else:
+            a = np.array(entries)
+            if _holds_buffer(entries, a.ndim - 1):
+                raise TypeError("a buffer is not read as numbers")
         if a.dtype.kind in "SUO" and any(isinstance(x, (str, bytes)) for x in a.flat):
             raise TypeError("text is not read as a number")
         return np.array(a, dtype=complex) if a is entries else np.asarray(a, dtype=complex)
     except (TypeError, ValueError, OverflowError):
         raise InvalidMatrixError(f"{what} must be numbers within the double range, in rows of one length") from None
+
+
+def _holds_buffer(x, depth: int) -> bool:
+    """Whether ``x`` is a bytes-like buffer, or a list or tuple holding one within ``depth`` levels.
+
+    numpy reads a buffer as the last axis of the array it builds, so a buffer sits at most
+    ``ndim - 1`` levels down: the walk visits the rows of a matrix, not its entries."""
+    if isinstance(x, (bytes, bytearray, memoryview)):
+        return True
+    return depth > 0 and isinstance(x, (list, tuple)) and any(_holds_buffer(r, depth - 1) for r in x)
 
 
 def _require_finite(m: np.ndarray) -> None:
@@ -79,7 +97,7 @@ def _require_finite(m: np.ndarray) -> None:
 
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max-norm; 0.0 for empty input.  A NaN entry gives NaN."""
-    return float(np.maximum.reduce(np.abs(m), axis=None)) if m.size else 0.0
+    return float(np.maximum.reduce(np.abs(m), None)) if m.size else 0.0  # axis positional: a reduce parses keywords slowly
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
@@ -192,16 +210,16 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got {m.shape}")
         herm = hermiticity_residual(m)
-        if herm > tol:
+        if not herm <= tol:  # each check NaN-safe: a NaN tol or residual fails it
             raise InvalidStateError(f"not Hermitian: residual {herm:.3g} > tol {tol:g}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > tol:
+        if not abs(tr - 1.0) <= tol:
             raise InvalidStateError(f"trace {tr:.6g} differs from 1 beyond tol {tol:g}")
         try:
             min_eig = _min_eigenvalue(m)
         except OverflowError as exc:  # an off-diagonal modulus beyond the double range
             raise InvalidStateError(f"entries too large for the eigenvalue check: {exc}") from None
-        if min_eig < -tol:
+        if not min_eig >= -tol:
             raise InvalidStateError(
                 f"not positive semidefinite: min eigenvalue {min_eig:.3g} < -{tol:g}"
             )
@@ -229,15 +247,27 @@ class EigenDecomposition:
         object.__setattr__(self, "eigenvectors", _freeze(np.array(self.eigenvectors, dtype=complex)))
 
 
+# The LAPACK gufunc (zheevd on the lower triangle) that ``np.linalg.eigh`` calls, and the
+# callback under which it runs it: LAPACK's failure to converge sets the invalid flag.
+_eigh_lo = _umath_linalg.eigh_lo
+
+
+def _no_convergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 def hermitian_eigendecompose(
     m: np.ndarray | _MeasuredHermitian, tol: float = DEFAULT_TOL
 ) -> EigenDecomposition:
     """Eigendecompose a Hermitian matrix.
 
-    Rejects input whose deviation from Hermiticity exceeds ``tol``
-    (``NotHermitianError``) and a spectrum beyond the double range
-    (``InvalidMatrixError``); solver failure raises ``NoConvergenceError``.
-    Eigenvalues come out descending; ties keep the solver's order.
+    Rejects input whose deviation from Hermiticity is not at most ``tol``
+    (``NotHermitianError``, also for a NaN ``tol``) and a spectrum beyond
+    the double range (``InvalidMatrixError``); solver failure raises
+    ``NoConvergenceError``.  Eigenvalues come out descending; ties keep the
+    solver's order.  The solver is the gufunc ``np.linalg.eigh`` calls, run
+    under the same ``errstate``, so its bits are eigh's, without eigh's
+    dispatch, type resolution, casts and result tuple.
 
     ``m`` may also be a validated form (``CoefficientMatrix``, ``BForm``):
     its stored residual is compared with ``tol`` and its read-only
@@ -250,11 +280,12 @@ def hermitian_eigendecompose(
         if m.shape[0] != m.shape[1]:
             raise NotHermitianError(f"matrix must be square, got {m.shape}")
         residual = hermiticity_residual(m)
-    if residual > tol:
+    if not residual <= tol:  # NaN-safe
         raise NotHermitianError(f"asymmetry {residual:.3g} exceeds tol {tol:g}")
     h = m / 2  # halved before adding, so the Hermitian part of a finite m is finite
     try:
-        w, v = np.linalg.eigh(h + h.conj().T)
+        with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            w, v = _eigh_lo(h + h.conj().T, signature="D->dD")
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     order = (-w).argsort(kind="stable")

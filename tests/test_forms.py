@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -191,6 +193,13 @@ class TestOperatorBasisValidation:
         OperatorBasis(dim=n, label=BasisLabel.MATRIX_UNITS, elements=el, tol=residual + 1e-14)
         with pytest.raises(ValueError, match="^basis elements are not trace-orthonormal$"):
             OperatorBasis(dim=n, label=BasisLabel.MATRIX_UNITS, elements=el, tol=residual - 1e-14)
+
+    def test_a_nan_tol_is_refused(self):
+        """The Gram check passes only a residual at most ``tol``: twice the matrix units, not orthonormal, were
+        accepted at a NaN ``tol``, and the units themselves are refused at it."""
+        for scale in (2, 1):
+            with pytest.raises(InvalidMatrixError, match="^basis elements are not trace-orthonormal$"):
+                OperatorBasis(2, "units", scale * UNITS2.elements, tol=np.nan)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)], ids=str)
     def test_rejects_non_finite_elements_without_a_warning(self, bad):
@@ -1481,7 +1490,7 @@ class TestKeptKrausAForm:
                     kraus_to_a(kraus, np.inf)
                 with pytest.raises(InvalidMatrixError, match="^matrix contains non-finite entries$"):
                     channel_a(spec, np.inf)
-        assert "_a_form" not in vars(kraus)
+        assert "_a_form" not in vars(kraus) and isinstance(vars(KrausSet)["_a_form"], forms._kept)
 
 
 def canonical_to_a_reference(c: CanonicalDecomposition, tol: float = 1e-9) -> AForm:
@@ -1496,6 +1505,70 @@ def sample_decompositions(n: int, seed: int) -> list[CanonicalDecomposition]:
     rng = np.random.default_rng(seed)
     cp = kraus_to_a(random_cp_channel(n, int(rng.integers(1, n * n + 1)), seed))
     return [canonical_decompose(a, basis) for a in (cp, random_ncp_a(n, seed)) for basis in {default_basis(n), standard_basis(n)}]
+
+
+class TestKeptValues:
+    """The six values a form builds on first use, through ``forms._kept``."""
+
+    KEPT = [(AForm, "_b_form"), (KrausSet, "_a_form"), (KrausSet, "_stacked"), (KrausSet, "_adjoint"),
+            (CanonicalDecomposition, "_weighted"), (CanonicalDecomposition, "_adjoint")]
+
+    @staticmethod
+    def instances(cls):
+        """Two fresh instances of ``cls`` with nothing kept yet."""
+        kraus = [random_cp_channel(2, 2, seed=seed) for seed in (1, 2)]
+        if cls is KrausSet:
+            return [KrausSet(k.operators) for k in kraus]
+        if cls is AForm:
+            return [AForm(kraus_to_a(k).matrix) for k in kraus]
+        return [canonical_decompose(kraus_to_a(k), PAULI) for k in kraus]
+
+    @pytest.mark.parametrize("cls, name", KEPT, ids=[f"{c.__name__}.{n}" for c, n in KEPT])
+    def test_built_once_per_instance_and_kept_in_its_dict(self, cls, name, monkeypatch):
+        kept = vars(cls)[name]
+        assert getattr(cls, name) is kept and isinstance(kept, forms._kept)  # the class attribute is the descriptor
+        built = []
+        build = kept._build
+        monkeypatch.setattr(kept, "_build", lambda obj: built.append(obj) or build(obj))
+        objs = self.instances(cls)
+        assert not any(name in vars(obj) for obj in objs)
+        for obj in objs + objs:
+            value = getattr(obj, name)
+            assert vars(obj)[name] is value is getattr(obj, name)
+        assert built == objs
+
+    def test_threads_racing_on_first_uses_read_equal_values(self):
+        """Without a lock, threads that race on a first use may each build the value; every read gives the
+        same bits, and the value kept is one of them."""
+        forms_under_race = [obj for cls in (AForm, KrausSet, CanonicalDecomposition) for obj in self.instances(cls)]
+        reads = {(id(obj), name): [] for obj in forms_under_race for cls, name in self.KEPT if isinstance(obj, cls)}
+        start = threading.Barrier(8)
+
+        def read_all():
+            start.wait(timeout=30)
+            for obj in forms_under_race:
+                for cls, name in self.KEPT:
+                    if isinstance(obj, cls):
+                        reads[id(obj), name].append(getattr(obj, name))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read_all) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for obj in forms_under_race:
+            for cls, name in self.KEPT:
+                if isinstance(obj, cls):
+                    values = reads[id(obj), name]
+                    assert len(values) == 8 and any(v is vars(obj)[name] for v in values)
+                    arrays = [v.matrix if isinstance(v, (AForm, BForm)) else v for v in values]
+                    assert all(bit_equal(x, arrays[0]) for x in arrays)
 
 
 class TestKeptOperands:

@@ -13,18 +13,22 @@ from chanforms import (
     DensityMatrix,
     InvalidMatrixError,
     InvalidStateError,
+    NoConvergenceError,
     NotHermitianError,
     OutsideBallError,
     WrongDimensionError,
     apply_a,
     bloch_to_density,
     build_pin_a,
+    build_transpose_a,
     channel_a,
     density_to_bloch,
     hermitian_eigendecompose,
     kraus_to_a,
     random_cp_channel,
+    realign_a_to_b,
 )
+from chanforms import linalg
 from chanforms.forms import (
     AForm,
     BForm,
@@ -110,14 +114,26 @@ IDENTITY_A_TEXT = [["1" if i in (0, 3) and j in (0, 3) else "0" for j in range(4
         (lambda: OperatorBasis(2, "units", np.eye(4).reshape(4, 2, 2).astype(str)), InvalidMatrixError,
          NOT_NUMBERS.replace("matrix entries", "basis elements")),
         (lambda: AForm(np.array([[1, "0"]], dtype=object)), InvalidMatrixError, NOT_NUMBERS),
+        (lambda: DensityMatrix([bytearray(b"\x01\x00"), bytearray(b"\x00\x00")]), InvalidStateError, NOT_NUMBERS),
+        (lambda: DensityMatrix([memoryview(b"\x01\x00"), memoryview(b"\x00\x00")]), InvalidStateError, NOT_NUMBERS),
+        (lambda: DensityMatrix([[1, 0], bytearray(b"\x00\x00")]), InvalidStateError, NOT_NUMBERS),
+        (lambda: AForm([bytearray(b"\x01\x00\x00\x01" if i in (0, 3) else b"\x00" * 4) for i in range(4)]),
+         InvalidMatrixError, NOT_NUMBERS),
+        (lambda: AForm(memoryview(np.eye(4).reshape(-1)).cast("B").cast("d", (4, 4))), InvalidMatrixError, NOT_NUMBERS),
+        (lambda: KrausSet([[bytearray(b"\x01\x00"), bytearray(b"\x00\x01")]]), InvalidMatrixError, NOT_NUMBERS),
+        (lambda: KrausSet([[memoryview(b"\x01\x00"), memoryview(b"\x00\x01")]]), InvalidMatrixError, NOT_NUMBERS),
         (lambda: CanonicalDecomposition(standard_basis(2), [2.0], [[["1", "0"], ["0", "1"]]]), InvalidMatrixError,
          "eigenvalues and canonical operators must be arrays of numbers"),
     ],
     ids=["a_string", "b_string", "basis_string", "eigh_string", "a_object", "kraus_object", "state_object", "a_huge_int",
-         "a_text", "state_bytes", "kraus_text", "basis_text", "a_object_text", "canonical_text"],
+         "a_text", "state_bytes", "kraus_text", "basis_text", "a_object_text", "state_bytearray_rows",
+         "state_memoryview_rows", "state_one_bytearray_row", "a_bytearray_rows", "a_memoryview", "kraus_bytearray_rows",
+         "kraus_memoryview_rows", "canonical_text"],
 )
 def test_a_matrix_that_is_not_numbers_raises_a_chanforms_error(build, error, message):
-    """numpy's own TypeError, ValueError or OverflowError on the copy leaves as the entry point's typed error."""
+    """numpy's own TypeError, ValueError or OverflowError on the copy leaves as the entry point's typed error; a
+    bytes-like row, which numpy would read as its byte values (a bytearray row of b"\\x01\\x00" as [1, 0]), is
+    refused as a bytes row is."""
     with pytest.raises(error, match=f"^{message}$") as info:
         build()
     assert isinstance(info.value, ChanformsError)
@@ -278,6 +294,56 @@ class TestHermitianEigendecompose:
         with pytest.raises(NotHermitianError):
             hermitian_eigendecompose(np.zeros((2, 3), dtype=complex))
 
+    def test_a_nan_tol_is_refused(self):
+        """A NaN ``tol`` passes no asymmetry, the zero of a Hermitian matrix or a validated form's kept one included."""
+        for m in ([[1, 5], [0, 1]], np.eye(2), realign_a_to_b(build_transpose_a())):
+            with pytest.raises(NotHermitianError, match=r"^asymmetry [0-9.]+ exceeds tol nan$"):
+                hermitian_eigendecompose(m, tol=np.nan)
+
+    @staticmethod
+    def eigh_reference(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The solve through ``np.linalg.eigh``, as the library made it before it called eigh's gufunc."""
+        h = m / 2
+        w, v = np.linalg.eigh(h + h.conj().T)
+        order = (-w).argsort(kind="stable")
+        return w[order], v.T[order]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bits_equal_numpy_eigh(self, n):
+        """The gufunc is the one ``np.linalg.eigh`` calls, so every bit of both outputs is eigh's: on seeded
+        matrices, on the transpose's B (spectrum 1, 1, 1, -1) as an array and as a form, and on entries with
+        signed zeros.  This guards the direct call should numpy ever move it."""
+        rng = np.random.default_rng([31, n])
+        cases = [random_hermitian(rng, n) for _ in range(20)]
+        cases.append(np.diag(np.where(np.arange(n) % 2, -0.0, 0.0)) + 1j * np.diag(np.full(n, -0.0)))
+        cases.append(np.vectorize(complex)(np.round(random_hermitian(rng, n)), -0.0))
+        if n == 4:
+            b = realign_a_to_b(build_transpose_a())
+            cases += [b.matrix, b]
+        for m in cases:
+            got = hermitian_eigendecompose(m)
+            w, v = self.eigh_reference(m.matrix if isinstance(m, BForm) else np.asarray(m, dtype=complex))
+            assert got.eigenvalues.tobytes() == w.tobytes() and got.eigenvalues.dtype == w.dtype
+            assert got.eigenvectors.tobytes() == v.tobytes() and got.eigenvectors.dtype == v.dtype
+
+    def test_a_solver_that_does_not_converge_raises_no_convergence(self, monkeypatch):
+        """LAPACK's failure to converge sets the invalid flag inside the gufunc; the ``errstate`` the solve runs
+        under turns it into ``NoConvergenceError``, whatever the caller's own ``errstate`` says."""
+        solve = linalg._eigh_lo
+
+        def diverging(a, signature):
+            np.zeros(1) / 0.0  # 0/0 sets the invalid flag, as a solve that did not converge does
+            return solve(a, signature=signature)
+
+        monkeypatch.setattr(linalg, "_eigh_lo", diverging)
+        for outer in ({"all": "ignore"}, {"all": "raise"}, {"over": "raise"}):
+            with np.errstate(**outer):
+                before = np.geterr()
+                with pytest.raises(NoConvergenceError, match="^Eigenvalues did not converge$") as info:
+                    hermitian_eigendecompose(np.eye(2))
+                assert np.geterr() == before  # the caller's setting is back
+            assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
     @pytest.mark.parametrize("form", ["coefficient", "b_form"])
     def test_validated_form_uses_its_stored_residual(self, rng, form):
         m = random_hermitian(rng, 4)
@@ -385,6 +451,13 @@ class TestDensityMatrixValidation:
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("m, residual", [([[2, 1], [0, -5]], 1), ([[0.5, 0], [0, 0.5]], 0)], ids=["not_a_state", "a_state"])
+    def test_a_nan_tol_is_refused(self, m, residual):
+        """Each check passes only a value at most ``tol``, so a NaN ``tol`` fails the first, even on a state:
+        [[2, 1], [0, -5]], not Hermitian, of trace -3 and indefinite, was built as a state."""
+        with pytest.raises(InvalidStateError, match=f"^not Hermitian: residual {residual} > tol nan$"):
+            DensityMatrix(m, tol=np.nan)
 
 
 class TestRowVectorize:

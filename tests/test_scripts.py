@@ -81,7 +81,7 @@ def test_op_calls_repeats_exactly(workload):
 
 
 def test_op_digest_repeats_exactly_and_sees_one_ulp(tmp_path):
-    """Two runs print the same line per op, 384 qubit ops and 12 at n = 3 and 5, from another directory
+    """Two runs print the same line per op, 384 qubit ops and 14 at n = 3 and 5, from another directory
     with PYTHONPATH unset; a one-ulp change to one route's output changes that op's digest, and a
     kept parameter of another float type changes its spec's digest."""
     argv = [sys.executable, str(SCRIPTS / "op_digest.py"), "--seed", "1"]
@@ -92,11 +92,14 @@ def test_op_digest_repeats_exactly_and_sees_one_ulp(tmp_path):
     for result in runs:
         assert result.returncode == 0, result.stderr
     lines = runs[0].stdout.splitlines()
-    assert runs[1].stdout == runs[0].stdout and len(lines) == 396
+    assert runs[1].stdout == runs[0].stdout and len(lines) == 398
     assert all(
         re.fullmatch(rf"{i} [a-z_]+ (pauli|units) [0-9a-f]{{64}} [0-9a-f]{{64}}", line) for i, line in enumerate(lines[:384])
     )
-    odd = ["channel_a", "canonical_to_a", "apply_a", "apply_canonical", "apply_kraus", "choi_consistency"]
+    odd = [
+        "channel_a", "canonical_to_a", "apply_a", "apply_canonical", "apply_kraus", "choi_consistency",
+        "hermitian_eigendecompose",
+    ]
     assert [line.rsplit(" ", 1)[0] for line in lines[384:]] == [f"n={n} {op}" for n in (3, 5) for op in odd]
     assert all(re.fullmatch(r"n=[35] [a-z_]+ [0-9a-f]{64}", line) for line in lines[384:])
 
